@@ -10,6 +10,7 @@ from .core import (
     ProposalOutcome,
     VarDimState,
     mhg_accept,
+    mhg_step,
     move_stats,
     rng_stream,
     run_chain,
@@ -22,18 +23,14 @@ from .birthdeath import (
     SortedRestriction,
     birth_propose_sorted,
     birth_propose_unsorted,
-    bod_log_ratio,
     bod_move_set,
     death_propose,
-    legacy_log_ratio,
     move_log_ratio,
     pmf_component_proposal,
     schedule_probabilities,
-    sorted_log_ratio,
     uniform_component_proposal,
 )
 from .sinusoid import (
-    ExperimentSpec,
     PriorOnlyTarget,
     SingularDesignError,
     SinusoidPosterior,
@@ -45,12 +42,11 @@ from .sinusoid import (
     sample_delta2,
     sample_lambda,
     sinusoid_log_target,
-    synth_signal,
     synthesize,
     truncated_poisson_logpmf,
     truncated_poisson_pmf,
 )
-from .experiment import JointRunResult, SweepRecord, run_joint_chain
+from .experiment import run_joint_chain
 from .oracle import (
     DiscreteToySpec,
     DiscreteToyTarget,

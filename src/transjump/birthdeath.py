@@ -207,54 +207,6 @@ def _death_parts(x, x_new, detail, sched, target, extra: float) -> tuple[float, 
     return ratio, lt_new
 
 
-def bod_log_ratio(x: VarDimState, x_new: VarDimState, detail: BoDDetail,
-                  sched: BirthDeathSchedule, target: TargetDensity) -> float:
-    """Exact log acceptance ratio for an unsorted birth or death move.
-
-    For a birth this is log f(x') - log f(x) + log p_d(x') - log p_b(x)
-    - log q(s*); a death is the exact negation with the roles swapped.  The
-    uniform location-selection terms 1/(k+1) cancel and never appear.
-    """
-    if detail.kind == "birth":
-        return _birth_parts(x, x_new, detail, sched, target, 0.0)[0]
-    if detail.kind == "death":
-        return _death_parts(x, x_new, detail, sched, target, 0.0)[0]
-    raise ConfigurationError(f"unknown move kind {detail.kind!r}")
-
-
-def legacy_log_ratio(x: VarDimState, x_new: VarDimState, detail: BoDDetail,
-                     sched: BirthDeathSchedule, target: TargetDensity) -> float:
-    """The historical erroneous ratio: exact ratio with a spurious 1/(k+1) on births.
-
-    Relative to :func:`bod_log_ratio` this subtracts log(k+1) for a birth from
-    order k and adds log(k) for a death from order k.  A chain driven by it
-    silently targets f_k / k! instead of f_k.
-    """
-    if detail.kind == "birth":
-        return _birth_parts(x, x_new, detail, sched, target, -math.log(x.k + 1))[0]
-    if detail.kind == "death":
-        return _death_parts(x, x_new, detail, sched, target, math.log(x.k))[0]
-    raise ConfigurationError(f"unknown move kind {detail.kind!r}")
-
-
-def sorted_log_ratio(x: VarDimState, x_new: VarDimState, detail: BoDDetail,
-                     sched: BirthDeathSchedule, target: TargetDensity) -> float:
-    """Log acceptance ratio for birth/death on sorted vectors.
-
-    The insertion-slot probabilities eta_i cancel algebraically, leaving
-    log f~(x') - log f~(x) + log p_d(x') - log(k+1) - log p_b(x) - log q(s*)
-    for a birth from order k.  The target must supply the sorted density f~;
-    for an exchangeable base density f this is k! * f.
-    """
-    if not x.is_sorted() or not x_new.is_sorted():
-        raise BrokenKernelError("sorted ratio evaluated on an unsorted state")
-    if detail.kind == "birth":
-        return _birth_parts(x, x_new, detail, sched, target, -math.log(x.k + 1))[0]
-    if detail.kind == "death":
-        return _death_parts(x, x_new, detail, sched, target, math.log(x.k))[0]
-    raise ConfigurationError(f"unknown move kind {detail.kind!r}")
-
-
 def _ratio_parts(x, x_new, detail, sched, target) -> tuple[float, float]:
     """Dispatch on representation and ratio mode; returns (log ratio, log f(x'))."""
     birth = detail.kind == "birth"
@@ -272,10 +224,19 @@ def move_log_ratio(x: VarDimState, x_new: VarDimState, detail: BoDDetail,
                    sched: BirthDeathSchedule, target: TargetDensity) -> float:
     """Log MHG ratio for a birth/death move under the schedule's representation and mode.
 
+    For a birth from order k this is log f(x') - log f(x) + log p_d(x')
+    - log p_b(x) - log q(s*); a death is the exact negation with the roles
+    swapped, and the uniform location-selection terms 1/(k+1) cancel.  The
+    sorted representation (target f~ = k! f for an exchangeable f, insertion
+    slot probabilities cancelling) and the legacy mode each add -log(k+1) to a
+    birth and +log(k) to a death; a legacy chain targets f_k / k!.
+
     This is the single code path the proposal functions use; exact
     transition-matrix oracles call it so they exercise the implemented ratio,
     not a reimplementation.
     """
+    if sched.representation == "sorted" and not (x.is_sorted() and x_new.is_sorted()):
+        raise BrokenKernelError("sorted ratio evaluated on an unsorted state")
     return _ratio_parts(x, x_new, detail, sched, target)[0]
 
 
@@ -362,11 +323,11 @@ class SortedRestriction:
 def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule,
                  update_propose: Callable[[VarDimState, Rng], ProposalOutcome] | None = None,
                  ) -> MoveSet:
-    """Mixture move set {birth, death, update-or-hold} for the given schedule.
+    """Mixture move set {birth, death, update-or-none} for the given schedule.
 
     Move selection weights are p_b(x), p_d(x) and the remainder.  When no
-    within-model move is supplied, the remaining mass holds the chain in
-    place (an always-accepted identity proposal).
+    within-model move is supplied, the remaining mass goes to the identity
+    move "none", which rejects surely and so keeps the chain in place.
     """
     if sched.representation == "sorted":
         birth = lambda x, rng: birth_propose_sorted(x, sched, target, rng)
@@ -380,8 +341,8 @@ def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule,
         return max(0.0, 1.0 - sched.p_birth(x) - sched.p_death(x))
 
     if update_propose is None:
-        third = Move("hold", "hold", rest_weight,
-                     lambda x, rng: ProposalOutcome(x, 0.0, "hold"))
+        third = Move("none", "none", rest_weight,
+                     lambda x, rng: ProposalOutcome(x, NEG_INF, "none"))
     else:
         def update(x, rng):
             if x.k == 0:

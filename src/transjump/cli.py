@@ -10,14 +10,21 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import BrokenKernelError, ConfigurationError, rng_stream
-from .experiment import JointRunResult, run_joint_chain
-from .sinusoid import accelerated_poisson_pmf, synthesize, truncated_poisson_pmf
+from .birthdeath import RATIO_MODES, REPRESENTATIONS
+from .core import BrokenKernelError, ConfigurationError, check_iteration_counts, rng_stream
+from .experiment import run_joint_chain
+from .sinusoid import (
+    OMEGA_HIGH,
+    OMEGA_LOW,
+    accelerated_poisson_pmf,
+    synthesize,
+    truncated_poisson_pmf,
+)
 from .svg import grouped_bar_svg
 from .validation import SUITES
 
@@ -43,7 +50,6 @@ class RunConfig:
     delta2_prior: tuple[float, float] | None = (2.0, 100.0)
     flat_likelihood: bool = False
     jitter: float = 0.0
-    k_true: int = 3
     omega_true: tuple[float, ...] = (0.63, 0.68, 0.73)
     amp2_true: tuple[float, ...] = (20.0, 6.32, 20.0)
     snr_db: float = 7.0
@@ -99,7 +105,6 @@ _CONFIG_KEYS = {
     "model.delta2_prior": ("delta2_prior", _parse_pair, _fmt_floats),
     "model.flat_likelihood": ("flat_likelihood", _parse_bool, lambda b: "true" if b else "false"),
     "model.jitter": ("jitter", float, _fmt),
-    "experiment.k_true": ("k_true", int, str),
     "experiment.omega_true": ("omega_true", _parse_floats, _fmt_floats),
     "experiment.amp2_true": ("amp2_true", _parse_floats, _fmt_floats),
     "experiment.snr_db": ("snr_db", float, _fmt),
@@ -164,12 +169,10 @@ def parse_config(path: str | os.PathLike | None = None,
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.n_iter > 0 and not 0 <= cfg.burn_in < cfg.n_iter:
-        raise ConfigurationError(
-            f"burn_in={cfg.burn_in} must be smaller than n_iter={cfg.n_iter}")
-    if cfg.ratio_mode not in ("corrected", "legacy"):
+    check_iteration_counts(cfg.n_iter, cfg.burn_in)
+    if cfg.ratio_mode not in RATIO_MODES:
         raise ConfigurationError(f"unknown ratio mode {cfg.ratio_mode!r}")
-    if cfg.representation not in ("unsorted", "sorted"):
+    if cfg.representation not in REPRESENTATIONS:
         raise ConfigurationError(f"unknown representation {cfg.representation!r}")
     if not 0.0 < cfg.c <= 0.5:
         raise ConfigurationError(f"sampler.c={cfg.c} outside (0, 0.5]")
@@ -181,6 +184,15 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("exactly one of model.lambda / model.lambda_prior is required")
     if (cfg.delta2 is None) == (cfg.delta2_prior is None):
         raise ConfigurationError("exactly one of model.delta2 / model.delta2_prior is required")
+    if len(cfg.omega_true) != len(cfg.amp2_true):
+        raise ConfigurationError("experiment.omega_true and experiment.amp2_true "
+                                 "must have matching lengths")
+    if any(not OMEGA_LOW < w < OMEGA_HIGH for w in cfg.omega_true):
+        raise ConfigurationError("experiment.omega_true frequencies must lie in (0, pi)")
+    if len(set(cfg.omega_true)) != len(cfg.omega_true):
+        raise ConfigurationError("experiment.omega_true frequencies must be distinct")
+    if not math.isfinite(cfg.snr_db):
+        raise ConfigurationError("experiment.snr_db must be finite")
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -183,8 +183,20 @@ def mhg_accept(log_ratio: float, rng: Rng) -> bool:
     return math.log(u) < log_ratio
 
 
-@dataclass(frozen=True)
+def check_iteration_counts(n_iter: int, burn_in: int) -> None:
+    """Require 0 <= burn_in < n_iter, or an empty run with no burn-in."""
+    if not (0 <= burn_in < n_iter or n_iter == burn_in == 0):
+        raise ConfigurationError(f"invalid iteration counts: n_iter={n_iter}, burn_in={burn_in}")
+
+
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
+    """State after one transition (or sweep); ``move`` is the mixture move attempted.
+
+    ``lam`` and ``delta2`` hold the hyperparameter values of sweeps that sample
+    or fix them, and stay None for plain chains.
+    """
+
     iteration: int
     k: int
     components: tuple[float, ...]
@@ -192,6 +204,8 @@ class IterationRecord:
     move: str
     accepted: bool
     burn_in: bool
+    lam: float | None = None
+    delta2: float | None = None
 
 
 @dataclass
@@ -199,30 +213,56 @@ class ChainOutput:
     """Per-iteration records plus per-move tallies and a config echo.
 
     Burn-in records are kept (flagged) so diagnostics can inspect them;
-    summary helpers exclude them.
+    summary helpers exclude them, and their ``k_max`` defaults to
+    ``config["k_max"]`` when the driver records one.
     """
 
-    records: list[IterationRecord]
-    proposals: dict[str, int]
-    acceptances: dict[str, int]
+    records: list[IterationRecord] = field(default_factory=list)
+    proposals: dict[str, int] = field(default_factory=dict)
+    acceptances: dict[str, int] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
+
+    def tally(self, label: str, accepted: bool) -> None:
+        self.proposals[label] = self.proposals.get(label, 0) + 1
+        if accepted:
+            self.acceptances[label] = self.acceptances.get(label, 0) + 1
 
     def post_burn_in(self) -> list[IterationRecord]:
         return [r for r in self.records if not r.burn_in]
 
-    def k_counts(self, k_max: int, include_burn_in: bool = False) -> np.ndarray:
+    def k_counts(self, k_max: int | None = None, include_burn_in: bool = False) -> np.ndarray:
+        if k_max is None:
+            k_max = self.config["k_max"]
         counts = np.zeros(k_max + 1, dtype=np.int64)
         for r in self.records:
             if include_burn_in or not r.burn_in:
                 counts[r.k] += 1
         return counts
 
-    def k_frequencies(self, k_max: int) -> np.ndarray:
+    def k_frequencies(self, k_max: int | None = None) -> np.ndarray:
         counts = self.k_counts(k_max)
         total = counts.sum()
-        if total == 0:
-            return np.zeros(k_max + 1)
-        return counts / total
+        return counts / total if total else np.zeros(counts.size)
+
+    def mean_k(self, k_max: int | None = None) -> float:
+        freqs = self.k_frequencies(k_max)
+        return float(freqs @ np.arange(freqs.size))
+
+
+def mhg_step(moves: MoveSet, x: VarDimState, rng: Rng,
+             out: ChainOutput) -> tuple[str, ProposalOutcome, bool]:
+    """One MHG transition of the mixture kernel, tallied into ``out``.
+
+    Selects a move, proposes and accepts with probability min{1, r}; the
+    caller moves to ``outcome.proposed`` when ``accepted`` is true.
+    """
+    label = select_move(moves, x, rng)
+    outcome = moves.by_label[label].propose(x, rng)
+    if any(math.isnan(c) for c in outcome.proposed.components):
+        raise BrokenKernelError(f"move {label!r} proposed a state with NaN components")
+    accepted = mhg_accept(outcome.log_ratio, rng)
+    out.tally(label, accepted)
+    return label, outcome, accepted
 
 
 def run_chain(
@@ -236,12 +276,10 @@ def run_chain(
 ) -> ChainOutput:
     """Run the Metropolis-Hastings-Green chain for ``n_iter`` iterations.
 
-    Each iteration selects one elementary move, proposes, and accepts with
-    probability min{1, r}; a rejection keeps the current state.  The run is
-    fully reproducible given the generator state.
+    Each iteration is one :func:`mhg_step`; a rejection keeps the current
+    state.  The run is fully reproducible given the generator state.
     """
-    if n_iter < 0 or burn_in < 0 or burn_in > n_iter or (n_iter > 0 and burn_in >= n_iter):
-        raise ConfigurationError(f"invalid iteration counts: n_iter={n_iter}, burn_in={burn_in}")
+    check_iteration_counts(n_iter, burn_in)
     log_t = target.log_density(init)
     if math.isnan(log_t):
         raise BrokenKernelError("target returned NaN at the initial state")
@@ -249,30 +287,19 @@ def run_chain(
         raise ConfigurationError("initial state has zero target density")
 
     x = init
-    records: list[IterationRecord] = []
-    proposals: dict[str, int] = {}
-    acceptances: dict[str, int] = {}
+    out = ChainOutput(config={"n_iter": n_iter, "burn_in": burn_in, "seed": seed})
     for i in range(n_iter):
-        label = select_move(moves, x, rng)
-        outcome = moves.by_label[label].propose(x, rng)
-        if any(math.isnan(c) for c in outcome.proposed.components):
-            raise BrokenKernelError(f"move {label!r} proposed a state with NaN components")
-        proposals[label] = proposals.get(label, 0) + 1
-        accepted = mhg_accept(outcome.log_ratio, rng)
-        if accepted:
-            acceptances[label] = acceptances.get(label, 0) + 1
-            if outcome.proposed is not x:
-                x = outcome.proposed
-                if outcome.proposed_log_density is not None:
-                    log_t = outcome.proposed_log_density
-                else:
-                    log_t = target.log_density(x)
-        records.append(IterationRecord(
+        label, outcome, accepted = mhg_step(moves, x, rng, out)
+        if accepted and outcome.proposed is not x:
+            x = outcome.proposed
+            if outcome.proposed_log_density is not None:
+                log_t = outcome.proposed_log_density
+            else:
+                log_t = target.log_density(x)
+        out.records.append(IterationRecord(
             iteration=i, k=x.k, components=x.components, log_target=log_t,
             move=label, accepted=accepted, burn_in=i < burn_in))
-    return ChainOutput(
-        records=records, proposals=proposals, acceptances=acceptances,
-        config={"n_iter": n_iter, "burn_in": burn_in, "seed": seed})
+    return out
 
 
 def move_stats(out: ChainOutput) -> list[tuple[str, int, float]]:

@@ -1,31 +1,33 @@
 """Chain driver for the full sinusoid model, with hyperparameter sampling.
 
 One sweep composes invariant kernels: optional hyperparameter updates for the
-component-count mean and the g-prior scale, one between-model birth-or-death
-attempt, and one within-model frequency update.  Each sweep produces one
-record, so iteration counts refer to sweeps.
+component-count mean and the g-prior scale, one step of the birth-or-death
+mixture (``core.mhg_step`` over ``bod_move_set``, whose remaining mass is the
+reject-surely identity move "none"), and one within-model frequency update.
+Each sweep produces one record, so iteration counts refer to sweeps.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .birthdeath import (
     BirthDeathSchedule,
     SortedRestriction,
-    birth_propose_sorted,
-    birth_propose_unsorted,
-    death_propose,
+    bod_move_set,
     uniform_component_proposal,
 )
 from .core import (
     BrokenKernelError,
+    ChainOutput,
     ConfigurationError,
+    IterationRecord,
     Rng,
     VarDimState,
+    check_iteration_counts,
     mhg_accept,
+    mhg_step,
 )
 from .sinusoid import (
     PriorOnlyTarget,
@@ -34,49 +36,6 @@ from .sinusoid import (
     sample_delta2,
     sample_lambda,
 )
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    iteration: int
-    k: int
-    components: tuple[float, ...]
-    log_target: float
-    move: str  # between-model attempt: "birth" | "death" | "none"
-    accepted: bool
-    lam: float
-    delta2: float
-    burn_in: bool
-
-
-@dataclass
-class JointRunResult:
-    """Sweep records plus per-move attempt/acceptance tallies and a config echo."""
-
-    records: list[SweepRecord]
-    proposals: dict[str, int]
-    acceptances: dict[str, int]
-    config: dict
-    k_max: int
-
-    def post_burn_in(self) -> list[SweepRecord]:
-        return [r for r in self.records if not r.burn_in]
-
-    def k_counts(self) -> np.ndarray:
-        counts = np.zeros(self.k_max + 1, dtype=np.int64)
-        for r in self.records:
-            if not r.burn_in:
-                counts[r.k] += 1
-        return counts
-
-    def k_frequencies(self) -> np.ndarray:
-        counts = self.k_counts()
-        total = counts.sum()
-        return counts / total if total else np.zeros(self.k_max + 1)
-
-    def mean_k(self) -> float:
-        freqs = self.k_frequencies()
-        return float(freqs @ np.arange(self.k_max + 1))
 
 
 def run_joint_chain(
@@ -97,7 +56,7 @@ def run_joint_chain(
     rng: Rng,
     seed: int | None = None,
     init: VarDimState = VarDimState(),
-) -> JointRunResult:
+) -> ChainOutput:
     """Run the sweep chain; fully reproducible given the generator.
 
     Exactly one of ``lam`` / ``lambda_prior`` must be given (likewise for
@@ -109,8 +68,7 @@ def run_joint_chain(
         raise ConfigurationError("give exactly one of lam / lambda_prior")
     if (delta2 is None) == (delta2_prior is None):
         raise ConfigurationError("give exactly one of delta2 / delta2_prior")
-    if n_iter < 0 or burn_in < 0 or burn_in > n_iter or (n_iter > 0 and burn_in >= n_iter):
-        raise ConfigurationError(f"invalid iteration counts: n_iter={n_iter}, burn_in={burn_in}")
+    check_iteration_counts(n_iter, burn_in)
     if not flat_likelihood:
         if y is None:
             raise ConfigurationError("observations are required unless flat_likelihood is set")
@@ -128,27 +86,22 @@ def run_joint_chain(
 
     proposal = uniform_component_proposal()
     sorted_rep = representation == "sorted"
-    birth_propose = birth_propose_sorted if sorted_rep else birth_propose_unsorted
-
     x = init
-    records: list[SweepRecord] = []
-    proposals: dict[str, int] = {}
-    acceptances: dict[str, int] = {}
-
-    def tally(label: str, accepted: bool) -> None:
-        proposals[label] = proposals.get(label, 0) + 1
-        if accepted:
-            acceptances[label] = acceptances.get(label, 0) + 1
+    out = ChainOutput(config={
+        "n_iter": n_iter, "burn_in": burn_in, "seed": seed, "k_max": k_max,
+        "c": c, "ratio_mode": ratio_mode, "representation": representation,
+        "flat_likelihood": flat_likelihood,
+    })
 
     for i in range(n_iter):
         if lambda_prior is not None:
             lam_val, acc = sample_lambda(lam_val, x.k, lambda_prior[0],
                                          lambda_prior[1], k_max, rng)
-            tally("lambda", acc)
+            out.tally("lambda", acc)
         if delta2_prior is not None and not flat_likelihood:
             delta2_val, acc = sample_delta2(delta2_val, x, y, delta2_prior[0],
                                             delta2_prior[1], rng, jitter=jitter)
-            tally("delta2", acc)
+            out.tally("delta2", acc)
 
         if flat_likelihood:
             base = PriorOnlyTarget(lam_val, k_max)
@@ -158,46 +111,22 @@ def run_joint_chain(
         sched = BirthDeathSchedule.green(lam_val, k_max, c, proposal=proposal,
                                          representation=representation,
                                          ratio_mode=ratio_mode)
-
-        move = "none"
-        move_accepted = False
-        u = rng.random()
-        p_b = sched.p_birth(x)
-        if u < p_b:
-            outcome = birth_propose(x, sched, target, rng)
-            move = "birth"
-            move_accepted = mhg_accept(outcome.log_ratio, rng)
-            tally("birth", move_accepted)
-            if move_accepted:
-                x = outcome.proposed
-        elif u < p_b + sched.p_death(x):
-            outcome = death_propose(x, sched, target, rng)
-            move = "death"
-            move_accepted = mhg_accept(outcome.log_ratio, rng)
-            tally("death", move_accepted)
-            if move_accepted:
-                x = outcome.proposed
+        move, outcome, move_accepted = mhg_step(bod_move_set(target, sched), x, rng, out)
+        if move_accepted:
+            x = outcome.proposed
 
         if not flat_likelihood and x.k >= 1:
             outcome = frequency_update_move(x, target, rng, walk_sd)
             acc = mhg_accept(outcome.log_ratio, rng)
-            tally("update", acc)
+            out.tally("update", acc)
             if acc:
                 x = outcome.proposed
 
         log_t = target.log_density(x)
         if math.isnan(log_t):
             raise BrokenKernelError(f"target returned NaN at sweep {i}, k={x.k}")
-        records.append(SweepRecord(
+        out.records.append(IterationRecord(
             iteration=i, k=x.k, components=x.components, log_target=log_t,
-            move=move, accepted=move_accepted, lam=lam_val, delta2=delta2_val,
-            burn_in=i < burn_in))
-
-    return JointRunResult(
-        records=records, proposals=proposals, acceptances=acceptances,
-        config={
-            "n_iter": n_iter, "burn_in": burn_in, "seed": seed, "k_max": k_max,
-            "c": c, "ratio_mode": ratio_mode, "representation": representation,
-            "flat_likelihood": flat_likelihood,
-        },
-        k_max=k_max)
+            move=move, accepted=move_accepted, burn_in=i < burn_in,
+            lam=lam_val, delta2=delta2_val))
+    return out

@@ -7,9 +7,10 @@ sinusoid problems are cross-checked against direct quadrature of the target.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -139,7 +140,7 @@ def build_transition_matrix(spec: DiscreteToySpec,
                     continue
                 log_q = sched.proposal.log_density(s_star)
                 if spec.representation == "sorted":
-                    slots = [_sorted_slot(x, s_star)]
+                    slots = [bisect.bisect_left(x.components, s_star)]
                     slot_prob = p_b * q_s
                 else:
                     slots = range(x.k + 1)
@@ -166,13 +167,6 @@ def build_transition_matrix(spec: DiscreteToySpec,
     if row_err > 1e-12:
         raise BrokenKernelError(f"transition rows sum to 1 +/- {row_err:.3e}")
     return matrix
-
-
-def _sorted_slot(x: VarDimState, value: float) -> int:
-    i = 0
-    while i < x.k and x.components[i] < value:
-        i += 1
-    return i
 
 
 def _accumulate(matrix, index, xi, proposed, prob, alpha):

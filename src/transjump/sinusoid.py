@@ -80,6 +80,9 @@ def quad_form(y, omega, delta2: float, jitter: float = 0.0) -> float:
 
     P_k is never formed: the quadratic form is y^T y minus the shrunk squared
     projection, so the result always lies in [|y|^2 / (1 + delta2), |y|^2].
+    A factorised projection above |y|^2, which nearly coincident frequencies
+    can produce, means the design is singular to working precision and raises
+    SingularDesignError.
     """
     y = np.asarray(y, dtype=float)
     yty = float(y @ y)
@@ -87,6 +90,8 @@ def quad_form(y, omega, delta2: float, jitter: float = 0.0) -> float:
     if omega.size == 0 or delta2 == 0.0:
         return yty
     s = _projection_norm2(y, omega, jitter)
+    if not s <= yty:
+        raise SingularDesignError(f"projection exceeds |y|^2 at omega={tuple(omega)}")
     return yty - delta2 / (1.0 + delta2) * s
 
 
@@ -113,6 +118,10 @@ def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int,
             - math.lgamma(k + 1) - k * math.log1p(delta2))
 
 
+# Component tuples memoised per SinusoidPosterior, oldest evicted first.
+POSTERIOR_CACHE_SIZE = 64
+
+
 class SinusoidPosterior:
     """Target density over (k, omega) for fixed hyperparameters.
 
@@ -123,7 +132,7 @@ class SinusoidPosterior:
     """
 
     def __init__(self, y, lam: float, delta2: float, k_max: int = 32,
-                 jitter: float = 0.0, cache_size: int = 64):
+                 jitter: float = 0.0):
         self.y = np.asarray(y, dtype=float)
         if self.y.ndim != 1 or self.y.size == 0:
             raise ConfigurationError("y must be a nonempty vector")
@@ -134,13 +143,7 @@ class SinusoidPosterior:
         self.delta2 = float(delta2)
         self.k_max = int(k_max)
         self.jitter = float(jitter)
-        self._cache_size = cache_size
         self._cache: dict[tuple, float] = {}
-
-    def log_target(self, k: int, omega) -> float:
-        if len(omega) != k:
-            raise ConfigurationError(f"omega has length {len(omega)}, expected k={k}")
-        return self.log_density(VarDimState(tuple(float(w) for w in omega)))
 
     def log_density(self, x: VarDimState) -> float:
         cached = self._cache.get(x.components)
@@ -148,7 +151,7 @@ class SinusoidPosterior:
             return cached
         val = sinusoid_log_target(self.y, x.components, self.lam, self.delta2,
                                   self.k_max, self.jitter)
-        if len(self._cache) >= self._cache_size:
+        if len(self._cache) >= POSTERIOR_CACHE_SIZE:
             self._cache.pop(next(iter(self._cache)))
         self._cache[x.components] = val
         return val
@@ -285,42 +288,6 @@ def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:
         return clean
     sigma2 = float(clean @ clean) / (n_obs * 10.0 ** (snr_db / 10.0))
     return clean + math.sqrt(sigma2) * rng.standard_normal(n_obs)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Ground truth, priors and chain sizes for one synthetic experiment."""
-
-    k_true: int = 3
-    omega_true: tuple[float, ...] = (0.63, 0.68, 0.73)
-    amp2_true: tuple[float, ...] = (20.0, 6.32, 20.0)
-    snr_db: float = 7.0
-    n_obs: int = 64
-    replications: int = 100
-    n_iter: int = 100_000
-    burn_in: int = 20_000
-    lambda_prior: tuple[float, float] = (1.0, 1e-3)  # Gamma shape, rate
-    delta2_prior: tuple[float, float] = (2.0, 100.0)  # inverse-Gamma shape, scale
-    ratio_mode: str = "corrected"
-    representation: str = "unsorted"
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if len(self.omega_true) != self.k_true or len(self.amp2_true) != self.k_true:
-            raise ConfigurationError("omega_true and amp2_true must have length k_true")
-        if any(not OMEGA_LOW < w < OMEGA_HIGH for w in self.omega_true):
-            raise ConfigurationError("true frequencies must lie in (0, pi)")
-        if len(set(self.omega_true)) != self.k_true:
-            raise ConfigurationError("true frequencies must be distinct")
-        if not math.isfinite(self.snr_db):
-            raise ConfigurationError("SNR must be finite")
-        if self.n_iter > 0 and not 0 <= self.burn_in < self.n_iter:
-            raise ConfigurationError("burn_in must be smaller than n_iter")
-
-
-def synth_signal(spec: ExperimentSpec, rng: Rng) -> np.ndarray:
-    """Synthetic observation vector for the experiment's ground truth."""
-    return synthesize(spec.omega_true, spec.amp2_true, spec.snr_db, spec.n_obs, rng)
 
 
 def truncated_poisson_logpmf(k: int, lam: float, k_max: int) -> float:

@@ -18,7 +18,6 @@ from .birthdeath import (
     bod_move_set,
 )
 from .core import VarDimState, rng_stream, run_chain
-from .experiment import run_joint_chain
 from .oracle import (
     build_transition_matrix,
     detailed_balance_residual,

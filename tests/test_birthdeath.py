@@ -10,13 +10,11 @@ from transjump.birthdeath import (
     SortedRestriction,
     birth_propose_sorted,
     birth_propose_unsorted,
-    bod_log_ratio,
     bod_move_set,
     death_propose,
-    legacy_log_ratio,
+    move_log_ratio,
     pmf_component_proposal,
     schedule_probabilities,
-    sorted_log_ratio,
     uniform_component_proposal,
 )
 from transjump.core import (
@@ -165,6 +163,8 @@ class TestDeathPropose:
 
 
 class TestBodLogRatio:
+    """move_log_ratio under the default (unsorted, corrected) schedule."""
+
     def test_zero_when_everything_balances(self):
         """Equal densities, matched schedule and unit proposal density give ratio 0."""
         class Flat:
@@ -177,7 +177,7 @@ class TestBodLogRatio:
         x = VarDimState((0.5,))
         x_new = x.insert(1, 0.25)
         detail = BoDDetail("birth", 1, 0.25, 0.0)
-        assert bod_log_ratio(x, x_new, detail, sched, Flat()) == pytest.approx(0.0, abs=1e-15)
+        assert move_log_ratio(x, x_new, detail, sched, Flat()) == pytest.approx(0.0, abs=1e-15)
 
     def test_antisymmetry_with_reverse_death(self):
         """Reverse-move log ratio is the exact negation, across random setups."""
@@ -190,7 +190,7 @@ class TestBodLogRatio:
             if out.log_ratio == NEG_INF:
                 continue
             back = BoDDetail("death", out.detail.index, out.detail.value, out.detail.log_q)
-            reverse = bod_log_ratio(out.proposed, x, back, sched, model)
+            reverse = move_log_ratio(out.proposed, x, back, sched, model)
             assert reverse == pytest.approx(-out.log_ratio, abs=1e-12)
 
     def test_location_terms_cancel_against_naive_form(self):
@@ -215,17 +215,20 @@ class TestBodLogRatio:
         x = VarDimState((0.5,))
         detail = BoDDetail("birth", 0, 0.2, NEG_INF)
         with pytest.raises(BrokenKernelError):
-            bod_log_ratio(x, x.insert(0, 0.2), detail, sched, PriorOnlyTarget(2.0, 8))
+            move_log_ratio(x, x.insert(0, 0.2), detail, sched, PriorOnlyTarget(2.0, 8))
 
 
 class TestLegacyLogRatio:
+    """move_log_ratio under a legacy schedule against the corrected one."""
+
     def test_equal_to_corrected_for_birth_from_empty(self):
         rng = rng_stream(40)
         model = random_model(rng)
         sched = BirthDeathSchedule.green(model.lam, model.k_max)
+        legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
         x = VarDimState()
         out = birth_propose_unsorted(x, sched, model, rng)
-        legacy = legacy_log_ratio(x, out.proposed, out.detail, sched, model)
+        legacy = move_log_ratio(x, out.proposed, out.detail, legacy_sched, model)
         assert legacy == pytest.approx(out.log_ratio, abs=1e-12)
 
     def test_birth_offset_is_log_k_plus_one(self):
@@ -233,9 +236,10 @@ class TestLegacyLogRatio:
         for k in (1, 2, 3, 5):
             model = random_model(rng)
             sched = BirthDeathSchedule.green(model.lam, model.k_max)
+            legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
             x = random_state(rng, k)
             out = birth_propose_unsorted(x, sched, model, rng)
-            legacy = legacy_log_ratio(x, out.proposed, out.detail, sched, model)
+            legacy = move_log_ratio(x, out.proposed, out.detail, legacy_sched, model)
             assert legacy - out.log_ratio == pytest.approx(-math.log(k + 1), abs=1e-12)
 
     def test_death_offset_is_plus_log_k(self):
@@ -243,9 +247,10 @@ class TestLegacyLogRatio:
         for k in (1, 2, 4):
             model = random_model(rng)
             sched = BirthDeathSchedule.green(model.lam, model.k_max)
+            legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
             x = random_state(rng, k)
             out = death_propose(x, sched, model, rng)
-            legacy = legacy_log_ratio(x, out.proposed, out.detail, sched, model)
+            legacy = move_log_ratio(x, out.proposed, out.detail, legacy_sched, model)
             assert legacy - out.log_ratio == pytest.approx(math.log(k), abs=1e-12)
 
 
@@ -285,8 +290,8 @@ class TestSortedKernel:
             birth_propose_sorted(VarDimState((1.0, 0.5)), sched, target, rng_stream(46))
         detail = BoDDetail("birth", 0, 0.1, 0.0)
         with pytest.raises(BrokenKernelError):
-            sorted_log_ratio(VarDimState((1.0, 0.5)), VarDimState((0.1, 1.0, 0.5)),
-                             detail, sched, target)
+            move_log_ratio(VarDimState((1.0, 0.5)), VarDimState((0.1, 1.0, 0.5)),
+                           detail, sched, target)
 
     def test_insertion_slot_probability_matches_gap(self):
         """Middle-slot hits over 1e5 draws match (0.9-0.3)/pi within 3 sigma."""
@@ -319,7 +324,7 @@ class TestSortedKernel:
             out = birth_propose_sorted(x, ssched, SortedRestriction(model), rng)
             if out.log_ratio == NEG_INF:
                 continue
-            unsorted_ratio = bod_log_ratio(
+            unsorted_ratio = move_log_ratio(
                 x, out.proposed,
                 BoDDetail("birth", out.detail.index, out.detail.value, out.detail.log_q),
                 usched, model)
@@ -348,7 +353,7 @@ class TestSortedKernel:
         x = random_state(rng, 3)
         out = death_propose(x, sched, target, rng)
         back = BoDDetail("birth", out.detail.index, out.detail.value, out.detail.log_q)
-        reverse = sorted_log_ratio(out.proposed, x, back, sched, target)
+        reverse = move_log_ratio(out.proposed, x, back, sched, target)
         assert reverse == pytest.approx(-out.log_ratio, abs=1e-12)
 
 
@@ -375,6 +380,17 @@ class TestMoveSetFactory:
         assert out.proposed == VarDimState()
         assert out.log_ratio == 0.0
         assert called == []
+
+    def test_identity_move_rejects_surely_without_drawing(self):
+        target = PriorOnlyTarget(3.0, 6)
+        moves = bod_move_set(target, BirthDeathSchedule.green(3.0, 6))
+        rng = rng_stream(52)
+        before = rng.bit_generator.state
+        x = VarDimState((0.4, 1.2))
+        out = moves.by_label["none"].propose(x, rng)
+        assert out.proposed is x
+        assert out.log_ratio == NEG_INF
+        assert rng.bit_generator.state == before
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigurationError):

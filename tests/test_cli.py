@@ -71,6 +71,26 @@ class TestParseConfig:
     def test_burn_in_bound_enforced(self):
         with pytest.raises(ConfigurationError):
             parse_config(text="sampler.n_iter = 100\nsampler.burn_in = 100")
+        with pytest.raises(ConfigurationError):
+            parse_config(text="sampler.n_iter = 100000\nsampler.burn_in = 200000")
+
+    def test_experiment_defaults_are_reference_setup(self):
+        cfg = parse_config(text="")
+        assert cfg.omega_true == (0.63, 0.68, 0.73)
+        assert cfg.amp2_true == (20.0, 6.32, 20.0)
+        assert cfg.snr_db == 7.0
+        assert cfg.n_obs == 64
+        assert cfg.replications == 100
+
+    def test_experiment_truth_validated(self):
+        for text in ("experiment.omega_true = 0.63,0.68\nexperiment.amp2_true = 1,2,3",
+                     "experiment.omega_true = 0.63,0.68,4.0",
+                     "experiment.omega_true = 0.0,0.68,0.73",
+                     "experiment.omega_true = 0.63,0.63,0.73",
+                     "experiment.snr_db = inf",
+                     "experiment.k_true = 3"):
+            with pytest.raises(ConfigurationError):
+                parse_config(text=text)
 
     def test_round_trip_identity(self):
         cfg = parse_config(text="""

@@ -6,12 +6,16 @@ import pytest
 
 from transjump.core import (
     BrokenKernelError,
+    ChainOutput,
     ConfigurationError,
+    IterationRecord,
     Move,
     MoveSet,
     ProposalOutcome,
     VarDimState,
+    check_iteration_counts,
     mhg_accept,
+    mhg_step,
     move_stats,
     rng_stream,
     run_chain,
@@ -219,6 +223,13 @@ class TestRunChain:
         with pytest.raises(ConfigurationError):
             run_chain(FlatTarget(), jump_moves(), VarDimState(), 10, 10, rng_stream(15))
 
+    def test_iteration_count_bounds(self):
+        for n_iter, burn_in in ((0, 0), (1, 0), (10, 9)):
+            check_iteration_counts(n_iter, burn_in)
+        for n_iter, burn_in in ((-1, 0), (0, 1), (10, 10), (10, -1)):
+            with pytest.raises(ConfigurationError):
+                check_iteration_counts(n_iter, burn_in)
+
     def test_zero_density_init_rejected(self):
         with pytest.raises(ConfigurationError):
             target = PointTarget(VarDimState((1.0,)))
@@ -236,6 +247,42 @@ class TestRunChain:
                         rng_stream(18))
         freqs = out.k_frequencies(k_max=max(r.k for r in out.records))
         assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestMhgStep:
+    def test_tallies_the_selected_move(self):
+        out = ChainOutput()
+        label, outcome, accepted = mhg_step(jump_moves(), VarDimState(), rng_stream(22), out)
+        assert label in ("birth", "hold")
+        assert outcome.move_label == label
+        assert accepted
+        assert out.proposals == {label: 1}
+        assert out.acceptances == {label: 1}
+
+    def test_rejection_tallied_without_acceptance(self):
+        init = VarDimState()
+        target = PointTarget(init)
+        out = ChainOutput()
+        rng = rng_stream(23)
+        while "birth" not in out.proposals:
+            mhg_step(jump_moves(target), init, rng, out)
+        assert out.acceptances.get("birth", 0) == 0
+
+
+class TestChainOutput:
+    def test_k_max_defaults_to_config(self):
+        out = ChainOutput(config={"k_max": 3})
+        for i, k in enumerate((0, 1, 1, 3)):
+            out.records.append(IterationRecord(i, k, (0.5,) * k, 0.0, "birth", True, i == 0))
+        np.testing.assert_array_equal(out.k_counts(), [0, 2, 0, 1])
+        np.testing.assert_array_equal(out.k_counts(include_burn_in=True), [1, 2, 0, 1])
+        assert out.mean_k() == pytest.approx(5.0 / 3.0)
+        assert out.k_frequencies(5).size == 6
+
+    def test_records_are_slotted(self):
+        r = IterationRecord(0, 0, (), 0.0, "none", False, False)
+        assert not hasattr(r, "__dict__")
+        assert r.lam is None and r.delta2 is None
 
 
 class TestMoveStats:

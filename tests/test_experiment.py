@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from transjump.core import ConfigurationError, VarDimState, rng_stream
+from transjump.birthdeath import BirthDeathSchedule, bod_move_set
+from transjump.core import ConfigurationError, VarDimState, rng_stream, run_chain
 from transjump.experiment import run_joint_chain
 from transjump.oracle import tv_distance
-from transjump.sinusoid import synthesize, truncated_poisson_pmf
+from transjump.sinusoid import PriorOnlyTarget, synthesize, truncated_poisson_pmf
 
 
 class TestValidation:
@@ -52,6 +53,28 @@ class TestFlatRuns:
                               rng=rng_stream(3))
         assert tv_distance(res.k_frequencies(),
                            truncated_poisson_pmf(3.0, 16)) < 0.05
+
+    @pytest.mark.parametrize("ratio_mode", ["corrected", "legacy"])
+    def test_same_chain_as_core_run_chain(self, ratio_mode):
+        """With the data and hyperparameter moves off, a sweep is one step of
+        core's birth-or-death mixture: same stream, same records and tallies."""
+        joint = run_joint_chain(None, n_iter=3000, burn_in=300, k_max=8, lam=4.0,
+                                delta2=100.0, flat_likelihood=True,
+                                ratio_mode=ratio_mode, rng=rng_stream(9))
+        target = PriorOnlyTarget(4.0, 8)
+        sched = BirthDeathSchedule.green(4.0, 8, 0.25, ratio_mode=ratio_mode)
+        plain = run_chain(target, bod_move_set(target, sched), VarDimState(),
+                          3000, 300, rng_stream(9))
+
+        def key(r):
+            return (r.iteration, r.k, r.components, r.log_target, r.move,
+                    r.accepted, r.burn_in)
+
+        assert [key(r) for r in joint.records] == [key(r) for r in plain.records]
+        assert joint.proposals == plain.proposals
+        assert joint.acceptances == plain.acceptances
+        assert joint.proposals["none"] > 0
+        assert "none" not in joint.acceptances
 
     def test_frequencies_sum_to_one_and_mean_consistent(self):
         res = run_joint_chain(None, n_iter=2000, burn_in=500, k_max=8, lam=2.0,

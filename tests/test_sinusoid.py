@@ -6,7 +6,6 @@ import pytest
 
 from transjump.core import BrokenKernelError, ConfigurationError, VarDimState, rng_stream
 from transjump.sinusoid import (
-    ExperimentSpec,
     PriorOnlyTarget,
     SingularDesignError,
     SinusoidPosterior,
@@ -18,7 +17,6 @@ from transjump.sinusoid import (
     sample_delta2,
     sample_lambda,
     sinusoid_log_target,
-    synth_signal,
     synthesize,
     truncated_poisson_logpmf,
     truncated_poisson_pmf,
@@ -122,6 +120,16 @@ class TestLogTarget:
         y = rng_stream(65).standard_normal(16)
         assert sinusoid_log_target(y, (0.8, 0.8), 1.0, 10.0, 8) == NEG_INF
 
+    def test_inaccurate_projection_maps_to_minus_inf(self):
+        """Tones ~2e-4 apart pass the duplicate guard, but the factorised
+        projection exceeds |y|^2; that design counts as singular, not as a
+        negative quadratic form."""
+        y = synthesize((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64, rng_stream(5))
+        omega = (0.62, 0.6203, 0.6206, 0.6208)
+        with pytest.raises(SingularDesignError):
+            quad_form(y, omega, 100.0)
+        assert sinusoid_log_target(y, omega, 1.0, 100.0, 32) == NEG_INF
+
     def test_order_ratio_reduces_to_quad_ratio(self):
         """exp(lt(k+1)-lt(k)) times (k+1)pi/lam equals (quad ratio)^(-N/2)/(1+d2)."""
         rng = rng_stream(66)
@@ -170,9 +178,8 @@ class TestLogTarget:
         x = VarDimState((0.9, 1.7))
         first = model.log_density(x)
         assert model.log_density(x) == first
-        assert model.log_target(2, (0.9, 1.7)) == first
-        with pytest.raises(ConfigurationError):
-            model.log_target(1, (0.9, 1.7))
+        assert model.log_density(VarDimState((0.9, 1.7))) == first
+        assert first == sinusoid_log_target(model.y, x.components, 2.0, 25.0, 4)
 
 
 class TestPriorOnlyTarget:
@@ -330,26 +337,6 @@ class TestSynthesize:
         sigma2 = float(clean @ clean) / (n * 10.0 ** (snr / 10.0))
         noise = y - clean
         assert float(noise @ noise) / n == pytest.approx(sigma2, rel=0.05)
-
-    def test_experiment_spec_defaults_are_reference_setup(self):
-        spec = ExperimentSpec()
-        assert spec.k_true == 3
-        assert spec.omega_true == (0.63, 0.68, 0.73)
-        assert spec.amp2_true == (20.0, 6.32, 20.0)
-        assert spec.snr_db == 7.0
-        assert spec.n_obs == 64
-        y = synth_signal(spec, rng_stream(80))
-        assert y.shape == (64,)
-
-    def test_spec_validation(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(omega_true=(0.63, 0.68), amp2_true=(1.0, 2.0))
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(omega_true=(0.63, 0.68, 4.0))
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(snr_db=math.inf)
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(burn_in=200_000)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigurationError):
