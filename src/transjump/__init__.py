@@ -34,7 +34,6 @@ from .sinusoid import (
     PriorOnlyTarget,
     SingularDesignError,
     SinusoidPosterior,
-    accelerated_poisson_logpmf,
     accelerated_poisson_pmf,
     design_matrix,
     frequency_update_move,
@@ -43,7 +42,6 @@ from .sinusoid import (
     sample_lambda,
     sinusoid_log_target,
     synthesize,
-    truncated_poisson_logpmf,
     truncated_poisson_pmf,
 )
 from .experiment import run_joint_chain
@@ -51,7 +49,6 @@ from .oracle import (
     DiscreteToySpec,
     DiscreteToyTarget,
     build_transition_matrix,
-    chi_square_stat,
     detailed_balance_residual,
     enumerate_states,
     normalized_target_vector,

@@ -34,32 +34,25 @@ RATIO_MODES = ("corrected", "legacy")
 class ComponentProposal:
     """Proposal distribution q on the component space: paired sampler and density.
 
-    ``log_density`` must return the density actually used by ``sample``; the
-    optional ``cdf`` enables insertion-slot probabilities for sorted kernels.
+    ``log_density`` must return the density actually used by ``sample``.
     """
 
     sample: Callable[[Rng], float]
     log_density: Callable[[float], float]
-    cdf: Callable[[float], float] | None = None
 
 
 def uniform_component_proposal(low: float = 0.0, high: float = math.pi) -> ComponentProposal:
     """Uniform proposal on the open interval (low, high)."""
     if not high > low:
         raise ConfigurationError(f"empty proposal interval ({low}, {high})")
-    width = high - low
-    log_dens = -math.log(width)
+    log_dens = -math.log(high - low)
 
     def log_density(v: float) -> float:
         return log_dens if low < v < high else NEG_INF
 
-    def cdf(v: float) -> float:
-        return min(1.0, max(0.0, (v - low) / width))
-
     return ComponentProposal(
         sample=lambda rng: rng.uniform(low, high),
         log_density=log_density,
-        cdf=cdf,
     )
 
 
@@ -81,7 +74,6 @@ def pmf_component_proposal(points, probabilities) -> ComponentProposal:
     return ComponentProposal(
         sample=sample,
         log_density=lambda v: log_p.get(v, NEG_INF),
-        cdf=None,
     )
 
 
@@ -91,16 +83,13 @@ class BoDDetail:
 
     ``log_q`` is the proposal log-density of the inserted (or removed)
     component, evaluated once at proposal time so the ratio is guaranteed to
-    use the density consistent with the sampler.  ``log_eta`` is the
-    insertion-slot probability for sorted births, when the proposal exposes a
-    CDF; it cancels from the ratio and is recorded for diagnostics only.
+    use the density consistent with the sampler.
     """
 
     kind: str  # "birth" | "death"
     index: int  # 0-based slot
     value: float
     log_q: float
-    log_eta: float | None = None
 
 
 def schedule_probabilities(k: int, k_max: int, lam: float, c: float) -> tuple[float, float]:
@@ -160,10 +149,6 @@ class BirthDeathSchedule:
         )
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else NEG_INF
-
-
 def _checked_log_density(target: TargetDensity, x: VarDimState) -> float:
     lt = target.log_density(x)
     if math.isnan(lt):
@@ -171,53 +156,39 @@ def _checked_log_density(target: TargetDensity, x: VarDimState) -> float:
     return lt
 
 
-def _birth_parts(x, x_new, detail, sched, target, extra: float) -> tuple[float, float]:
-    if detail.log_q == NEG_INF:
+def _log_ratio(x, x_new, detail, sched, target) -> tuple[float, float]:
+    """(log MHG ratio, log f(x')) of a birth or death; see move_log_ratio.
+
+    A birth is chosen with probability p_b(x) and undone by a death chosen
+    with p_d(x'); a death the other way round.  A death is not computed as a
+    negated reverse-birth call: that would add the terms in another order and
+    round differently.
+    """
+    if detail.kind == "birth":
+        if detail.log_q == NEG_INF:
+            raise BrokenKernelError(
+                "proposal density is zero at the sampled component; "
+                "sampler and density evaluator disagree")
+        p_go, p_back, sign, fix = sched.p_birth, sched.p_death, 1.0, -math.log(x.k + 1)
+    else:
+        if x.k == 0:
+            raise BrokenKernelError("death proposed at k=0; schedule must prevent this")
+        p_go, p_back, sign, fix = sched.p_death, sched.p_birth, -1.0, math.log(x.k)
+    go = p_go(x)
+    if go <= 0.0:
         raise BrokenKernelError(
-            "proposal density is zero at the sampled component; "
-            "sampler and density evaluator disagree")
-    p_b = sched.p_birth(x)
-    if p_b <= 0.0:
-        raise BrokenKernelError(f"birth proposed at k={x.k} where p_birth = 0")
+            f"{detail.kind} proposed at k={x.k} where p_{detail.kind} = 0")
     lt_new = _checked_log_density(target, x_new)
     if lt_new == NEG_INF:
         return NEG_INF, lt_new
-    p_d_new = sched.p_death(x_new)
-    if p_d_new <= 0.0:
+    back = p_back(x_new)
+    if back <= 0.0 or detail.log_q == NEG_INF:
         return NEG_INF, lt_new
     lt_cur = _checked_log_density(target, x)
-    ratio = lt_new - lt_cur + math.log(p_d_new) - math.log(p_b) - detail.log_q + extra
+    n_fix = (sched.representation == "sorted") + (sched.ratio_mode == "legacy")
+    ratio = (lt_new - lt_cur + math.log(back) - math.log(go)
+             - sign * detail.log_q + n_fix * fix)
     return ratio, lt_new
-
-
-def _death_parts(x, x_new, detail, sched, target, extra: float) -> tuple[float, float]:
-    if x.k == 0:
-        raise BrokenKernelError("death proposed at k=0; schedule must prevent this")
-    p_d = sched.p_death(x)
-    if p_d <= 0.0:
-        raise BrokenKernelError(f"death proposed at k={x.k} where p_death = 0")
-    lt_new = _checked_log_density(target, x_new)
-    if lt_new == NEG_INF:
-        return NEG_INF, lt_new
-    p_b_new = sched.p_birth(x_new)
-    if p_b_new <= 0.0 or detail.log_q == NEG_INF:
-        return NEG_INF, lt_new
-    lt_cur = _checked_log_density(target, x)
-    ratio = lt_new - lt_cur + math.log(p_b_new) - math.log(p_d) + detail.log_q + extra
-    return ratio, lt_new
-
-
-def _ratio_parts(x, x_new, detail, sched, target) -> tuple[float, float]:
-    """Dispatch on representation and ratio mode; returns (log ratio, log f(x'))."""
-    birth = detail.kind == "birth"
-    extra = 0.0
-    if sched.representation == "sorted":
-        extra += -math.log(x.k + 1) if birth else math.log(x.k)
-    if sched.ratio_mode == "legacy":
-        extra += -math.log(x.k + 1) if birth else math.log(x.k)
-    if birth:
-        return _birth_parts(x, x_new, detail, sched, target, extra)
-    return _death_parts(x, x_new, detail, sched, target, extra)
 
 
 def move_log_ratio(x: VarDimState, x_new: VarDimState, detail: BoDDetail,
@@ -237,23 +208,29 @@ def move_log_ratio(x: VarDimState, x_new: VarDimState, detail: BoDDetail,
     """
     if sched.representation == "sorted" and not (x.is_sorted() and x_new.is_sorted()):
         raise BrokenKernelError("sorted ratio evaluated on an unsorted state")
-    return _ratio_parts(x, x_new, detail, sched, target)[0]
+    return _log_ratio(x, x_new, detail, sched, target)[0]
+
+
+def _draw_component(proposal: ComponentProposal, rng: Rng) -> tuple[float, float]:
+    """s* ~ q and log q(s*); a NaN draw or one outside q's support is a broken sampler."""
+    s_star = float(proposal.sample(rng))
+    if math.isnan(s_star):
+        raise BrokenKernelError("proposal sampler returned NaN")
+    log_q = proposal.log_density(s_star)
+    if log_q == NEG_INF:
+        raise BrokenKernelError(
+            f"proposal sampler returned {s_star!r}, outside the support of its density")
+    return s_star, log_q
 
 
 def birth_propose_unsorted(x: VarDimState, sched: BirthDeathSchedule,
                            target: TargetDensity, rng: Rng) -> ProposalOutcome:
     """Draw s* ~ q and insert it at a uniformly chosen slot of x."""
-    s_star = float(sched.proposal.sample(rng))
-    if math.isnan(s_star):
-        raise BrokenKernelError("proposal sampler returned NaN")
-    log_q = sched.proposal.log_density(s_star)
-    if log_q == NEG_INF:
-        raise BrokenKernelError(
-            f"proposal sampler returned {s_star!r}, outside the support of its density")
+    s_star, log_q = _draw_component(sched.proposal, rng)
     index = int(rng.integers(0, x.k + 1))
     proposed = x.insert(index, s_star)
     detail = BoDDetail("birth", index, s_star, log_q)
-    log_ratio, lt_new = _ratio_parts(x, proposed, detail, sched, target)
+    log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
     return ProposalOutcome(proposed, log_ratio, "birth", detail, lt_new)
 
 
@@ -267,28 +244,14 @@ def birth_propose_sorted(x: VarDimState, sched: BirthDeathSchedule,
     """
     if not x.is_sorted():
         raise BrokenKernelError("sorted birth proposed from an unsorted state")
-    s_star = float(sched.proposal.sample(rng))
-    if math.isnan(s_star):
-        raise BrokenKernelError("proposal sampler returned NaN")
-    log_q = sched.proposal.log_density(s_star)
-    if log_q == NEG_INF:
-        raise BrokenKernelError(
-            f"proposal sampler returned {s_star!r}, outside the support of its density")
+    s_star, log_q = _draw_component(sched.proposal, rng)
     index = bisect.bisect_left(x.components, s_star)
     proposed = x.insert(index, s_star)
-    detail = BoDDetail("birth", index, s_star, log_q, _log_eta(x, index, sched.proposal))
+    detail = BoDDetail("birth", index, s_star, log_q)
     if s_star in x.components:
         return ProposalOutcome(proposed, NEG_INF, "birth", detail, None)
-    log_ratio, lt_new = _ratio_parts(x, proposed, detail, sched, target)
+    log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
     return ProposalOutcome(proposed, log_ratio, "birth", detail, lt_new)
-
-
-def _log_eta(x: VarDimState, index: int, proposal: ComponentProposal) -> float | None:
-    if proposal.cdf is None:
-        return None
-    upper = proposal.cdf(x.components[index]) if index < x.k else 1.0
-    lower = proposal.cdf(x.components[index - 1]) if index > 0 else 0.0
-    return _log(upper - lower)
 
 
 def death_propose(x: VarDimState, sched: BirthDeathSchedule,
@@ -300,7 +263,7 @@ def death_propose(x: VarDimState, sched: BirthDeathSchedule,
     value = x.components[index]
     proposed = x.remove(index)
     detail = BoDDetail("death", index, value, sched.proposal.log_density(value))
-    log_ratio, lt_new = _ratio_parts(x, proposed, detail, sched, target)
+    log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
     return ProposalOutcome(proposed, log_ratio, "death", detail, lt_new)
 
 

@@ -49,7 +49,6 @@ class RunConfig:
     delta2: float | None = None
     delta2_prior: tuple[float, float] | None = (2.0, 100.0)
     flat_likelihood: bool = False
-    jitter: float = 0.0
     omega_true: tuple[float, ...] = (0.63, 0.68, 0.73)
     amp2_true: tuple[float, ...] = (20.0, 6.32, 20.0)
     snr_db: float = 7.0
@@ -104,7 +103,6 @@ _CONFIG_KEYS = {
     "model.delta2": ("delta2", float, _fmt),
     "model.delta2_prior": ("delta2_prior", _parse_pair, _fmt_floats),
     "model.flat_likelihood": ("flat_likelihood", _parse_bool, lambda b: "true" if b else "false"),
-    "model.jitter": ("jitter", float, _fmt),
     "experiment.omega_true": ("omega_true", _parse_floats, _fmt_floats),
     "experiment.amp2_true": ("amp2_true", _parse_floats, _fmt_floats),
     "experiment.snr_db": ("snr_db", float, _fmt),
@@ -247,7 +245,7 @@ def _chain_kwargs(cfg: RunConfig) -> dict:
         k_max=cfg.k_max, c=cfg.c, representation=cfg.representation,
         lam=cfg.lam, lambda_prior=cfg.lambda_prior,
         delta2=cfg.delta2, delta2_prior=cfg.delta2_prior,
-        flat_likelihood=cfg.flat_likelihood, jitter=cfg.jitter,
+        flat_likelihood=cfg.flat_likelihood,
     )
 
 
@@ -311,9 +309,8 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
                 y, n_iter=cfg.n_iter, burn_in=cfg.burn_in, ratio_mode=mode,
                 rng=rng_stream(cfg.seed, rep, 1 + stream), seed=cfg.seed,
                 **kwargs)
-            counts = result.k_counts()
-            _write_summary(out / f"summary_rep{rep:03d}_{mode}.csv", counts)
-            freqs[mode].append(counts / counts.sum())
+            _write_summary(out / f"summary_rep{rep:03d}_{mode}.csv", result.k_counts())
+            freqs[mode].append(result.k_frequencies())
 
     agg = {mode: np.mean(freqs[mode], axis=0) for mode in freqs}
     agg_path = out / "aggregate.csv"

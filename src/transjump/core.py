@@ -227,9 +227,6 @@ class ChainOutput:
         if accepted:
             self.acceptances[label] = self.acceptances.get(label, 0) + 1
 
-    def post_burn_in(self) -> list[IterationRecord]:
-        return [r for r in self.records if not r.burn_in]
-
     def k_counts(self, k_max: int | None = None, include_burn_in: bool = False) -> np.ndarray:
         if k_max is None:
             k_max = self.config["k_max"]

@@ -52,7 +52,6 @@ def run_joint_chain(
     delta2: float | None = None,
     delta2_prior: tuple[float, float] | None = None,
     flat_likelihood: bool = False,
-    jitter: float = 0.0,
     rng: Rng,
     seed: int | None = None,
     init: VarDimState = VarDimState(),
@@ -100,13 +99,13 @@ def run_joint_chain(
             out.tally("lambda", acc)
         if delta2_prior is not None and not flat_likelihood:
             delta2_val, acc = sample_delta2(delta2_val, x, y, delta2_prior[0],
-                                            delta2_prior[1], rng, jitter=jitter)
+                                            delta2_prior[1], rng)
             out.tally("delta2", acc)
 
         if flat_likelihood:
             base = PriorOnlyTarget(lam_val, k_max)
         else:
-            base = SinusoidPosterior(y, lam_val, delta2_val, k_max, jitter)
+            base = SinusoidPosterior(y, lam_val, delta2_val, k_max)
         target = SortedRestriction(base) if sorted_rep else base
         sched = BirthDeathSchedule.green(lam_val, k_max, c, proposal=proposal,
                                          representation=representation,

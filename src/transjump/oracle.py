@@ -207,8 +207,7 @@ def detailed_balance_residual(matrix: np.ndarray, pi: np.ndarray) -> float:
 
 
 def _frequency_partition(y, lam: float, delta2: float, k_max: int,
-                         jitter: float, grid_size: int,
-                         n_refine: int = 5) -> tuple[np.ndarray, np.ndarray]:
+                         grid_size: int, n_refine: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """Riemann partition of (0, pi) that resolves narrow likelihood peaks.
 
     A uniform coarse pass spends half the evaluation budget; the highest
@@ -221,7 +220,7 @@ def _frequency_partition(y, lam: float, delta2: float, k_max: int,
     sub = (grid_size - n_coarse) // n_refine
     width = math.pi / n_coarse
     mids = (np.arange(n_coarse) + 0.5) * width
-    vals = np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max, jitter)
+    vals = np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max)
                      for w in mids])
     padded = np.concatenate(([NEG_INF], vals, [NEG_INF]))
     scores = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
@@ -241,7 +240,7 @@ def _frequency_partition(y, lam: float, delta2: float, k_max: int,
 
 
 def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
-                           grid_size: int = 200, jitter: float = 0.0) -> np.ndarray:
+                           grid_size: int = 200) -> np.ndarray:
     """Posterior law of the model order by Riemann sums over (0, pi)^k grids.
 
     Only small problems (k_max <= 2) are supported.  The order-1 sum uses the
@@ -255,15 +254,15 @@ def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
         raise ConfigurationError("grid_size must be at least 100")
     y = np.asarray(y, dtype=float)
 
-    log_mass = [sinusoid_log_target(y, (), lam, delta2, k_max, jitter)]
+    log_mass = [sinusoid_log_target(y, (), lam, delta2, k_max)]
     if k_max >= 1:
-        points, log_widths = _frequency_partition(y, lam, delta2, k_max, jitter, grid_size)
-        vals = np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max, jitter)
+        points, log_widths = _frequency_partition(y, lam, delta2, k_max, grid_size)
+        vals = np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max)
                          for w in points])
         log_mass.append(float(logsumexp(vals + log_widths)))
     if k_max >= 2:
         vals2 = np.array([
-            sinusoid_log_target(y, (w1, w2), lam, delta2, k_max, jitter) + lw1 + lw2
+            sinusoid_log_target(y, (w1, w2), lam, delta2, k_max) + lw1 + lw2
             for w1, lw1 in zip(points, log_widths)
             for w2, lw2 in zip(points, log_widths)])
         log_mass.append(float(logsumexp(vals2)))
@@ -280,19 +279,6 @@ def tv_distance(p, q) -> float:
     if p.shape != q.shape:
         raise ValueError(f"support size mismatch: {p.shape} vs {q.shape}")
     return 0.5 * float(np.abs(p - q).sum())
-
-
-def chi_square_stat(counts, pmf) -> float:
-    """Pearson chi-square statistic of observed counts against a pmf."""
-    counts = np.asarray(counts, dtype=float)
-    pmf = np.asarray(pmf, dtype=float)
-    if counts.shape != pmf.shape:
-        raise ValueError(f"support size mismatch: {counts.shape} vs {pmf.shape}")
-    if np.any((pmf <= 0) & (counts > 0)):
-        raise ValueError("pmf must be positive wherever counts are positive")
-    expected = pmf * counts.sum()
-    mask = expected > 0
-    return float((((counts - expected) ** 2)[mask] / expected[mask]).sum())
 
 
 def random_toy_spec(rng: Rng, m: int = 3, k_max: int = 2,

@@ -48,12 +48,12 @@ def design_matrix(omega, n_obs: int) -> np.ndarray:
 NEAR_DUPLICATE_GAP = 1e-8
 
 
-def _projection_norm2(y: np.ndarray, omega, jitter: float = 0.0) -> float:
+def _projection_norm2(y: np.ndarray, omega) -> float:
     """Squared norm of the whitened projection of y onto the design columns.
 
     Computed through a Cholesky factorisation of D^T D.  Near-duplicate
     frequencies (gap below ~1e-8, a posterior null set) and factorisation
-    failures that survive the jitter guard raise SingularDesignError.
+    failures raise SingularDesignError.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.size > 1 and float(np.diff(np.sort(omega)).min()) < NEAR_DUPLICATE_GAP:
@@ -64,18 +64,12 @@ def _projection_norm2(y: np.ndarray, omega, jitter: float = 0.0) -> float:
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        if jitter > 0.0:
-            try:
-                chol = np.linalg.cholesky(gram + jitter * np.eye(gram.shape[0]))
-            except np.linalg.LinAlgError:
-                raise SingularDesignError(f"design is singular at omega={tuple(omega)}")
-        else:
-            raise SingularDesignError(f"design is singular at omega={tuple(omega)}")
+        raise SingularDesignError(f"design is singular at omega={tuple(omega)}")
     w = solve_triangular(chol, z, lower=True)
     return float(w @ w)
 
 
-def quad_form(y, omega, delta2: float, jitter: float = 0.0) -> float:
+def quad_form(y, omega, delta2: float) -> float:
     """y^T P_k y with P_k the g-prior shrinkage projection; y^T y when k = 0.
 
     P_k is never formed: the quadratic form is y^T y minus the shrunk squared
@@ -89,14 +83,13 @@ def quad_form(y, omega, delta2: float, jitter: float = 0.0) -> float:
     omega = np.asarray(omega, dtype=float)
     if omega.size == 0 or delta2 == 0.0:
         return yty
-    s = _projection_norm2(y, omega, jitter)
+    s = _projection_norm2(y, omega)
     if not s <= yty:
         raise SingularDesignError(f"projection exceeds |y|^2 at omega={tuple(omega)}")
     return yty - delta2 / (1.0 + delta2) * s
 
 
-def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int,
-                        jitter: float = 0.0) -> float:
+def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int) -> float:
     """Unnormalised log posterior of (k, omega) given the data.
 
     -(N/2) log(y^T P_k y) + k log(lam) - k log(pi) - log k! - k log(1+delta2),
@@ -110,7 +103,7 @@ def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int,
     if any(not OMEGA_LOW < w < OMEGA_HIGH for w in omega):
         return NEG_INF
     try:
-        q = quad_form(y, omega, delta2, jitter)
+        q = quad_form(y, omega, delta2)
     except SingularDesignError:
         return NEG_INF
     n = y.size
@@ -126,31 +119,28 @@ class SinusoidPosterior:
     """Target density over (k, omega) for fixed hyperparameters.
 
     Holds the observations y, the g-prior scale delta2, the component-count
-    mean lam, the truncation k_max and a Cholesky jitter guard.  Evaluations
+    mean lam and the truncation k_max.  Evaluations
     are memoised on the component tuple (the density is deterministic), which
     saves repeated factorisations of the current state during a sweep.
     """
 
-    def __init__(self, y, lam: float, delta2: float, k_max: int = 32,
-                 jitter: float = 0.0):
+    def __init__(self, y, lam: float, delta2: float, k_max: int = 32):
         self.y = np.asarray(y, dtype=float)
         if self.y.ndim != 1 or self.y.size == 0:
             raise ConfigurationError("y must be a nonempty vector")
-        if lam <= 0 or delta2 < 0 or k_max < 0 or jitter < 0:
-            raise ConfigurationError("lam must be positive; delta2, k_max, jitter nonnegative")
+        if lam <= 0 or delta2 < 0 or k_max < 0:
+            raise ConfigurationError("lam must be positive; delta2, k_max nonnegative")
         self.n_obs = self.y.size
         self.lam = float(lam)
         self.delta2 = float(delta2)
         self.k_max = int(k_max)
-        self.jitter = float(jitter)
         self._cache: dict[tuple, float] = {}
 
     def log_density(self, x: VarDimState) -> float:
         cached = self._cache.get(x.components)
         if cached is not None:
             return cached
-        val = sinusoid_log_target(self.y, x.components, self.lam, self.delta2,
-                                  self.k_max, self.jitter)
+        val = sinusoid_log_target(self.y, x.components, self.lam, self.delta2, self.k_max)
         if len(self._cache) >= POSTERIOR_CACHE_SIZE:
             self._cache.pop(next(iter(self._cache)))
         self._cache[x.components] = val
@@ -167,28 +157,24 @@ class PriorOnlyTarget:
 
     lam: float
     k_max: int
-    low: float = OMEGA_LOW
-    high: float = OMEGA_HIGH
 
     def log_density(self, x: VarDimState) -> float:
         k = x.k
         if k > self.k_max:
             return NEG_INF
-        if any(not self.low < w < self.high for w in x.components):
+        if any(not OMEGA_LOW < w < OMEGA_HIGH for w in x.components):
             return NEG_INF
-        return (k * math.log(self.lam) - k * math.log(self.high - self.low)
+        return (k * math.log(self.lam) - k * math.log(OMEGA_HIGH - OMEGA_LOW)
                 - math.lgamma(k + 1))
 
 
 def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
-                          walk_sd: float, low: float = OMEGA_LOW,
-                          high: float = OMEGA_HIGH,
-                          walk_prob: float = 0.8) -> ProposalOutcome:
+                          walk_sd: float, walk_prob: float = 0.8) -> ProposalOutcome:
     """Within-model update of one frequency; never changes k.
 
     One index is picked uniformly; with probability ``walk_prob`` the proposal
     is a Gaussian random-walk step of the given std, otherwise an independent
-    uniform draw on (low, high).  Both branches have symmetric proposal ratio,
+    uniform draw on (0, pi).  Both branches have symmetric proposal ratio,
     so the log ratio is the log target difference (with -inf outside the
     domain).
     """
@@ -198,11 +184,11 @@ def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
     if rng.random() < walk_prob:
         new = x.components[index] + walk_sd * rng.standard_normal()
     else:
-        new = rng.uniform(low, high)
+        new = rng.uniform(OMEGA_LOW, OMEGA_HIGH)
     comps = list(x.components)
     comps[index] = float(new)
     proposed = VarDimState(tuple(comps))
-    if not low < new < high:
+    if not OMEGA_LOW < new < OMEGA_HIGH:
         return ProposalOutcome(proposed, NEG_INF, "update")
     lt_new = target.log_density(proposed)
     if lt_new == NEG_INF:
@@ -238,8 +224,7 @@ def sample_lambda(current: float, k: int, shape: float, rate: float, k_max: int,
 
 
 def sample_delta2(current: float, x: VarDimState, y, shape: float, scale: float,
-                  rng: Rng, walk_sd: float = 0.5, jitter: float = 0.0,
-                  ) -> tuple[float, bool]:
+                  rng: Rng, walk_sd: float = 0.5) -> tuple[float, bool]:
     """One random-walk MH update of the g-prior scale on the log scale.
 
     Targets the conditional density proportional to
@@ -250,7 +235,7 @@ def sample_delta2(current: float, x: VarDimState, y, shape: float, scale: float,
     n = y.size
     k = x.k
     yty = float(y @ y)
-    s = _projection_norm2(y, x.components, jitter) if k > 0 else 0.0
+    s = _projection_norm2(y, x.components) if k > 0 else 0.0
 
     def log_cond(d2: float) -> float:
         quad = yty - d2 / (1.0 + d2) * s
@@ -290,31 +275,23 @@ def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:
     return clean + math.sqrt(sigma2) * rng.standard_normal(n_obs)
 
 
-def truncated_poisson_logpmf(k: int, lam: float, k_max: int) -> float:
-    """log pmf of Poisson(lam) truncated to {0, ..., k_max}."""
-    if not 0 <= k <= k_max:
-        raise ValueError(f"k={k} outside the truncated support [0, {k_max}]")
-    return (k * math.log(lam) - math.lgamma(k + 1)
-            - log_truncated_poisson_normalizer(lam, k_max))
+def _order_pmf(lam: float, k_max: int, power: int) -> np.ndarray:
+    """pmf proportional to lam^j / (j!)^power on {0, ..., k_max}."""
+    j = np.arange(k_max + 1)
+    log_w = j * math.log(lam) - power * np.array([math.lgamma(v + 1) for v in j])
+    return np.exp(log_w - logsumexp(log_w))
 
 
-def accelerated_poisson_logpmf(k: int, lam: float, k_max: int) -> float:
-    """log pmf proportional to lam^k / (k!)^2 on {0, ..., k_max}.
+def truncated_poisson_pmf(lam: float, k_max: int) -> np.ndarray:
+    """Poisson(lam) truncated to {0, ..., k_max}."""
+    return _order_pmf(lam, k_max, 1)
+
+
+def accelerated_poisson_pmf(lam: float, k_max: int) -> np.ndarray:
+    """pmf proportional to lam^k / (k!)^2 on {0, ..., k_max}.
 
     This is the model-order law implicitly imposed by the legacy erroneous
     birth ratio; it puts markedly more mass on sparse models than the plain
     Poisson with the same mean parameter.
     """
-    if not 0 <= k <= k_max:
-        raise ValueError(f"k={k} outside the truncated support [0, {k_max}]")
-    j = np.arange(k_max + 1)
-    log_norm = logsumexp(j * math.log(lam) - 2.0 * np.array([math.lgamma(v + 1) for v in j]))
-    return k * math.log(lam) - 2.0 * math.lgamma(k + 1) - float(log_norm)
-
-
-def truncated_poisson_pmf(lam: float, k_max: int) -> np.ndarray:
-    return np.exp([truncated_poisson_logpmf(k, lam, k_max) for k in range(k_max + 1)])
-
-
-def accelerated_poisson_pmf(lam: float, k_max: int) -> np.ndarray:
-    return np.exp([accelerated_poisson_logpmf(k, lam, k_max) for k in range(k_max + 1)])
+    return _order_pmf(lam, k_max, 2)

@@ -12,6 +12,7 @@ import pytest
 from transjump.cli import parse_config, replicate
 from transjump.validation import (
     DEFAULT_SEED,
+    CheckResult,
     prior_only,
     quadrature,
     ratio_cancellation,
@@ -91,21 +92,11 @@ class TestAcceptance:
         ordering_hits = sum(l < c for l, c in zip(mean_k["legacy"], mean_k["corrected"]))
         mode_hits = sum(m == 3 for m in modes)
 
-        class Row:
-            def __init__(self, name, value, threshold, passed):
-                self.name, self.value, self.threshold = name, value, threshold
-                self.comparison, self.passed = ">=", passed
-
-            def line(self):
-                status = "PASS" if self.passed else "FAIL"
-                return (f"{status}  {self.name}: value={self.value:g} "
-                        f"(required {self.comparison} {self.threshold:g})")
-
         checks = [
-            Row("replications with E[k] legacy < corrected", ordering_hits, 8,
-                ordering_hits >= 8),
-            Row("replications with corrected posterior mode at k=3", mode_hits, 6,
-                mode_hits >= 6),
+            CheckResult("replications with E[k] legacy < corrected", ordering_hits, 8,
+                        ">=", ordering_hits >= 8),
+            CheckResult("replications with corrected posterior mode at k=3", mode_hits, 6,
+                        ">=", mode_hits >= 6),
         ]
         report(5, "replication trend, corrected vs legacy", checks, elapsed, 900.0)
         for rep in range(10):

@@ -112,7 +112,7 @@ class TestBirthProposeUnsorted:
 
     def test_sampler_outside_support_is_hard_error(self):
         bad = uniform_component_proposal(0.0, math.pi)
-        bad = type(bad)(sample=lambda rng: 4.0, log_density=bad.log_density, cdf=bad.cdf)
+        bad = type(bad)(sample=lambda rng: 4.0, log_density=bad.log_density)
         sched = BirthDeathSchedule(
             p_birth=lambda x: 0.5, p_death=lambda x: 0.5 if x.k else 0.0,
             proposal=bad)
@@ -301,16 +301,10 @@ class TestSortedKernel:
         x = VarDimState((0.3, 0.9))
         p_gap = (0.9 - 0.3) / math.pi
         n = 100_000
-        hits = 0
-        log_eta_seen = None
-        for _ in range(n):
-            out = birth_propose_sorted(x, sched, target, rng)
-            if out.detail.index == 1:
-                hits += 1
-                log_eta_seen = out.detail.log_eta
+        hits = sum(birth_propose_sorted(x, sched, target, rng).detail.index == 1
+                   for _ in range(n))
         band = 3.0 * math.sqrt(p_gap * (1 - p_gap) / n)
         assert abs(hits / n - p_gap) < band
-        assert log_eta_seen == pytest.approx(math.log(p_gap), abs=1e-12)
 
     def test_ratio_equals_unsorted_for_exchangeable_target(self):
         """Sorted ratio on k!-rescaled target equals the unsorted ratio exactly."""

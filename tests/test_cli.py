@@ -1,6 +1,7 @@
 """Config parsing, file outputs, reproducibility and the command-line surface."""
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,18 @@ class TestReplicate:
         a = replicate(cfg, out_dir=tmp_path / "a")["aggregate_csv"].read_bytes()
         b = replicate(cfg, out_dir=tmp_path / "b")["aggregate_csv"].read_bytes()
         assert a == b
+
+    def test_empty_runs_aggregate_to_zero(self, tmp_path):
+        """n_iter = 0 is a valid config: every frequency reads 0, never nan."""
+        cfg = flat_config(tmp_path, n_iter=0, burn_in=0,
+                          **{"experiment.replications": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = replicate(cfg)
+        for mode in ("corrected", "legacy"):
+            np.testing.assert_array_equal(res["aggregate"][mode], np.zeros(cfg.k_max + 1))
+        assert "nan" not in res["aggregate_csv"].read_text()
+        assert "nan" not in res["aggregate_svg"].read_text()
 
     def test_per_replication_summaries_written(self, tmp_path):
         cfg = flat_config(tmp_path, n_iter=60, burn_in=10,

@@ -9,7 +9,6 @@ from transjump.oracle import (
     DiscreteToySpec,
     DiscreteToyTarget,
     build_transition_matrix,
-    chi_square_stat,
     detailed_balance_residual,
     enumerate_states,
     normalized_target_vector,
@@ -228,19 +227,6 @@ class TestDistances:
     def test_tv_length_mismatch(self):
         with pytest.raises(ValueError):
             tv_distance([1.0], [0.5, 0.5])
-
-    def test_chi_square_exact_proportions_zero(self):
-        pmf = np.array([0.25, 0.5, 0.25])
-        counts = pmf * 400
-        assert chi_square_stat(counts, pmf) == 0.0
-
-    def test_chi_square_positive_counts_need_positive_pmf(self):
-        with pytest.raises(ValueError):
-            chi_square_stat([1, 1], [1.0, 0.0])
-
-    def test_chi_square_value(self):
-        stat = chi_square_stat([60, 40], [0.5, 0.5])
-        assert stat == pytest.approx((10 ** 2) / 50 + (10 ** 2) / 50)
 
 
 class TestToySpecValidation:

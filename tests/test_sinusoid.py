@@ -9,7 +9,6 @@ from transjump.sinusoid import (
     PriorOnlyTarget,
     SingularDesignError,
     SinusoidPosterior,
-    accelerated_poisson_logpmf,
     accelerated_poisson_pmf,
     design_matrix,
     frequency_update_move,
@@ -18,11 +17,14 @@ from transjump.sinusoid import (
     sample_lambda,
     sinusoid_log_target,
     synthesize,
-    truncated_poisson_logpmf,
     truncated_poisson_pmf,
 )
 
 NEG_INF = float("-inf")
+
+# Gaps of 2e-8 pass the 1e-8 duplicate guard, but D^T D is not positive
+# definite to working precision at N = 16, 32 and 64: the Cholesky fails.
+CHOLESKY_FAILS = (1.0, 1.0 + 2e-8, 1.0 + 4e-8)
 
 
 class TestDesignMatrix:
@@ -96,8 +98,9 @@ class TestQuadForm:
 
     def test_duplicate_frequencies_signal_singular(self):
         y = rng_stream(64).standard_normal(16)
-        with pytest.raises(SingularDesignError):
-            quad_form(y, (0.8, 0.8), 10.0)
+        for omega in ((0.8, 0.8), CHOLESKY_FAILS):
+            with pytest.raises(SingularDesignError):
+                quad_form(y, omega, 10.0)
 
 
 class TestLogTarget:
@@ -118,7 +121,8 @@ class TestLogTarget:
 
     def test_singular_maps_to_minus_inf(self):
         y = rng_stream(65).standard_normal(16)
-        assert sinusoid_log_target(y, (0.8, 0.8), 1.0, 10.0, 8) == NEG_INF
+        for omega in ((0.8, 0.8), CHOLESKY_FAILS):
+            assert sinusoid_log_target(y, omega, 1.0, 10.0, 8) == NEG_INF
 
     def test_inaccurate_projection_maps_to_minus_inf(self):
         """Tones ~2e-4 apart pass the duplicate guard, but the factorised
@@ -345,15 +349,15 @@ class TestSynthesize:
 
 class TestOrderPmfs:
     def test_truncated_poisson_ratio_telescopes(self):
+        log_pmf = np.log(truncated_poisson_pmf(5.0, 32))
         for k in range(10):
-            diff = (truncated_poisson_logpmf(k + 1, 5.0, 32)
-                    - truncated_poisson_logpmf(k, 5.0, 32))
+            diff = log_pmf[k + 1] - log_pmf[k]
             assert diff == pytest.approx(math.log(5.0 / (k + 1)), abs=1e-12)
 
     def test_accelerated_ratio_telescopes(self):
+        log_pmf = np.log(accelerated_poisson_pmf(5.0, 32))
         for k in range(10):
-            diff = (accelerated_poisson_logpmf(k + 1, 5.0, 32)
-                    - accelerated_poisson_logpmf(k, 5.0, 32))
+            diff = log_pmf[k + 1] - log_pmf[k]
             assert diff == pytest.approx(math.log(5.0 / (k + 1) ** 2), abs=1e-12)
 
     def test_pmfs_normalized(self):
@@ -370,9 +374,3 @@ class TestOrderPmfs:
         """Ratios 5/1, 5/4 exceed one and 5/9 falls below: the mode sits at 2."""
         pmf = accelerated_poisson_pmf(5.0, 32)
         assert pmf.argmax() == 2
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            truncated_poisson_logpmf(33, 5.0, 32)
-        with pytest.raises(ValueError):
-            accelerated_poisson_logpmf(-1, 5.0, 32)
