@@ -27,7 +27,6 @@ from .birthdeath import (
     death_propose,
     move_log_ratio,
     pmf_component_proposal,
-    schedule_probabilities,
     uniform_component_proposal,
 )
 from .sinusoid import (
@@ -47,7 +46,6 @@ from .sinusoid import (
 from .experiment import run_joint_chain
 from .oracle import (
     DiscreteToySpec,
-    DiscreteToyTarget,
     build_transition_matrix,
     detailed_balance_residual,
     enumerate_states,

@@ -92,61 +92,58 @@ class BoDDetail:
     log_q: float
 
 
-def schedule_probabilities(k: int, k_max: int, lam: float, c: float) -> tuple[float, float]:
-    """Birth/death selection probabilities (p_b, p_d) at model order k.
+@dataclass(frozen=True)
+class BirthDeathSchedule:
+    """Birth/death selection probabilities plus the component proposal q.
 
     Uses the c*min{1, prior ratio} schedule against a truncated Poisson(lam)
     prior on k, which guarantees p_d(k+1)/p_b(k) = (k+1)/lam for all k < k_max
     while leaving 1 - p_b - p_d mass for within-model moves.  p_d(0) = 0 and
     p_b(k_max) = 0 are forced.
     """
-    if not 0 <= k <= k_max:
-        raise ConfigurationError(f"order k={k} outside [0, {k_max}]")
-    if not 0.0 < c <= 0.5:
-        raise ConfigurationError(f"schedule constant c={c} outside (0, 0.5]")
-    if not lam > 0:
-        raise ConfigurationError(f"schedule mean lam={lam} must be positive")
-    p_b = 0.0 if k >= k_max else c * min(1.0, lam / (k + 1))
-    p_d = 0.0 if k == 0 else c * min(1.0, k / lam)
-    return p_b, p_d
 
-
-@dataclass(frozen=True)
-class BirthDeathSchedule:
-    """State-dependent birth/death probabilities plus the component proposal q.
-
-    p_birth(x) + p_death(x) <= 1; the remaining mass is available for
-    within-model moves.  p_death must vanish at k = 0 and p_birth at the
-    truncation k_max.
-    """
-
-    p_birth: Callable[[VarDimState], float]
-    p_death: Callable[[VarDimState], float]
+    lam: float
+    k_max: int
+    c: float
     proposal: ComponentProposal
     representation: str = "unsorted"
     ratio_mode: str = "corrected"
 
     def __post_init__(self):
+        if not 0.0 < self.c <= 0.5:
+            raise ConfigurationError(f"schedule constant c={self.c} outside (0, 0.5]")
+        if not self.lam > 0:
+            raise ConfigurationError(f"schedule mean lam={self.lam} must be positive")
         if self.representation not in REPRESENTATIONS:
             raise ConfigurationError(f"unknown representation {self.representation!r}")
         if self.ratio_mode not in RATIO_MODES:
             raise ConfigurationError(f"unknown ratio mode {self.ratio_mode!r}")
+
+    # The conditional expressions below are min(1.0, r) without the call; the
+    # probabilities are evaluated several times per iteration.
+    def p_birth(self, x: VarDimState) -> float:
+        k = len(x.components)
+        if k >= self.k_max:
+            return 0.0
+        r = self.lam / (k + 1)
+        return self.c * (r if r < 1.0 else 1.0)
+
+    def p_death(self, x: VarDimState) -> float:
+        k = len(x.components)
+        if k == 0:
+            return 0.0
+        r = k / self.lam
+        return self.c * (r if r < 1.0 else 1.0)
 
     @classmethod
     def green(cls, lam: float, k_max: int, c: float = 0.25,
               proposal: ComponentProposal | None = None,
               representation: str = "unsorted",
               ratio_mode: str = "corrected") -> "BirthDeathSchedule":
-        """Schedule realizing p_d(k+1)/p_b(k) = (k+1)/lam (see schedule_probabilities)."""
-        table = tuple(schedule_probabilities(k, k_max, lam, c)
-                      for k in range(k_max + 1))
-        return cls(
-            p_birth=lambda x: table[x.k][0],
-            p_death=lambda x: table[x.k][1],
-            proposal=proposal if proposal is not None else uniform_component_proposal(),
-            representation=representation,
-            ratio_mode=ratio_mode,
-        )
+        """The schedule with q uniform on (0, pi) unless a proposal is given."""
+        return cls(lam, k_max, c,
+                   proposal if proposal is not None else uniform_component_proposal(),
+                   representation, ratio_mode)
 
 
 def _checked_log_density(target: TargetDensity, x: VarDimState) -> float:
@@ -231,7 +228,7 @@ def birth_propose_unsorted(x: VarDimState, sched: BirthDeathSchedule,
     proposed = x.insert(index, s_star)
     detail = BoDDetail("birth", index, s_star, log_q)
     log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
-    return ProposalOutcome(proposed, log_ratio, "birth", detail, lt_new)
+    return ProposalOutcome(proposed, log_ratio, detail, lt_new)
 
 
 def birth_propose_sorted(x: VarDimState, sched: BirthDeathSchedule,
@@ -249,9 +246,9 @@ def birth_propose_sorted(x: VarDimState, sched: BirthDeathSchedule,
     proposed = x.insert(index, s_star)
     detail = BoDDetail("birth", index, s_star, log_q)
     if s_star in x.components:
-        return ProposalOutcome(proposed, NEG_INF, "birth", detail, None)
+        return ProposalOutcome(proposed, NEG_INF, detail)
     log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
-    return ProposalOutcome(proposed, log_ratio, "birth", detail, lt_new)
+    return ProposalOutcome(proposed, log_ratio, detail, lt_new)
 
 
 def death_propose(x: VarDimState, sched: BirthDeathSchedule,
@@ -264,7 +261,7 @@ def death_propose(x: VarDimState, sched: BirthDeathSchedule,
     proposed = x.remove(index)
     detail = BoDDetail("death", index, value, sched.proposal.log_density(value))
     log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
-    return ProposalOutcome(proposed, log_ratio, "death", detail, lt_new)
+    return ProposalOutcome(proposed, log_ratio, detail, lt_new)
 
 
 @dataclass(frozen=True)
@@ -305,11 +302,11 @@ def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule,
 
     if update_propose is None:
         third = Move("none", "none", rest_weight,
-                     lambda x, rng: ProposalOutcome(x, NEG_INF, "none"))
+                     lambda x, rng: ProposalOutcome(x, NEG_INF))
     else:
         def update(x, rng):
             if x.k == 0:
-                return ProposalOutcome(x, 0.0, "update")
+                return ProposalOutcome(x, 0.0)
             return update_propose(x, rng)
         third = Move("update", "update", rest_weight, update)
 

@@ -191,6 +191,21 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("experiment.omega_true frequencies must be distinct")
     if not math.isfinite(cfg.snr_db):
         raise ConfigurationError("experiment.snr_db must be finite")
+    if cfg.n_obs < 1:
+        raise ConfigurationError("experiment.n_obs must be at least 1")
+    # The SNR sets the noise level from the signal power, so the truth must not be silent.
+    if not (all(0.0 <= a < math.inf for a in cfg.amp2_true)
+            and any(a > 0.0 for a in cfg.amp2_true)):
+        raise ConfigurationError("experiment.amp2_true must be finite and nonnegative, "
+                                 "with at least one positive entry")
+    if cfg.lam is not None and not 0.0 < cfg.lam < math.inf:
+        raise ConfigurationError("model.lambda must be finite and positive")
+    if cfg.delta2 is not None and not 0.0 <= cfg.delta2 < math.inf:
+        raise ConfigurationError("model.delta2 must be finite and nonnegative")
+    for key, pair in (("model.lambda_prior", cfg.lambda_prior),
+                      ("model.delta2_prior", cfg.delta2_prior)):
+        if pair is not None and not all(0.0 < v < math.inf for v in pair):
+            raise ConfigurationError(f"{key} entries must be finite and positive")
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -207,18 +222,23 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def read_signal(path: str | os.PathLike) -> np.ndarray:
-    """Plain-text signal, one observation per line; N is the line count."""
+    """Plain-text signal, one finite observation per line, not all zero; N is the line count."""
     values = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise ConfigurationError(f"{path}: line {lineno} is not a number: {raw!r}")
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{path}: line {lineno} is not finite: {raw!r}")
+        values.append(value)
     if not values:
         raise ConfigurationError(f"{path}: signal file contains no observations")
+    if not any(values):
+        raise ConfigurationError(f"{path}: signal is all zeros")
     return np.array(values)
 
 
@@ -262,7 +282,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
 
     result = run_joint_chain(
         y, n_iter=cfg.n_iter, burn_in=cfg.burn_in,
-        ratio_mode=cfg.ratio_mode, rng=rng_stream(cfg.seed), seed=cfg.seed,
+        ratio_mode=cfg.ratio_mode, rng=rng_stream(cfg.seed),
         **_chain_kwargs(cfg))
 
     trace_path = out / "trace.csv"
@@ -307,7 +327,7 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
         for stream, mode in enumerate(("corrected", "legacy")):
             result = run_joint_chain(
                 y, n_iter=cfg.n_iter, burn_in=cfg.burn_in, ratio_mode=mode,
-                rng=rng_stream(cfg.seed, rep, 1 + stream), seed=cfg.seed,
+                rng=rng_stream(cfg.seed, rep, 1 + stream),
                 **kwargs)
             _write_summary(out / f"summary_rep{rep:03d}_{mode}.csv", result.k_counts())
             freqs[mode].append(result.k_frequencies())

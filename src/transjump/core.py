@@ -96,7 +96,6 @@ class ProposalOutcome:
 
     proposed: VarDimState
     log_ratio: float
-    move_label: str
     detail: object | None = None
     proposed_log_density: float | None = None
 
@@ -134,12 +133,6 @@ class MoveSet:
                     f"{m.label!r} -> {m.reverse_label!r} -> {rev.reverse_label!r}")
         self.moves = list(moves)
         self.by_label = by_label
-
-    def weights(self, x: VarDimState) -> np.ndarray:
-        return np.array([m.weight(x) for m in self.moves], dtype=float)
-
-    def __iter__(self):
-        return iter(self.moves)
 
 
 def select_move(moves: MoveSet, x: VarDimState, rng: Rng) -> str:
@@ -269,7 +262,6 @@ def run_chain(
     n_iter: int,
     burn_in: int,
     rng: Rng,
-    seed: int | None = None,
 ) -> ChainOutput:
     """Run the Metropolis-Hastings-Green chain for ``n_iter`` iterations.
 
@@ -284,7 +276,7 @@ def run_chain(
         raise ConfigurationError("initial state has zero target density")
 
     x = init
-    out = ChainOutput(config={"n_iter": n_iter, "burn_in": burn_in, "seed": seed})
+    out = ChainOutput(config={"n_iter": n_iter, "burn_in": burn_in})
     for i in range(n_iter):
         label, outcome, accepted = mhg_step(moves, x, rng, out)
         if accepted and outcome.proposed is not x:

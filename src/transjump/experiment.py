@@ -53,10 +53,8 @@ def run_joint_chain(
     delta2_prior: tuple[float, float] | None = None,
     flat_likelihood: bool = False,
     rng: Rng,
-    seed: int | None = None,
-    init: VarDimState = VarDimState(),
 ) -> ChainOutput:
-    """Run the sweep chain; fully reproducible given the generator.
+    """Run the sweep chain from the empty state; fully reproducible given the generator.
 
     Exactly one of ``lam`` / ``lambda_prior`` must be given (likewise for
     delta2).  With ``flat_likelihood`` the data never enter the density: the
@@ -76,7 +74,7 @@ def run_joint_chain(
     else:
         walk_sd = 0.0
 
-    lam_val = lam if lam is not None else (lambda_prior[0] + init.k) / (lambda_prior[1] + 1.0)
+    lam_val = lam if lam is not None else lambda_prior[0] / (lambda_prior[1] + 1.0)
     if delta2 is not None:
         delta2_val = delta2
     else:
@@ -85,9 +83,9 @@ def run_joint_chain(
 
     proposal = uniform_component_proposal()
     sorted_rep = representation == "sorted"
-    x = init
+    x = VarDimState()
     out = ChainOutput(config={
-        "n_iter": n_iter, "burn_in": burn_in, "seed": seed, "k_max": k_max,
+        "n_iter": n_iter, "burn_in": burn_in, "k_max": k_max,
         "c": c, "ratio_mode": ratio_mode, "representation": representation,
         "flat_likelihood": flat_likelihood,
     })

@@ -57,22 +57,16 @@ class DiscreteToySpec:
             representation=self.representation,
             ratio_mode=ratio_mode)
 
-
-class DiscreteToyTarget:
-    """Tabulated target density over the toy's states."""
-
-    def __init__(self, spec: DiscreteToySpec):
-        self.spec = spec
-
     def log_density(self, x: VarDimState) -> float:
+        """Log of the tabulated target weight; the toy spec is its own target."""
         comps = x.components
-        if len(comps) > self.spec.k_max:
+        if len(comps) > self.k_max:
             return NEG_INF
         if len(set(comps)) != len(comps):
             return NEG_INF
-        if self.spec.representation == "sorted" and not x.is_sorted():
+        if self.representation == "sorted" and not x.is_sorted():
             return NEG_INF
-        w = self.spec.weights.get(comps, 0.0)
+        w = self.weights.get(comps, 0.0)
         return math.log(w) if w > 0.0 else NEG_INF
 
 
@@ -125,7 +119,6 @@ def build_transition_matrix(spec: DiscreteToySpec,
     """
     states = enumerate_states(spec)
     index = {s.components: i for i, s in enumerate(states)}
-    target = DiscreteToyTarget(spec)
     sched = spec.schedule(ratio_mode)
     n = len(states)
     matrix = np.zeros((n, n))
@@ -152,7 +145,7 @@ def build_transition_matrix(spec: DiscreteToySpec,
                     else:
                         detail = BoDDetail("birth", i, s_star, log_q)
                         alpha = math.exp(min(0.0, move_log_ratio(
-                            x, proposed, detail, sched, target)))
+                            x, proposed, detail, sched, spec)))
                     _accumulate(matrix, index, xi, proposed, slot_prob, alpha)
         if p_d > 0.0:
             for i in range(x.k):
@@ -160,7 +153,7 @@ def build_transition_matrix(spec: DiscreteToySpec,
                 proposed = x.remove(i)
                 detail = BoDDetail("death", i, value, sched.proposal.log_density(value))
                 alpha = math.exp(min(0.0, move_log_ratio(
-                    x, proposed, detail, sched, target)))
+                    x, proposed, detail, sched, spec)))
                 _accumulate(matrix, index, xi, proposed, p_d / x.k, alpha)
 
     row_err = np.abs(matrix.sum(axis=1) - 1.0).max()

@@ -189,12 +189,12 @@ def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
     comps[index] = float(new)
     proposed = VarDimState(tuple(comps))
     if not OMEGA_LOW < new < OMEGA_HIGH:
-        return ProposalOutcome(proposed, NEG_INF, "update")
+        return ProposalOutcome(proposed, NEG_INF)
     lt_new = target.log_density(proposed)
     if lt_new == NEG_INF:
-        return ProposalOutcome(proposed, NEG_INF, "update", None, lt_new)
+        return ProposalOutcome(proposed, NEG_INF, proposed_log_density=lt_new)
     log_ratio = lt_new - target.log_density(x)
-    return ProposalOutcome(proposed, log_ratio, "update", None, lt_new)
+    return ProposalOutcome(proposed, log_ratio, proposed_log_density=lt_new)
 
 
 def log_truncated_poisson_normalizer(lam: float, k_max: int) -> float:

@@ -7,7 +7,6 @@ are the full verification sizes, so this module takes several minutes.
 import time
 
 import numpy as np
-import pytest
 
 from transjump.cli import parse_config, replicate
 from transjump.validation import (

@@ -14,7 +14,6 @@ from transjump.birthdeath import (
     death_propose,
     move_log_ratio,
     pmf_component_proposal,
-    schedule_probabilities,
     uniform_component_proposal,
 )
 from transjump.core import (
@@ -39,40 +38,45 @@ def random_state(rng, k):
     return VarDimState(tuple(omega))
 
 
+def order(k):
+    """A state of model order k."""
+    return VarDimState((0.5,) * k)
+
+
 class TestScheduleProbabilities:
     def test_birth_full_when_prior_ratio_exceeds_one(self):
-        p_b, p_d = schedule_probabilities(0, 32, 5.0, 0.25)
-        assert p_b == 0.25
-        assert p_d == 0.0
+        sched = BirthDeathSchedule.green(5.0, 32, 0.25)
+        assert sched.p_birth(order(0)) == 0.25
+        assert sched.p_death(order(0)) == 0.0
 
     def test_birth_scaled_by_prior_ratio(self):
-        p_b, _ = schedule_probabilities(7, 32, 5.0, 0.25)
-        assert p_b == pytest.approx(0.25 * 5.0 / 8.0, rel=1e-15)
+        sched = BirthDeathSchedule.green(5.0, 32, 0.25)
+        assert sched.p_birth(order(7)) == pytest.approx(0.25 * 5.0 / 8.0, rel=1e-15)
 
     def test_death_zero_at_origin_birth_zero_at_cap(self):
-        assert schedule_probabilities(0, 8, 2.0, 0.4)[1] == 0.0
-        assert schedule_probabilities(8, 8, 2.0, 0.4)[0] == 0.0
+        sched = BirthDeathSchedule.green(2.0, 8, 0.4)
+        assert sched.p_death(order(0)) == 0.0
+        assert sched.p_birth(order(8)) == 0.0
 
     def test_ratio_identity_every_order(self):
         """p_d(k+1)/p_b(k) = (k+1)/lam for every k below the cap."""
         for lam in (0.7, 2.5, 5.0, 11.0):
+            sched = BirthDeathSchedule.green(lam, 32, 0.25)
             for k in range(32):
-                p_b, _ = schedule_probabilities(k, 32, lam, 0.25)
-                _, p_d_next = schedule_probabilities(k + 1, 32, lam, 0.25)
+                p_b = sched.p_birth(order(k))
+                p_d_next = sched.p_death(order(k + 1))
                 assert p_d_next / p_b == pytest.approx((k + 1) / lam, rel=1e-12)
 
     def test_mass_left_for_within_model_moves(self):
+        sched = BirthDeathSchedule.green(3.0, 8, 0.5)
         for k in range(9):
-            p_b, p_d = schedule_probabilities(k, 8, 3.0, 0.5)
-            assert p_b + p_d <= 1.0 + 1e-15
+            assert sched.p_birth(order(k)) + sched.p_death(order(k)) <= 1.0 + 1e-15
 
     def test_invalid_constants_rejected(self):
         with pytest.raises(ConfigurationError):
-            schedule_probabilities(0, 8, 3.0, 0.75)
+            BirthDeathSchedule.green(3.0, 8, 0.75)
         with pytest.raises(ConfigurationError):
-            schedule_probabilities(0, 8, -1.0, 0.25)
-        with pytest.raises(ConfigurationError):
-            schedule_probabilities(9, 8, 3.0, 0.25)
+            BirthDeathSchedule.green(-1.0, 8, 0.25)
 
 
 class TestBirthProposeUnsorted:
@@ -113,9 +117,7 @@ class TestBirthProposeUnsorted:
     def test_sampler_outside_support_is_hard_error(self):
         bad = uniform_component_proposal(0.0, math.pi)
         bad = type(bad)(sample=lambda rng: 4.0, log_density=bad.log_density)
-        sched = BirthDeathSchedule(
-            p_birth=lambda x: 0.5, p_death=lambda x: 0.5 if x.k else 0.0,
-            proposal=bad)
+        sched = BirthDeathSchedule.green(2.0, 8, 0.5, proposal=bad)
         with pytest.raises(BrokenKernelError):
             birth_propose_unsorted(VarDimState(), sched, PriorOnlyTarget(2.0, 8),
                                    rng_stream(33))
@@ -171,9 +173,9 @@ class TestBodLogRatio:
             def log_density(self, x):
                 return 0.0
 
-        sched = BirthDeathSchedule(
-            p_birth=lambda x: 0.3, p_death=lambda x: 0.3 if x.k else 0.0,
-            proposal=uniform_component_proposal(0.0, 1.0))  # density 1 on (0,1)
+        # p_b(1) = p_d(2) = 0.3; q has density 1 on (0, 1)
+        sched = BirthDeathSchedule.green(2.0, 8, 0.3,
+                                         proposal=uniform_component_proposal(0.0, 1.0))
         x = VarDimState((0.5,))
         x_new = x.insert(1, 0.25)
         detail = BoDDetail("birth", 1, 0.25, 0.0)
@@ -274,9 +276,7 @@ class TestSortedKernel:
 
     def test_tie_rejects_surely(self):
         prop = pmf_component_proposal([0.5, 1.5], [0.5, 0.5])
-        sched = BirthDeathSchedule(
-            p_birth=lambda x: 0.4, p_death=lambda x: 0.4 if x.k else 0.0,
-            proposal=prop, representation="sorted")
+        sched = BirthDeathSchedule.green(2.0, 8, 0.4, proposal=prop, representation="sorted")
         target = SortedRestriction(PriorOnlyTarget(2.0, 8))
         x = VarDimState((0.5, 1.5))
         rng = rng_stream(45)
@@ -330,9 +330,8 @@ class TestSortedKernel:
             def log_density(self, x):
                 return 0.0 if x.is_sorted() else NEG_INF
 
-        sched = BirthDeathSchedule(
-            p_birth=lambda x: 0.3, p_death=lambda x: 0.3 if x.k else 0.0,
-            proposal=uniform_component_proposal(), representation="sorted")
+        # p_b(0) = p_d(1) = 0.3
+        sched = BirthDeathSchedule.green(1.0, 8, 0.3, representation="sorted")
         rng = rng_stream(49)
         out = birth_propose_sorted(VarDimState(), sched, FlatSorted(), rng)
         # -log q(s*) - log(0+1) with q = 1/pi
@@ -358,7 +357,7 @@ class TestMoveSetFactory:
         moves = bod_move_set(target, sched)
         for k in range(7):
             x = VarDimState(tuple(0.1 + 0.3 * j for j in range(k)))
-            assert moves.weights(x).sum() == pytest.approx(1.0, abs=1e-15)
+            assert sum(m.weight(x) for m in moves.moves) == pytest.approx(1.0, abs=1e-15)
 
     def test_update_slot_holds_at_empty_state(self):
         target = PriorOnlyTarget(3.0, 6)
@@ -388,10 +387,6 @@ class TestMoveSetFactory:
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigurationError):
-            BirthDeathSchedule(p_birth=lambda x: 0.1, p_death=lambda x: 0.1,
-                               proposal=uniform_component_proposal(),
-                               representation="diagonal")
+            BirthDeathSchedule.green(2.0, 8, representation="diagonal")
         with pytest.raises(ConfigurationError):
-            BirthDeathSchedule(p_birth=lambda x: 0.1, p_death=lambda x: 0.1,
-                               proposal=uniform_component_proposal(),
-                               ratio_mode="fixed")
+            BirthDeathSchedule.green(2.0, 8, ratio_mode="fixed")

@@ -1,13 +1,10 @@
 """Config parsing, file outputs, reproducibility and the command-line surface."""
-import math
-import os
 import warnings
 
 import numpy as np
 import pytest
 
 from transjump.cli import (
-    RunConfig,
     main,
     parse_config,
     priors_plot,
@@ -93,6 +90,27 @@ class TestParseConfig:
             with pytest.raises(ConfigurationError):
                 parse_config(text=text)
 
+    @pytest.mark.parametrize("text", [
+        "experiment.n_obs = 0",
+        "experiment.n_obs = -3",
+        "experiment.amp2_true = -20,6.32,20",
+        "experiment.amp2_true = inf,6.32,20",
+        "experiment.amp2_true = 0,0,0",
+        "experiment.omega_true =\nexperiment.amp2_true =",
+        "model.lambda = 0",
+        "model.lambda = inf",
+        "model.delta2 = nan",
+        "model.delta2 = -1",
+        "model.lambda_prior = -1,1e-3",
+        "model.lambda_prior = 1,-2",
+        "model.lambda_prior = nan,1",
+        "model.delta2_prior = 2,-100",
+        "model.delta2_prior = inf,100",
+    ])
+    def test_unusable_model_or_truth_rejected(self, text):
+        with pytest.raises(ConfigurationError):
+            parse_config(text=text)
+
     def test_round_trip_identity(self):
         cfg = parse_config(text="""
             io.out = results
@@ -129,6 +147,13 @@ class TestSignalIO:
     def test_empty_signal_rejected(self, tmp_path):
         path = tmp_path / "signal.txt"
         path.write_text("\n")
+        with pytest.raises(ConfigurationError):
+            read_signal(path)
+
+    @pytest.mark.parametrize("text", ["0\n0.0\n-0\n", "1.0\nnan\n", "inf\n1.0\n"])
+    def test_non_finite_or_zero_signal_rejected(self, tmp_path, text):
+        path = tmp_path / "signal.txt"
+        path.write_text(text)
         with pytest.raises(ConfigurationError):
             read_signal(path)
 
@@ -301,5 +326,14 @@ class TestMain:
     def test_config_errors_exit_nonzero(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("sampler.mystery = 1")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_non_finite_signal_is_config_error(self, tmp_path, capsys):
+        signal = tmp_path / "signal.txt"
+        signal.write_text("0.5\nnan\n-0.5\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"io.signal = {signal}\nio.out = {tmp_path / 'out'}\n"
+                          "sampler.n_iter = 30\nsampler.burn_in = 5\n")
         assert main(["run", "--config", str(config)]) == 2
         assert "configuration error" in capsys.readouterr().err

@@ -27,7 +27,7 @@ def constant_moves(weights: dict[str, float], reverse: dict[str, str]) -> MoveSe
     """Moves that propose the unchanged state with ratio 0 (always accept)."""
     return MoveSet([
         Move(label, reverse[label], lambda x, w=w: w,
-             lambda x, rng, label=label: ProposalOutcome(x, 0.0, label))
+             lambda x, rng: ProposalOutcome(x, 0.0))
         for label, w in weights.items()
     ])
 
@@ -103,17 +103,17 @@ class TestMoveSetValidation:
     def test_unknown_reverse_label_rejected(self):
         with pytest.raises(ConfigurationError):
             MoveSet([Move("a", "ghost", lambda x: 1.0,
-                          lambda x, rng: ProposalOutcome(x, 0.0, "a"))])
+                          lambda x, rng: ProposalOutcome(x, 0.0))])
 
     def test_non_involutive_pairing_rejected(self):
         mk = lambda lab, rev: Move(lab, rev, lambda x: 0.5,
-                                   lambda x, rng: ProposalOutcome(x, 0.0, lab))
+                                   lambda x, rng: ProposalOutcome(x, 0.0))
         with pytest.raises(ConfigurationError):
             MoveSet([mk("a", "b"), mk("b", "c"), mk("c", "a")])
 
     def test_duplicate_labels_rejected(self):
         mk = lambda: Move("a", "a", lambda x: 0.5,
-                          lambda x, rng: ProposalOutcome(x, 0.0, "a"))
+                          lambda x, rng: ProposalOutcome(x, 0.0))
         with pytest.raises(ConfigurationError):
             MoveSet([mk(), mk()])
 
@@ -171,26 +171,26 @@ def jump_moves(target=None) -> MoveSet:
 
     def birth(x, rng):
         proposed = x.insert(x.k, 0.5 + x.k)
-        return ProposalOutcome(proposed, ratio(x, proposed), "birth")
+        return ProposalOutcome(proposed, ratio(x, proposed))
 
     def death(x, rng):
         proposed = x.remove(x.k - 1)
-        return ProposalOutcome(proposed, ratio(x, proposed), "death")
+        return ProposalOutcome(proposed, ratio(x, proposed))
 
     return MoveSet([
         Move("birth", "death", lambda x: 0.5, birth),
         Move("death", "birth", lambda x: 0.5 if x.k else 0.0, death),
         Move("hold", "hold", lambda x: 0.0 if x.k else 0.5,
-             lambda x, rng: ProposalOutcome(x, 0.0, "hold")),
+             lambda x, rng: ProposalOutcome(x, 0.0)),
     ])
 
 
 class TestRunChain:
     def test_zero_iterations_gives_empty_records(self):
         out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 0, 0,
-                        rng_stream(10), seed=10)
+                        rng_stream(10))
         assert out.records == []
-        assert out.config == {"n_iter": 0, "burn_in": 0, "seed": 10}
+        assert out.config == {"n_iter": 0, "burn_in": 0}
 
     def test_all_rejecting_target_keeps_chain_at_init(self):
         init = VarDimState()
@@ -214,7 +214,7 @@ class TestRunChain:
 
     def test_same_seed_bit_identical(self):
         runs = [run_chain(FlatTarget(), jump_moves(), VarDimState(), 3000, 500,
-                          rng_stream(14), seed=14) for _ in range(2)]
+                          rng_stream(14)) for _ in range(2)]
         assert runs[0].records == runs[1].records
         assert runs[0].proposals == runs[1].proposals
         assert runs[0].acceptances == runs[1].acceptances
@@ -238,7 +238,7 @@ class TestRunChain:
     def test_nan_components_hard_error(self):
         bad = MoveSet([Move("bad", "bad", lambda x: 1.0,
                             lambda x, rng: ProposalOutcome(
-                                VarDimState((float("nan"),)), 0.0, "bad"))])
+                                VarDimState((float("nan"),)), 0.0))])
         with pytest.raises(BrokenKernelError):
             run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
 
@@ -254,7 +254,7 @@ class TestMhgStep:
         out = ChainOutput()
         label, outcome, accepted = mhg_step(jump_moves(), VarDimState(), rng_stream(22), out)
         assert label in ("birth", "hold")
-        assert outcome.move_label == label
+        assert outcome.proposed.k == (1 if label == "birth" else 0)
         assert accepted
         assert out.proposals == {label: 1}
         assert out.acceptances == {label: 1}

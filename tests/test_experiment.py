@@ -34,7 +34,7 @@ class TestFlatRuns:
     def test_runs_without_observations(self):
         res = run_joint_chain(None, n_iter=200, burn_in=50, k_max=8, lam=3.0,
                               delta2=100.0, flat_likelihood=True,
-                              rng=rng_stream(1), seed=1)
+                              rng=rng_stream(1))
         assert len(res.records) == 200
         assert all(r.lam == 3.0 and r.delta2 == 100.0 for r in res.records)
         assert res.config["flat_likelihood"] is True
