@@ -353,8 +353,10 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
 
 def priors_plot(lam: float, k_max: int, out_dir: str | os.PathLike) -> dict:
     """Emit the plain and accelerated order laws side by side (CSV + SVG)."""
-    if lam <= 0:
-        raise ConfigurationError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ConfigurationError("lambda must be finite and positive")
+    if k_max < 0:
+        raise ConfigurationError("kmax must be nonnegative")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     poisson = truncated_poisson_pmf(lam, k_max)

@@ -33,6 +33,7 @@ from .sinusoid import (
     PriorOnlyTarget,
     SinusoidPosterior,
     frequency_update_move,
+    log_truncated_poisson_normalizer,
     sample_delta2,
     sample_lambda,
 )
@@ -89,21 +90,22 @@ def run_joint_chain(
         "c": c, "ratio_mode": ratio_mode, "representation": representation,
         "flat_likelihood": flat_likelihood,
     })
+    posterior = None if flat_likelihood else SinusoidPosterior(y, lam_val, delta2_val, k_max)
+    log_z = None if lambda_prior is None else log_truncated_poisson_normalizer(lam_val, k_max)
 
     for i in range(n_iter):
         if lambda_prior is not None:
-            lam_val, acc = sample_lambda(lam_val, x.k, lambda_prior[0],
-                                         lambda_prior[1], k_max, rng)
+            lam_val, log_z, acc = sample_lambda(lam_val, log_z, x.k, lambda_prior[0],
+                                                lambda_prior[1], k_max, rng)
             out.tally("lambda", acc)
-        if delta2_prior is not None and not flat_likelihood:
-            delta2_val, acc = sample_delta2(delta2_val, x, y, delta2_prior[0],
-                                            delta2_prior[1], rng)
-            out.tally("delta2", acc)
+        if posterior is not None:
+            if delta2_prior is not None:
+                delta2_val, acc = sample_delta2(delta2_val, x, posterior, delta2_prior[0],
+                                                delta2_prior[1], rng)
+                out.tally("delta2", acc)
+            posterior.set_hyperparameters(lam_val, delta2_val)
 
-        if flat_likelihood:
-            base = PriorOnlyTarget(lam_val, k_max)
-        else:
-            base = SinusoidPosterior(y, lam_val, delta2_val, k_max)
+        base = posterior if posterior is not None else PriorOnlyTarget(lam_val, k_max)
         target = SortedRestriction(base) if sorted_rep else base
         sched = BirthDeathSchedule.green(lam_val, k_max, c, proposal=proposal,
                                          representation=representation,
@@ -112,7 +114,7 @@ def run_joint_chain(
         if move_accepted:
             x = outcome.proposed
 
-        if not flat_likelihood and x.k >= 1:
+        if posterior is not None and x.k >= 1:
             outcome = frequency_update_move(x, target, rng, walk_sd)
             acc = mhg_accept(outcome.log_ratio, rng)
             out.tally("update", acc)

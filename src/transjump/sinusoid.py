@@ -8,12 +8,12 @@ and the g-prior scale, and synthetic-signal generation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .core import (
     NEG_INF,
@@ -69,41 +69,47 @@ def _projection_norm2(y: np.ndarray, omega) -> float:
     return float(w @ w)
 
 
-def quad_form(y, omega, delta2: float) -> float:
+def quad_form(y, omega, delta2: float, *, s: float | None = None) -> float:
     """y^T P_k y with P_k the g-prior shrinkage projection; y^T y when k = 0.
 
     P_k is never formed: the quadratic form is y^T y minus the shrunk squared
-    projection, so the result always lies in [|y|^2 / (1 + delta2), |y|^2].
-    A factorised projection above |y|^2, which nearly coincident frequencies
-    can produce, means the design is singular to working precision and raises
-    SingularDesignError.
+    projection s, so the result always lies in [|y|^2 / (1 + delta2), |y|^2].
+    A caller that already holds s = _projection_norm2(y, omega) passes it.
+    A factorised projection above |y|^2 (inf included), which nearly
+    coincident frequencies can produce, means the design is singular to
+    working precision and raises SingularDesignError.
     """
     y = np.asarray(y, dtype=float)
     yty = float(y @ y)
-    omega = np.asarray(omega, dtype=float)
-    if omega.size == 0 or delta2 == 0.0:
+    if len(omega) == 0 or delta2 == 0.0:
         return yty
-    s = _projection_norm2(y, omega)
+    if s is None:
+        s = _projection_norm2(y, omega)
     if not s <= yty:
         raise SingularDesignError(f"projection exceeds |y|^2 at omega={tuple(omega)}")
     return yty - delta2 / (1.0 + delta2) * s
 
 
-def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int) -> float:
+def _in_support(omega, k_max: int) -> bool:
+    """At most k_max components, each in (0, pi)."""
+    return len(omega) <= k_max and all(OMEGA_LOW < w < OMEGA_HIGH for w in omega)
+
+
+def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int, *,
+                        s: float | None = None) -> float:
     """Unnormalised log posterior of (k, omega) given the data.
 
     -(N/2) log(y^T P_k y) + k log(lam) - k log(pi) - log k! - k log(1+delta2),
     or -inf outside (0, pi)^k, above the truncation, or on a numerically
-    singular design.
+    singular design.  ``s`` is the projection norm, when the caller holds it
+    (see quad_form).
     """
     y = np.asarray(y, dtype=float)
     k = len(omega)
-    if k > k_max:
-        return NEG_INF
-    if any(not OMEGA_LOW < w < OMEGA_HIGH for w in omega):
+    if not _in_support(omega, k_max):
         return NEG_INF
     try:
-        q = quad_form(y, omega, delta2)
+        q = quad_form(y, omega, delta2, s=s)
     except SingularDesignError:
         return NEG_INF
     n = y.size
@@ -115,13 +121,24 @@ def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int) -> floa
 POSTERIOR_CACHE_SIZE = 64
 
 
-class SinusoidPosterior:
-    """Target density over (k, omega) for fixed hyperparameters.
+def _remember(memo: dict, key: tuple, value: float) -> None:
+    """Store into a FIFO memo bounded by POSTERIOR_CACHE_SIZE."""
+    if len(memo) >= POSTERIOR_CACHE_SIZE:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
 
-    Holds the observations y, the g-prior scale delta2, the component-count
-    mean lam and the truncation k_max.  Evaluations
-    are memoised on the component tuple (the density is deterministic), which
-    saves repeated factorisations of the current state during a sweep.
+
+class SinusoidPosterior:
+    """Target density over (k, omega) for one data vector, with settable hyperparameters.
+
+    Holds the observations y and |y|^2, the truncation k_max, and the current
+    component-count mean lam and g-prior scale delta2, which a chain may
+    change between sweeps through ``set_hyperparameters``.  Two memos, both
+    keyed on the component tuple, save factorisations: the projection norm
+    s(omega), which depends on neither hyperparameter and so lives as long as
+    the posterior, and the log density at the current (lam, delta2), which
+    is cleared when either changes.  Both store exactly what a fresh
+    evaluation returns, so memoisation never changes a value.
     """
 
     def __init__(self, y, lam: float, delta2: float, k_max: int = 32):
@@ -131,19 +148,42 @@ class SinusoidPosterior:
         if lam <= 0 or delta2 < 0 or k_max < 0:
             raise ConfigurationError("lam must be positive; delta2, k_max nonnegative")
         self.n_obs = self.y.size
+        self.yty = float(self.y @ self.y)
         self.lam = float(lam)
         self.delta2 = float(delta2)
         self.k_max = int(k_max)
-        self._cache: dict[tuple, float] = {}
+        self._norms: dict[tuple, float] = {}
+        self._densities: dict[tuple, float] = {}
+
+    def set_hyperparameters(self, lam: float, delta2: float) -> None:
+        """Move to new (lam, delta2); the density memo is dropped if either changed."""
+        if lam != self.lam or delta2 != self.delta2:
+            self.lam = float(lam)
+            self.delta2 = float(delta2)
+            self._densities.clear()
+
+    def projection_norm(self, omega: tuple) -> float:
+        """s(omega) = _projection_norm2(y, omega), 0 at k = 0, inf on a singular design."""
+        s = self._norms.get(omega)
+        if s is None:
+            try:
+                s = _projection_norm2(self.y, omega) if omega else 0.0
+            except SingularDesignError:
+                s = math.inf
+            _remember(self._norms, omega, s)
+        return s
 
     def log_density(self, x: VarDimState) -> float:
-        cached = self._cache.get(x.components)
-        if cached is not None:
-            return cached
-        val = sinusoid_log_target(self.y, x.components, self.lam, self.delta2, self.k_max)
-        if len(self._cache) >= POSTERIOR_CACHE_SIZE:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[x.components] = val
+        omega = x.components
+        val = self._densities.get(omega)
+        if val is None:
+            # s is factorised only where quad_form reads it: inside the support
+            # and at delta2 != 0.
+            s = None
+            if self.delta2 != 0.0 and _in_support(omega, self.k_max):
+                s = self.projection_norm(omega)
+            val = sinusoid_log_target(self.y, omega, self.lam, self.delta2, self.k_max, s=s)
+            _remember(self._densities, omega, val)
         return val
 
 
@@ -160,9 +200,7 @@ class PriorOnlyTarget:
 
     def log_density(self, x: VarDimState) -> float:
         k = x.k
-        if k > self.k_max:
-            return NEG_INF
-        if any(not OMEGA_LOW < w < OMEGA_HIGH for w in x.components):
+        if not _in_support(x.components, self.k_max):
             return NEG_INF
         return (k * math.log(self.lam) - k * math.log(OMEGA_HIGH - OMEGA_LOW)
                 - math.lgamma(k + 1))
@@ -197,45 +235,73 @@ def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
     return ProposalOutcome(proposed, log_ratio, proposed_log_density=lt_new)
 
 
+@functools.lru_cache(maxsize=8)
+def _order_terms(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(j, log j!) for j = 0 .. k_max, shared read-only by every caller."""
+    j = np.arange(k_max + 1)
+    log_fact = np.array([math.lgamma(v + 1) for v in j])
+    j.flags.writeable = False
+    log_fact.flags.writeable = False
+    return j, log_fact
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a finite 1-D array, bit for bit as scipy.special.logsumexp.
+
+    A transcription of scipy 1.17's algorithm for real input, without its
+    array-API dispatch: the maxima are masked out of the shifted sum, which
+    enters through log1p, and their count m through log(m).
+    """
+    a_max = a.max()
+    is_max = a == a_max
+    m = np.float64(np.count_nonzero(is_max))
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum()
+    if s != 0.0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def log_truncated_poisson_normalizer(lam: float, k_max: int) -> float:
     """log sum_{j=0}^{k_max} lam^j / j!."""
-    j = np.arange(k_max + 1)
-    return float(logsumexp(j * math.log(lam) - [math.lgamma(v + 1) for v in j]))
+    j, log_fact = _order_terms(k_max)
+    return _logsumexp(j * math.log(lam) - log_fact)
 
 
-def sample_lambda(current: float, k: int, shape: float, rate: float, k_max: int,
-                  rng: Rng) -> tuple[float, bool]:
+def sample_lambda(current: float, log_z: float, k: int, shape: float, rate: float,
+                  k_max: int, rng: Rng) -> tuple[float, float, bool]:
     """One MH update of the component-count mean given the current order k.
 
     Proposes from the untruncated conjugate Gamma(shape + k, rate + 1) and
     corrects for the truncated-Poisson normalizer, which leaves the
     conditional law invariant; the correction tends to 1 as k_max grows.
-    Returns (new value, accepted flag).
+    ``log_z`` is log_truncated_poisson_normalizer(current, k_max), which the
+    previous update returned, so each update evaluates one normaliser.
+    Returns (new value, its log normaliser, accepted flag).
     """
     proposed = float(rng.gamma(shape + k, 1.0 / (rate + 1.0)))
     if proposed <= 0.0:
-        return current, False
-    log_ratio = ((proposed - current)
-                 + log_truncated_poisson_normalizer(current, k_max)
-                 - log_truncated_poisson_normalizer(proposed, k_max))
+        return current, log_z, False
+    log_z_prop = log_truncated_poisson_normalizer(proposed, k_max)
+    log_ratio = (proposed - current) + log_z - log_z_prop
     if mhg_accept(log_ratio, rng):
-        return proposed, True
-    return current, False
+        return proposed, log_z_prop, True
+    return current, log_z, False
 
 
-def sample_delta2(current: float, x: VarDimState, y, shape: float, scale: float,
-                  rng: Rng, walk_sd: float = 0.5) -> tuple[float, bool]:
+def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
+                  shape: float, scale: float, rng: Rng,
+                  walk_sd: float = 0.5) -> tuple[float, bool]:
     """One random-walk MH update of the g-prior scale on the log scale.
 
     Targets the conditional density proportional to
     IG(delta2; shape, scale) * (y^T P_k y)^(-N/2) * (1 + delta2)^(-k),
-    with the log-scale Jacobian included.  Returns (new value, accepted flag).
+    with the log-scale Jacobian included.  The projection norm of x comes
+    from the posterior's memo.  Returns (new value, accepted flag).
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
+    n = posterior.n_obs
     k = x.k
-    yty = float(y @ y)
-    s = _projection_norm2(y, x.components) if k > 0 else 0.0
+    yty = posterior.yty
+    s = posterior.projection_norm(x.components)
 
     def log_cond(d2: float) -> float:
         quad = yty - d2 / (1.0 + d2) * s
@@ -277,9 +343,9 @@ def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:
 
 def _order_pmf(lam: float, k_max: int, power: int) -> np.ndarray:
     """pmf proportional to lam^j / (j!)^power on {0, ..., k_max}."""
-    j = np.arange(k_max + 1)
-    log_w = j * math.log(lam) - power * np.array([math.lgamma(v + 1) for v in j])
-    return np.exp(log_w - logsumexp(log_w))
+    j, log_fact = _order_terms(k_max)
+    log_w = j * math.log(lam) - power * log_fact
+    return np.exp(log_w - _logsumexp(log_w))
 
 
 def truncated_poisson_pmf(lam: float, k_max: int) -> np.ndarray:

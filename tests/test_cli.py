@@ -317,6 +317,13 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "priors.csv").exists()
 
+    @pytest.mark.parametrize("args", [["--lambda", "nan"], ["--lambda", "inf"],
+                                      ["--lambda", "0"], ["--lambda", "5", "--kmax", "-1"]])
+    def test_bad_priors_plot_arguments_are_config_errors(self, tmp_path, capsys, args):
+        assert main(["priors-plot", *args, "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "priors.csv").exists()
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["validate", "--suite", "nonsense"]) == 2
         err = capsys.readouterr().err

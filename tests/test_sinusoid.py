@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from transjump.core import BrokenKernelError, ConfigurationError, VarDimState, rng_stream
 from transjump.sinusoid import (
+    POSTERIOR_CACHE_SIZE,
     PriorOnlyTarget,
     SingularDesignError,
     SinusoidPosterior,
     accelerated_poisson_pmf,
     design_matrix,
     frequency_update_move,
+    log_truncated_poisson_normalizer,
     quad_form,
     sample_delta2,
     sample_lambda,
@@ -25,6 +28,9 @@ NEG_INF = float("-inf")
 # Gaps of 2e-8 pass the 1e-8 duplicate guard, but D^T D is not positive
 # definite to working precision at N = 16, 32 and 64: the Cholesky fails.
 CHOLESKY_FAILS = (1.0, 1.0 + 2e-8, 1.0 + 4e-8)
+# Tones ~2e-4 apart: the Cholesky succeeds, but on the reference signal the
+# factorised projection exceeds |y|^2.
+INACCURATE_PROJECTION = (0.62, 0.6203, 0.6206, 0.6208)
 
 
 class TestDesignMatrix:
@@ -129,10 +135,9 @@ class TestLogTarget:
         projection exceeds |y|^2; that design counts as singular, not as a
         negative quadratic form."""
         y = synthesize((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64, rng_stream(5))
-        omega = (0.62, 0.6203, 0.6206, 0.6208)
         with pytest.raises(SingularDesignError):
-            quad_form(y, omega, 100.0)
-        assert sinusoid_log_target(y, omega, 1.0, 100.0, 32) == NEG_INF
+            quad_form(y, INACCURATE_PROJECTION, 100.0)
+        assert sinusoid_log_target(y, INACCURATE_PROJECTION, 1.0, 100.0, 32) == NEG_INF
 
     def test_order_ratio_reduces_to_quad_ratio(self):
         """exp(lt(k+1)-lt(k)) times (k+1)pi/lam equals (quad ratio)^(-N/2)/(1+d2)."""
@@ -184,6 +189,48 @@ class TestLogTarget:
         assert model.log_density(x) == first
         assert model.log_density(VarDimState((0.9, 1.7))) == first
         assert first == sinusoid_log_target(model.y, x.components, 2.0, 25.0, 4)
+
+    def test_reused_posterior_matches_fresh_target_bit_for_bit(self):
+        """One posterior across (lam, delta2) changes equals a fresh evaluation.
+
+        The states cover the empty model, ordinary ones, a design whose
+        Cholesky fails (gaps of 2e-8 at N = 64), one whose factorised
+        projection exceeds |y|^2, and ones outside (0, pi); delta2 = 0
+        included, where a singular design is not -inf.
+        """
+        y = synthesize((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64, rng_stream(5))
+        states = [(), (0.9,), (0.63, 0.73), (0.63, 0.68, 0.73), CHOLESKY_FAILS,
+                  INACCURATE_PROJECTION, (3.5,), (0.0, 1.0), (0.5, -0.2)]
+        model = SinusoidPosterior(y, 2.0, 25.0, k_max=8)
+        for lam, delta2 in ((2.0, 25.0), (2.0, 0.0), (0.7, 0.0), (0.7, 140.0),
+                            (3.1, 140.0), (2.0, 25.0), (2.0, 1e-3)):
+            model.set_hyperparameters(lam, delta2)
+            for order in (states, states[::-1]):
+                for omega in order:
+                    fresh = sinusoid_log_target(y, omega, lam, delta2, 8)
+                    assert model.log_density(VarDimState(omega)) == fresh
+            for omega in (CHOLESKY_FAILS, INACCURATE_PROJECTION):
+                singular = model.log_density(VarDimState(omega)) == NEG_INF
+                assert singular == (delta2 != 0.0)
+
+    def test_memos_stay_bounded(self):
+        model = SinusoidPosterior(rng_stream(68).standard_normal(16), 2.0, 25.0, k_max=4)
+        for w in np.linspace(0.1, 3.0, 3 * POSTERIOR_CACHE_SIZE):
+            model.log_density(VarDimState((float(w),)))
+        assert len(model._norms) == POSTERIOR_CACHE_SIZE
+        assert len(model._densities) == POSTERIOR_CACHE_SIZE
+
+    def test_states_outside_support_are_not_factorised(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        model = SinusoidPosterior(rng_stream(68).standard_normal(16), 2.0, 25.0, k_max=2)
+        outside = [(3.5,), (0.0, 1.0), (0.5, -0.2), (0.5, 1.0, 1.5)]
+        for omega in outside:
+            assert model.log_density(VarDimState(omega)) == NEG_INF
+        assert calls == [] and model._norms == {}
+        model.log_density(VarDimState((0.9,)))
+        assert calls == [1] and list(model._norms) == [(0.9,)]
 
 
 class TestPriorOnlyTarget:
@@ -253,6 +300,27 @@ class TestFrequencyUpdateMove:
         assert within.mean() > 0.9
 
 
+class TestLambdaNormalizer:
+    def test_equals_scipy_logsumexp_exactly(self):
+        """Bit-for-bit against scipy over lam in e^[-12, 8] and eight truncations."""
+        for k_max in (1, 2, 3, 8, 16, 32, 64, 100):
+            j = np.arange(k_max + 1)
+            log_fact = np.array([math.lgamma(v + 1) for v in j])
+            for lam in np.exp(np.linspace(-12.0, 8.0, 2001)):
+                expect = float(logsumexp(j * math.log(lam) - log_fact))
+                assert log_truncated_poisson_normalizer(float(lam), k_max) == expect
+
+    def test_order_pmfs_equal_scipy_normalisation_exactly(self):
+        for k_max in (0, 1, 5, 32):
+            j = np.arange(k_max + 1)
+            log_fact = np.array([math.lgamma(v + 1) for v in j])
+            for lam in np.exp(np.linspace(-6.0, 5.0, 111)):
+                for power, pmf in ((1, truncated_poisson_pmf), (2, accelerated_poisson_pmf)):
+                    log_w = j * math.log(lam) - power * log_fact
+                    expect = np.exp(log_w - logsumexp(log_w))
+                    np.testing.assert_array_equal(pmf(float(lam), k_max), expect)
+
+
 class TestSampleLambda:
     def test_truncation_correction_negligible_at_large_cap(self):
         """exp(-lam) * sum_{j<=32} lam^j/j! stays within 1e-6 of 1 at lam=5."""
@@ -262,17 +330,20 @@ class TestSampleLambda:
     def test_always_accepts_when_truncation_negligible(self):
         rng = rng_stream(74)
         lam = 2.0
+        log_z = log_truncated_poisson_normalizer(lam, 200)
         for _ in range(300):
-            lam, accepted = sample_lambda(lam, 3, 1.0, 1e-3, 200, rng)
+            lam, log_z, accepted = sample_lambda(lam, log_z, 3, 1.0, 1e-3, 200, rng)
             assert accepted
+            assert log_z == log_truncated_poisson_normalizer(lam, 200)
 
     def test_conditional_mean_matches_conjugate_form(self):
         """With k pinned at 3 and prior (1, 1e-3), the mean approaches 4/1.001."""
         rng = rng_stream(75)
         lam = 1.0
+        log_z = log_truncated_poisson_normalizer(lam, 32)
         draws = []
         for _ in range(20_000):
-            lam, _ = sample_lambda(lam, 3, 1.0, 1e-3, 32, rng)
+            lam, log_z, _ = sample_lambda(lam, log_z, 3, 1.0, 1e-3, 32, rng)
             draws.append(lam)
         expect = (1.0 + 3.0) / (1e-3 + 1.0)
         assert np.mean(draws[2000:]) == pytest.approx(expect, abs=0.1)
@@ -283,11 +354,11 @@ class TestSampleDelta2:
         """k=0: the conditional is the prior; check E[1/d2] = shape/scale tightly
         and the heavy-tailed mean loosely."""
         rng = rng_stream(76)
-        y = rng.standard_normal(16)
+        posterior = SinusoidPosterior(rng.standard_normal(16), 1.0, 100.0)
         d2 = 100.0
         draws = []
         for _ in range(40_000):
-            d2, _ = sample_delta2(d2, VarDimState(), y, 2.0, 100.0, rng)
+            d2, _ = sample_delta2(d2, VarDimState(), posterior, 2.0, 100.0, rng)
             draws.append(d2)
         draws = np.array(draws[4000:])
         assert np.mean(1.0 / draws) == pytest.approx(2.0 / 100.0, rel=0.05)
@@ -312,10 +383,11 @@ class TestSampleDelta2:
         w = np.exp(log_w - log_w.max())
         oracle_mean = float((d2s * w).sum() / w.sum())
 
+        posterior = SinusoidPosterior(y, 1.0, 50.0, k_max=1)
         d2 = 50.0
         draws = []
         for _ in range(60_000):
-            d2, _ = sample_delta2(d2, x, y, shape, scale, rng)
+            d2, _ = sample_delta2(d2, x, posterior, shape, scale, rng)
             draws.append(d2)
         chain_mean = float(np.mean(draws[6000:]))
         assert chain_mean == pytest.approx(oracle_mean, rel=0.1)
