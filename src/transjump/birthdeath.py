@@ -41,17 +41,15 @@ class ComponentProposal:
     log_density: Callable[[float], float]
 
 
-def uniform_component_proposal(low: float = 0.0, high: float = math.pi) -> ComponentProposal:
-    """Uniform proposal on the open interval (low, high)."""
-    if not high > low:
-        raise ConfigurationError(f"empty proposal interval ({low}, {high})")
-    log_dens = -math.log(high - low)
+def uniform_component_proposal() -> ComponentProposal:
+    """Uniform proposal on the open interval (0, pi)."""
+    log_dens = -math.log(math.pi)
 
     def log_density(v: float) -> float:
-        return log_dens if low < v < high else NEG_INF
+        return log_dens if 0.0 < v < math.pi else NEG_INF
 
     return ComponentProposal(
-        sample=lambda rng: rng.uniform(low, high),
+        sample=lambda rng: rng.uniform(0.0, math.pi),
         log_density=log_density,
     )
 
@@ -112,8 +110,8 @@ class BirthDeathSchedule:
     def __post_init__(self):
         if not 0.0 < self.c <= 0.5:
             raise ConfigurationError(f"schedule constant c={self.c} outside (0, 0.5]")
-        if not self.lam > 0:
-            raise ConfigurationError(f"schedule mean lam={self.lam} must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ConfigurationError(f"schedule mean lam={self.lam} must be finite and positive")
         if self.representation not in REPRESENTATIONS:
             raise ConfigurationError(f"unknown representation {self.representation!r}")
         if self.ratio_mode not in RATIO_MODES:
@@ -280,14 +278,11 @@ class SortedRestriction:
         return math.lgamma(x.k + 1) + self.base.log_density(x)
 
 
-def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule,
-                 update_propose: Callable[[VarDimState, Rng], ProposalOutcome] | None = None,
-                 ) -> MoveSet:
-    """Mixture move set {birth, death, update-or-none} for the given schedule.
+def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> MoveSet:
+    """Mixture move set {birth, death, none} for the given schedule.
 
-    Move selection weights are p_b(x), p_d(x) and the remainder.  When no
-    within-model move is supplied, the remaining mass goes to the identity
-    move "none", which rejects surely and so keeps the chain in place.
+    Move selection weights are p_b(x), p_d(x) and the remainder, which goes to
+    the identity move "none": it rejects surely and so keeps the chain in place.
     """
     if sched.representation == "sorted":
         birth = lambda x, rng: birth_propose_sorted(x, sched, target, rng)
@@ -300,18 +295,8 @@ def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule,
     def rest_weight(x):
         return max(0.0, 1.0 - sched.p_birth(x) - sched.p_death(x))
 
-    if update_propose is None:
-        third = Move("none", "none", rest_weight,
-                     lambda x, rng: ProposalOutcome(x, NEG_INF))
-    else:
-        def update(x, rng):
-            if x.k == 0:
-                return ProposalOutcome(x, 0.0)
-            return update_propose(x, rng)
-        third = Move("update", "update", rest_weight, update)
-
     return MoveSet([
         Move("birth", "death", sched.p_birth, birth),
         Move("death", "birth", sched.p_death, death),
-        third,
+        Move("none", "none", rest_weight, lambda x, rng: ProposalOutcome(x, NEG_INF)),
     ])

@@ -374,9 +374,8 @@ def priors_plot(lam: float, k_max: int, out_dir: str | os.PathLike) -> dict:
             "csv": csv_path, "svg": svg_path}
 
 
-def validate_command(suite: str, stream=None) -> int:
+def validate_command(suite: str) -> int:
     """Run a named verification suite; exit code 0 iff every check passes."""
-    stream = stream if stream is not None else sys.stdout
     fn = SUITES.get(suite)
     if fn is None:
         print(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}",
@@ -384,7 +383,7 @@ def validate_command(suite: str, stream=None) -> int:
         return 2
     checks = fn()
     for check in checks:
-        print(check.line(), file=stream)
+        print(check.line())
     return 0 if all(c.passed for c in checks) else 1
 
 

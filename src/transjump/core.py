@@ -220,12 +220,12 @@ class ChainOutput:
         if accepted:
             self.acceptances[label] = self.acceptances.get(label, 0) + 1
 
-    def k_counts(self, k_max: int | None = None, include_burn_in: bool = False) -> np.ndarray:
+    def k_counts(self, k_max: int | None = None) -> np.ndarray:
         if k_max is None:
             k_max = self.config["k_max"]
         counts = np.zeros(k_max + 1, dtype=np.int64)
         for r in self.records:
-            if include_burn_in or not r.burn_in:
+            if not r.burn_in:
                 counts[r.k] += 1
         return counts
 

@@ -66,6 +66,11 @@ def run_joint_chain(
         raise ConfigurationError("give exactly one of lam / lambda_prior")
     if (delta2 is None) == (delta2_prior is None):
         raise ConfigurationError("give exactly one of delta2 / delta2_prior")
+    for name, prior in (("lambda_prior", lambda_prior), ("delta2_prior", delta2_prior)):
+        if prior is not None and not all(0.0 < v < math.inf for v in prior):
+            raise ConfigurationError(f"{name} entries must be finite and positive")
+    if delta2 is not None and not 0.0 <= delta2 < math.inf:
+        raise ConfigurationError("delta2 must be finite and nonnegative")
     check_iteration_counts(n_iter, burn_in)
     if not flat_likelihood:
         if y is None:

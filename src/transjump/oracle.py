@@ -89,16 +89,13 @@ def enumerate_states(spec: DiscreteToySpec) -> list[VarDimState]:
     return states
 
 
-def normalized_target_vector(spec: DiscreteToySpec,
-                             states: list[VarDimState] | None = None,
-                             legacy: bool = False) -> np.ndarray:
+def normalized_target_vector(spec: DiscreteToySpec, legacy: bool = False) -> np.ndarray:
     """The exact stationary law: normalized weights, or weights / k! in legacy mode.
 
     A chain driven by the legacy ratio is exactly the corrected chain for the
     reweighted target f_k / k!, so its fixed point is known in closed form.
     """
-    if states is None:
-        states = enumerate_states(spec)
+    states = enumerate_states(spec)
     w = np.array([spec.weights.get(s.components, 0.0) for s in states], dtype=float)
     if legacy:
         w = w / np.array([math.factorial(s.k) for s in states], dtype=float)
@@ -200,16 +197,16 @@ def detailed_balance_residual(matrix: np.ndarray, pi: np.ndarray) -> float:
 
 
 def _frequency_partition(y, lam: float, delta2: float, k_max: int,
-                         grid_size: int, n_refine: int = 5) -> tuple[np.ndarray, np.ndarray]:
+                         grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Riemann partition of (0, pi) that resolves narrow likelihood peaks.
 
-    A uniform coarse pass spends half the evaluation budget; the highest
+    A uniform coarse pass spends half the evaluation budget; the five highest
     scoring coarse cells (by their own midpoint value or a neighbour's, so a
     peak hiding at a cell boundary is still caught) are subdivided with the
     remaining budget.  Returns cell midpoints and log cell widths; the total
     number of density evaluations stays at ``grid_size`` per axis.
     """
-    n_coarse = grid_size // 2
+    n_coarse, n_refine = grid_size // 2, 5
     sub = (grid_size - n_coarse) // n_refine
     width = math.pi / n_coarse
     mids = (np.arange(n_coarse) + 0.5) * width

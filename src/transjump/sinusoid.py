@@ -145,8 +145,11 @@ class SinusoidPosterior:
         self.y = np.asarray(y, dtype=float)
         if self.y.ndim != 1 or self.y.size == 0:
             raise ConfigurationError("y must be a nonempty vector")
-        if lam <= 0 or delta2 < 0 or k_max < 0:
-            raise ConfigurationError("lam must be positive; delta2, k_max nonnegative")
+        if not (np.all(np.isfinite(self.y)) and np.any(self.y)):
+            raise ConfigurationError("y must be finite and not all zero")
+        if not (0.0 < lam < math.inf and 0.0 <= delta2 < math.inf and k_max >= 0):
+            raise ConfigurationError("lam must be finite and positive; delta2 finite and "
+                                     "nonnegative; k_max nonnegative")
         self.n_obs = self.y.size
         self.yty = float(self.y @ self.y)
         self.lam = float(lam)
@@ -207,11 +210,11 @@ class PriorOnlyTarget:
 
 
 def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
-                          walk_sd: float, walk_prob: float = 0.8) -> ProposalOutcome:
+                          walk_sd: float) -> ProposalOutcome:
     """Within-model update of one frequency; never changes k.
 
-    One index is picked uniformly; with probability ``walk_prob`` the proposal
-    is a Gaussian random-walk step of the given std, otherwise an independent
+    One index is picked uniformly; with probability 0.8 the proposal is a
+    Gaussian random-walk step of std ``walk_sd``, otherwise an independent
     uniform draw on (0, pi).  Both branches have symmetric proposal ratio,
     so the log ratio is the log target difference (with -inf outside the
     domain).
@@ -219,7 +222,7 @@ def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
     if x.k == 0:
         raise BrokenKernelError("frequency update proposed at k=0")
     index = int(rng.integers(0, x.k))
-    if rng.random() < walk_prob:
+    if rng.random() < 0.8:
         new = x.components[index] + walk_sd * rng.standard_normal()
     else:
         new = rng.uniform(OMEGA_LOW, OMEGA_HIGH)
@@ -289,9 +292,8 @@ def sample_lambda(current: float, log_z: float, k: int, shape: float, rate: floa
 
 
 def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
-                  shape: float, scale: float, rng: Rng,
-                  walk_sd: float = 0.5) -> tuple[float, bool]:
-    """One random-walk MH update of the g-prior scale on the log scale.
+                  shape: float, scale: float, rng: Rng) -> tuple[float, bool]:
+    """One random-walk MH update of the g-prior scale, a N(0, 0.5^2) step on the log scale.
 
     Targets the conditional density proportional to
     IG(delta2; shape, scale) * (y^T P_k y)^(-N/2) * (1 + delta2)^(-k),
@@ -309,7 +311,7 @@ def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
                 - 0.5 * n * math.log(quad) - k * math.log1p(d2))
 
     v = math.log(current)
-    v_new = v + walk_sd * rng.standard_normal()
+    v_new = v + 0.5 * rng.standard_normal()
     proposed = math.exp(v_new)
     log_ratio = (log_cond(proposed) + v_new) - (log_cond(current) + v)
     if mhg_accept(log_ratio, rng):

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 
 def grouped_bar_svg(series: dict[str, list[float]], x_labels: list[str],
-                    title: str = "", y_label: str = "probability",
-                    x_axis_label: str = "k",
-                    colors: tuple[str, ...] = ("#999999", "#111111"),
-                    width: int = 820, height: int = 420) -> str:
-    """Side-by-side bars for up to a few series over a shared categorical axis."""
+                    title: str, y_label: str) -> str:
+    """Side-by-side bars for up to a few series over the model order k.
+
+    The x axis is labelled "k" and each x label names one order; the chart
+    is 820 x 420 px, with series in alternating grey and black.
+    """
+    width, height, colors = 820, 420, ("#999999", "#111111")
     names = list(series)
     n_groups = len(x_labels)
     for name in names:
@@ -27,9 +29,8 @@ def grouped_bar_svg(series: dict[str, list[float]], x_labels: list[str],
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{title}</text>')
+    parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="14">{title}</text>')
 
     # axes
     x0, y0 = left, top + plot_h
@@ -62,7 +63,7 @@ def grouped_bar_svg(series: dict[str, list[float]], x_labels: list[str],
 
     parts.append(f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 8}" '
                  f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="12">{x_axis_label}</text>')
+                 f'font-size="12">k</text>')
     parts.append(f'<text x="16" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{y_label}</text>')

@@ -1,8 +1,8 @@
 """Named verification suites with exact or statistical pass thresholds.
 
 Each suite returns CheckResult rows; the CLI ``validate`` subcommand prints
-them and the acceptance tests assert them.  Sizes default to the full
-verification scale; tests may shrink them for smoke runs.
+them and the acceptance tests assert them.  Every suite runs at the full
+verification scale from the fixed seed DEFAULT_SEED.
 """
 from __future__ import annotations
 
@@ -17,11 +17,10 @@ from .birthdeath import (
     birth_propose_unsorted,
     bod_move_set,
 )
-from .core import VarDimState, rng_stream, run_chain
+from .core import Move, MoveSet, ProposalOutcome, VarDimState, rng_stream, run_chain
 from .oracle import (
     build_transition_matrix,
     detailed_balance_residual,
-    enumerate_states,
     normalized_target_vector,
     quadrature_posterior_k,
     random_toy_spec,
@@ -68,7 +67,7 @@ def toy_stationarity(n_specs: int = 20, seed: int = DEFAULT_SEED) -> list[CheckR
     for i in range(n_specs):
         spec = random_toy_spec(rng, m=3 if i % 2 == 0 else 4, k_max=2)
         matrix = build_transition_matrix(spec, "corrected")
-        pi_exact = normalized_target_vector(spec, enumerate_states(spec))
+        pi_exact = normalized_target_vector(spec)
         pi_hat = stationary_distribution(matrix, tol=5e-15)
         worst_tv = max(worst_tv, tv_distance(pi_hat, pi_exact))
         worst_db = max(worst_db, detailed_balance_residual(matrix, pi_exact))
@@ -80,14 +79,15 @@ def toy_stationarity(n_specs: int = 20, seed: int = DEFAULT_SEED) -> list[CheckR
     ]
 
 
-def ratio_cancellation(n_configs: int = 1000, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def ratio_cancellation() -> list[CheckResult]:
     """Birth acceptance ratio equals its closed form on random configurations.
 
     The closed form (quad ratio)^(-N/2) / (1 + delta2) only emerges if the
     prior, proposal and schedule bookkeeping cancel exactly, so agreement
     verifies the assembled ratio end to end.
     """
-    rng = rng_stream(seed, 2)
+    rng = rng_stream(DEFAULT_SEED, 2)
+    n_configs = 1000
     n_obs = 32
     worst = 0.0
     done = 0
@@ -116,22 +116,21 @@ def ratio_cancellation(n_configs: int = 1000, seed: int = DEFAULT_SEED) -> list[
     ]
 
 
-def prior_only(post_samples: int = 200_000, burn_in: int = 20_000,
-               lam: float = 5.0, k_max: int = 32, c: float = 0.25,
-               seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def prior_only() -> list[CheckResult]:
     """Model-order law of prior-only chains: corrected vs legacy ratio mode.
 
     The corrected chain must reproduce the truncated Poisson prior; the legacy
     chain lands on the sparser law proportional to lam^k/(k!)^2 instead, far
     from the Poisson it was meant to target.
     """
+    lam, k_max = 5.0, 32
     target = PriorOnlyTarget(lam, k_max)
     freqs = {}
     for stream, mode in enumerate(("corrected", "legacy")):
-        sched = BirthDeathSchedule.green(lam, k_max, c, ratio_mode=mode)
+        sched = BirthDeathSchedule.green(lam, k_max, ratio_mode=mode)
         out = run_chain(target, bod_move_set(target, sched), VarDimState(),
-                        n_iter=burn_in + post_samples, burn_in=burn_in,
-                        rng=rng_stream(seed, 3, stream))
+                        n_iter=20_000 + 200_000, burn_in=20_000,
+                        rng=rng_stream(DEFAULT_SEED, 3, stream))
         freqs[mode] = out.k_frequencies(k_max)
     poisson = truncated_poisson_pmf(lam, k_max)
     accelerated = accelerated_poisson_pmf(lam, k_max)
@@ -145,40 +144,47 @@ def prior_only(post_samples: int = 200_000, burn_in: int = 20_000,
     ]
 
 
-def quadrature(n_iter: int = 500_000, burn_in: int = 50_000,
-               grid_size: int = 200, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Chain k-marginal against direct quadrature on a single-tone problem."""
-    y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(seed, 4, 0))
+def quadrature() -> list[CheckResult]:
+    """Chain k-marginal against direct quadrature on a single-tone problem.
+
+    The chain mixes birth, death and a frequency update, which takes the
+    birth-or-death mixture's remaining mass and holds at k = 0.
+    """
+    y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(DEFAULT_SEED, 4, 0))
     model = SinusoidPosterior(y, lam=1.0, delta2=100.0, k_max=2)
-    sched = BirthDeathSchedule.green(1.0, 2, 0.25)
-    update = lambda x, rng: frequency_update_move(x, model, rng, walk_sd=0.25 / 32)
-    out = run_chain(model, bod_move_set(model, sched, update), VarDimState(),
-                    n_iter=n_iter, burn_in=burn_in, rng=rng_stream(seed, 4, 1))
+    birth, death, rest = bod_move_set(model, BirthDeathSchedule.green(1.0, 2)).moves
+
+    def update(x, rng):
+        if x.k == 0:
+            return ProposalOutcome(x, 0.0)
+        return frequency_update_move(x, model, rng, 0.25 / 32)
+
+    moves = MoveSet([birth, death, Move("update", "update", rest.weight, update)])
+    out = run_chain(model, moves, VarDimState(), n_iter=500_000, burn_in=50_000,
+                    rng=rng_stream(DEFAULT_SEED, 4, 1))
     freqs = out.k_frequencies(2)
-    pmf = quadrature_posterior_k(y, 100.0, 1.0, 2, grid_size)
+    pmf = quadrature_posterior_k(y, 100.0, 1.0, 2, 200)
     return [
         _check("chain vs quadrature k-posterior, max entry difference",
                float(np.abs(freqs - pmf).max()), 0.02),
     ]
 
 
-def sorted_equivalence(post_samples: int = 100_000, burn_in: int = 10_000,
-                       lam: float = 3.0, k_max: int = 32, c: float = 0.25,
-                       seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def sorted_equivalence() -> list[CheckResult]:
     """Sorted and unsorted representations of one exchangeable target agree.
 
     Runs the prior-only target under both kernels; the k-marginals must match
     because the two acceptance ratios coincide for exchangeable densities.
     """
-    base = PriorOnlyTarget(lam, k_max)
+    base = PriorOnlyTarget(3.0, 32)
     freqs = {}
     for stream, representation in enumerate(("unsorted", "sorted")):
         target = SortedRestriction(base) if representation == "sorted" else base
-        sched = BirthDeathSchedule.green(lam, k_max, c, representation=representation)
+        sched = BirthDeathSchedule.green(3.0, 32, representation=representation)
         out = run_chain(target, bod_move_set(target, sched), VarDimState(),
-                        n_iter=burn_in + post_samples, burn_in=burn_in,
-                        rng=rng_stream(seed, 5, stream))
-        freqs[representation] = out.k_frequencies(k_max)
+                        n_iter=10_000 + 100_000, burn_in=10_000,
+                        rng=rng_stream(DEFAULT_SEED, 5, stream))
+        freqs[representation] = out.k_frequencies(32)
     return [
         _check("TV between sorted and unsorted k-marginals",
                tv_distance(freqs["unsorted"], freqs["sorted"]), 0.03),

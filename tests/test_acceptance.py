@@ -43,7 +43,7 @@ class TestAcceptance:
     def test_criterion_2_ratio_cancellation(self):
         """Birth ratio equals its closed form over 1000 random configurations."""
         t0 = time.time()
-        checks = ratio_cancellation(n_configs=1000)
+        checks = ratio_cancellation()
         elapsed = time.time() - t0
         report(2, "acceptance-ratio cancellation identity", checks, elapsed, 10.0)
         assert all(c.passed for c in checks)
@@ -52,7 +52,7 @@ class TestAcceptance:
     def test_criterion_3_accelerated_poisson_diagnosis(self):
         """Prior-only chains: corrected hits the Poisson, legacy the squared-factorial law."""
         t0 = time.time()
-        checks = prior_only(post_samples=200_000, burn_in=20_000, lam=5.0, k_max=32)
+        checks = prior_only()
         elapsed = time.time() - t0
         report(3, "prior-only order law, corrected vs legacy", checks, elapsed, 60.0)
         assert all(c.passed for c in checks)
@@ -61,7 +61,7 @@ class TestAcceptance:
     def test_criterion_4_quadrature_cross_check(self):
         """500k-iteration chain against direct quadrature on a single-tone signal."""
         t0 = time.time()
-        checks = quadrature(n_iter=500_000, burn_in=50_000, grid_size=200)
+        checks = quadrature()
         elapsed = time.time() - t0
         report(4, "chain vs quadrature posterior", checks, elapsed, 120.0)
         assert all(c.passed for c in checks)
@@ -108,7 +108,7 @@ class TestAcceptance:
     def test_criterion_6_sorted_unsorted_equivalence(self):
         """Sorted and unsorted kernels sample the same exchangeable law."""
         t0 = time.time()
-        checks = sorted_equivalence(post_samples=100_000, burn_in=10_000, lam=3.0)
+        checks = sorted_equivalence()
         elapsed = time.time() - t0
         report(6, "sorted vs unsorted representation equivalence", checks, elapsed, 60.0)
         assert all(c.passed for c in checks)

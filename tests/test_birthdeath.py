@@ -115,7 +115,7 @@ class TestBirthProposeUnsorted:
         assert np.all(np.abs(counts / n - 1 / 3) < band)
 
     def test_sampler_outside_support_is_hard_error(self):
-        bad = uniform_component_proposal(0.0, math.pi)
+        bad = uniform_component_proposal()
         bad = type(bad)(sample=lambda rng: 4.0, log_density=bad.log_density)
         sched = BirthDeathSchedule.green(2.0, 8, 0.5, proposal=bad)
         with pytest.raises(BrokenKernelError):
@@ -173,9 +173,8 @@ class TestBodLogRatio:
             def log_density(self, x):
                 return 0.0
 
-        # p_b(1) = p_d(2) = 0.3; q has density 1 on (0, 1)
-        sched = BirthDeathSchedule.green(2.0, 8, 0.3,
-                                         proposal=uniform_component_proposal(0.0, 1.0))
+        # p_b(1) = p_d(2) = 0.3; the detail carries log q(s*) = 0
+        sched = BirthDeathSchedule.green(2.0, 8, 0.3)
         x = VarDimState((0.5,))
         x_new = x.insert(1, 0.25)
         detail = BoDDetail("birth", 1, 0.25, 0.0)
@@ -358,21 +357,6 @@ class TestMoveSetFactory:
         for k in range(7):
             x = VarDimState(tuple(0.1 + 0.3 * j for j in range(k)))
             assert sum(m.weight(x) for m in moves.moves) == pytest.approx(1.0, abs=1e-15)
-
-    def test_update_slot_holds_at_empty_state(self):
-        target = PriorOnlyTarget(3.0, 6)
-        sched = BirthDeathSchedule.green(3.0, 6)
-        called = []
-
-        def update(x, rng):
-            called.append(x)
-            raise AssertionError("should not be reached at k=0")
-
-        moves = bod_move_set(target, sched, update)
-        out = moves.by_label["update"].propose(VarDimState(), rng_stream(51))
-        assert out.proposed == VarDimState()
-        assert out.log_ratio == 0.0
-        assert called == []
 
     def test_identity_move_rejects_surely_without_drawing(self):
         target = PriorOnlyTarget(3.0, 6)

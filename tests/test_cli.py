@@ -324,6 +324,24 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "priors.csv").exists()
 
+    @pytest.mark.parametrize("suite, lines", [
+        ("toy-stationarity", [
+            "PASS  stationary law TV vs normalized target (worst of 20 toys): "
+            "value=7.91768e-13 (required < 1e-10)",
+            "PASS  detailed balance cell residual (worst of 20 toys): "
+            "value=3.46945e-18 (required < 1e-12)",
+        ]),
+        ("ratio-cancellation", [
+            "PASS  birth ratio vs closed form, max relative error over 1000 configs: "
+            "value=2.36986e-14 (required < 1e-09)",
+        ]),
+    ])
+    def test_validate_prints_suite_values(self, capsys, suite, lines):
+        assert main(["validate", "--suite", suite]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        assert captured.err == ""
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["validate", "--suite", "nonsense"]) == 2
         err = capsys.readouterr().err

@@ -275,7 +275,6 @@ class TestChainOutput:
         for i, k in enumerate((0, 1, 1, 3)):
             out.records.append(IterationRecord(i, k, (0.5,) * k, 0.0, "birth", True, i == 0))
         np.testing.assert_array_equal(out.k_counts(), [0, 2, 0, 1])
-        np.testing.assert_array_equal(out.k_counts(include_burn_in=True), [1, 2, 0, 1])
         assert out.mean_k() == pytest.approx(5.0 / 3.0)
         assert out.k_frequencies(5).size == 6
 

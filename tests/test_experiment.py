@@ -29,6 +29,29 @@ class TestValidation:
             run_joint_chain(None, n_iter=10, burn_in=10, lam=5.0, delta2=100.0,
                             flat_likelihood=True, rng=rng_stream(0))
 
+    @pytest.mark.parametrize("change", [
+        {"y": [0.5, np.nan, -0.5]},
+        {"y": [0.5, np.inf, -0.5]},
+        {"y": [0.0, 0.0, 0.0]},
+        {"lambda_prior": None, "lam": np.inf},
+        {"lambda_prior": None, "lam": np.inf, "flat_likelihood": True},
+        {"delta2_prior": None, "delta2": np.inf},
+        {"delta2_prior": None, "delta2": np.nan},
+        {"delta2_prior": None, "delta2": np.nan, "flat_likelihood": True, "y": None},
+        {"lambda_prior": (np.inf, 1e-3)},
+        {"lambda_prior": (1.0, np.nan)},
+        {"delta2_prior": (2.0, np.inf)},
+        {"delta2_prior": (np.nan, 100.0)},
+    ])
+    def test_settings_the_cli_rejects_are_config_errors(self, change):
+        """The library rejects these settings itself, before any sweep runs."""
+        kwargs = dict(y=[0.5, 1.0, -0.5], n_iter=10, burn_in=0,
+                      lambda_prior=(1.0, 1e-3), delta2_prior=(2.0, 100.0),
+                      rng=rng_stream(0))
+        kwargs.update(change)
+        with pytest.raises(ConfigurationError):
+            run_joint_chain(kwargs.pop("y"), **kwargs)
+
 
 class TestFlatRuns:
     def test_runs_without_observations(self):

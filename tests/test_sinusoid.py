@@ -248,7 +248,7 @@ class TestFrequencyUpdateMove:
         target = PriorOnlyTarget(1.0, 4)
         x = VarDimState((1e-9,))
         rng = rng_stream(69)
-        outs = [frequency_update_move(x, target, rng, walk_sd=1.0, walk_prob=1.0)
+        outs = [frequency_update_move(x, target, rng, walk_sd=1.0)
                 for _ in range(200)]
         assert any(o.log_ratio == NEG_INF for o in outs)
         assert all(o.log_ratio == NEG_INF or o.proposed.k == 1 for o in outs)
