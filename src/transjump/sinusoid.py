@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .core import (
     NEG_INF,
@@ -51,22 +52,36 @@ NEAR_DUPLICATE_GAP = 1e-8
 def _projection_norm2(y: np.ndarray, omega) -> float:
     """Squared norm of the whitened projection of y onto the design columns.
 
-    Computed through a Cholesky factorisation of D^T D.  Near-duplicate
-    frequencies (gap below ~1e-8, a posterior null set) and factorisation
-    failures raise SingularDesignError.
+    Computed through a Cholesky factorisation of D^T D and the LAPACK
+    triangular solve that scipy's solve_triangular makes for it; 0 at k = 0.
+    Near-duplicate frequencies (gap below ~1e-8, a posterior null set) and
+    factorisation failures raise SingularDesignError; a non-finite omega or
+    y raises ValueError.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.size > 1 and float(np.diff(np.sort(omega)).min()) < NEAR_DUPLICATE_GAP:
-        raise SingularDesignError(f"near-duplicate frequencies in omega={tuple(omega)}")
+    omega = tuple(omega)
+    if not omega:
+        return 0.0
+    if not all(map(math.isfinite, omega)):
+        raise ValueError(f"non-finite frequency in omega={omega}")
+    ordered = sorted(omega)
+    if len(omega) > 1 and min(map(operator.sub, ordered[1:], ordered)) < NEAR_DUPLICATE_GAP:
+        raise SingularDesignError(f"near-duplicate frequencies in omega={omega}")
     d = design_matrix(omega, y.size)
     gram = d.T @ d
     z = d.T @ y
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise SingularDesignError(f"design is singular at omega={tuple(omega)}")
-    w = solve_triangular(chol, z, lower=True)
-    return float(w @ w)
+        raise SingularDesignError(f"design is singular at omega={omega}")
+    # chol is C-ordered, so its transpose is the Fortran-ordered upper factor.
+    w, info = dtrtrs(chol.T, z, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed, info={info}")
+    s = float(w @ w)
+    # A non-finite z always gives a non-finite s, so z is checked only then.
+    if not math.isfinite(s) and not np.isfinite(z).all():
+        raise ValueError("y must be finite")
+    return s
 
 
 def quad_form(y, omega, delta2: float, *, s: float | None = None) -> float:
@@ -170,7 +185,7 @@ class SinusoidPosterior:
         s = self._norms.get(omega)
         if s is None:
             try:
-                s = _projection_norm2(self.y, omega) if omega else 0.0
+                s = _projection_norm2(self.y, omega)
             except SingularDesignError:
                 s = math.inf
             _remember(self._norms, omega, s)
@@ -226,6 +241,8 @@ def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
         new = x.components[index] + walk_sd * rng.standard_normal()
     else:
         new = rng.uniform(OMEGA_LOW, OMEGA_HIGH)
+    if math.isnan(new):
+        raise BrokenKernelError("frequency update proposed NaN")
     comps = list(x.components)
     comps[index] = float(new)
     proposed = VarDimState(tuple(comps))

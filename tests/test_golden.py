@@ -1,4 +1,4 @@
-"""Golden sha256 hashes of the CLI's byte-stable outputs.
+"""Golden sha256 hashes of the CLI's byte-stable outputs, and the quadrature oracle's values.
 
 The run-against-run byte-stability tests cannot see a chain that changed
 consistently; these pin the files themselves.  The reference signal is
@@ -15,6 +15,7 @@ import pytest
 
 from transjump.cli import main, parse_config, replicate, run_experiment, write_signal
 from transjump.core import rng_stream
+from transjump.oracle import quadrature_posterior_k
 from transjump.sinusoid import synthesize
 
 RUNS = {
@@ -36,6 +37,9 @@ RUNS = {
         "7476b68e12f00d7c95437808ae7fcd0862b8e20f1698c3ab080ead8a35cdc5b9")),
 }
 REPLICATE = "b7c5441e48540b0db02cef2f24947be2e6100d13bcb5e383bf443d4f5d975a53"
+# quadrature_posterior_k on a one-tone signal (N = 32, 20 dB) at delta2 = 100,
+# lam = 1, k_max = 2 and 200 grid points: P(k = 0), P(k = 1), P(k = 2).
+QUADRATURE = (1.8604680445490663e-24, 0.9803183535507479, 0.01968164644925216)
 PRIORS = ("c0b097bd085a03ef1560f145b18ed6128506372b89c4caeafd340e2a72f453c7",
           "cc98038cc2914dbcae67efa6bc1143c9bd46cb35a374f31732a22e18e302b295")
 
@@ -73,3 +77,8 @@ def test_priors_plot_hashes(tmp_path):
     assert main(["priors-plot", "--lambda", "5", "--kmax", "32",
                  "--out", str(tmp_path)]) == 0
     assert (sha256(tmp_path / "priors.csv"), sha256(tmp_path / "priors.svg")) == PRIORS
+
+
+def test_quadrature_oracle_values():
+    y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))
+    assert tuple(quadrature_posterior_k(y, 100.0, 1.0, 2, 200)) == QUADRATURE

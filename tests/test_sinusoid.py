@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from transjump.core import BrokenKernelError, ConfigurationError, VarDimState, rng_stream
@@ -11,6 +12,7 @@ from transjump.sinusoid import (
     PriorOnlyTarget,
     SingularDesignError,
     SinusoidPosterior,
+    _projection_norm2,
     accelerated_poisson_pmf,
     design_matrix,
     frequency_update_move,
@@ -107,6 +109,80 @@ class TestQuadForm:
         for omega in ((0.8, 0.8), CHOLESKY_FAILS):
             with pytest.raises(SingularDesignError):
                 quad_form(y, omega, 10.0)
+
+
+def _reference_projection_norm2(y, omega) -> float:
+    """The projection norm through scipy's checked solve_triangular wrapper."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.size > 1 and float(np.diff(np.sort(omega)).min()) < 1e-8:
+        raise SingularDesignError("near-duplicate frequencies")
+    d = design_matrix(omega, y.size)
+    try:
+        chol = np.linalg.cholesky(d.T @ d)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError("singular design")
+    w = solve_triangular(chol, d.T @ y, lower=True)
+    return float(w @ w)
+
+
+def _outcome(f, *args):
+    """The float f returns, or the class of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+NON_FINITE_OMEGAS = [(math.nan,), (math.inf,), (-math.inf,), (0.3, math.nan),
+                     (math.nan, 0.3), (0.3, math.inf), (-math.inf, 0.3),
+                     (math.inf, math.inf), (0.3, math.nan, 0.3 + 5e-9),
+                     (0.3, 0.3 + 5e-9, math.nan)]
+
+
+class TestProjectionNorm:
+    REFERENCE = synthesize((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64, rng_stream(5))
+
+    def test_matches_checked_solve_bit_for_bit(self):
+        """The same float as the reference computation at 5600 random states."""
+        y = self.REFERENCE
+        rng = rng_stream(74)
+        for k in range(1, 9):
+            for _ in range(700):
+                omega = tuple(float(w) for w in rng.uniform(0.0, math.pi, size=k))
+                assert (_outcome(_projection_norm2, y, omega)
+                        == _outcome(_reference_projection_norm2, y, omega))
+
+    def test_edge_states_match_checked_solve(self):
+        """The empty model, tiny gaps, a failed Cholesky and an inaccurate
+        projection agree too."""
+        y = self.REFERENCE
+        states = [(), (1.0, 1.0 + 5e-9), (1.0 + 5e-9, 1.0), (1.0, 1.0 + 2e-8),
+                  (0.5, 2.0, 2.0 + 5e-9), (0.5, 2.0, 2.0 + 2e-8), (0.8, 0.8),
+                  CHOLESKY_FAILS, INACCURATE_PROJECTION]
+        for omega in states:
+            expect = _outcome(_reference_projection_norm2, y, omega)
+            assert _outcome(_projection_norm2, y, omega) == expect
+        assert _outcome(_projection_norm2, y, (1.0, 1.0 + 5e-9)) is SingularDesignError
+        assert _outcome(_projection_norm2, y, CHOLESKY_FAILS) is SingularDesignError
+        assert isinstance(_outcome(_projection_norm2, y, INACCURATE_PROJECTION), float)
+
+    @pytest.mark.parametrize("omega", NON_FINITE_OMEGAS)
+    def test_non_finite_frequency_raises(self, omega):
+        y = self.REFERENCE
+        with pytest.raises(ValueError):
+            _projection_norm2(y, omega)
+        with pytest.raises(ValueError):
+            quad_form(y, omega, 100.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_signal_raises(self, bad):
+        y = self.REFERENCE.copy()
+        y[7] = bad
+        for omega in ((0.63,), (0.63, 0.73)):
+            with pytest.raises(ValueError):
+                _projection_norm2(y, omega)
+            with pytest.raises(ValueError):
+                quad_form(y, omega, 100.0)
 
 
 class TestLogTarget:
@@ -276,6 +352,21 @@ class TestFrequencyUpdateMove:
             frequency_update_move(VarDimState(), PriorOnlyTarget(1.0, 4),
                                   rng_stream(72), 0.1)
 
+    def test_nan_proposal_is_broken_kernel(self):
+        """A NaN frequency raises; it never becomes a -inf rejection."""
+        rng = rng_stream(75)
+        model = SinusoidPosterior(rng.standard_normal(24), 2.0, 40.0, k_max=4)
+        x = VarDimState((0.63, 1.9))
+        raised = 0
+        for _ in range(50):
+            try:
+                out = frequency_update_move(x, model, rng, walk_sd=math.nan)
+            except BrokenKernelError:
+                raised += 1
+            else:
+                assert not any(math.isnan(w) for w in out.proposed.components)
+        assert raised > 0
+
     def test_concentrates_on_strong_tone(self):
         """Fixed-k chain localises within 2pi/N of the grid-scan peak."""
         rng = rng_stream(73)
@@ -374,7 +465,6 @@ class TestSampleDelta2:
 
         grid = np.linspace(math.log(1e-3), math.log(1e7), 40_001)
         d2s = np.exp(grid)
-        from transjump.sinusoid import _projection_norm2
         s = _projection_norm2(y, x.components)
         yty = float(y @ y)
         quads = yty - d2s / (1 + d2s) * s
