@@ -11,7 +11,6 @@ from .core import (
     VarDimState,
     mhg_accept,
     mhg_step,
-    move_stats,
     rng_stream,
     run_chain,
     select_move,

@@ -10,14 +10,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .birthdeath import RATIO_MODES, REPRESENTATIONS
 from .core import BrokenKernelError, ConfigurationError, check_iteration_counts, rng_stream
-from .experiment import run_joint_chain
+from .experiment import check_sweep_settings, run_joint_chain
 from .sinusoid import (
     OMEGA_HIGH,
     OMEGA_LOW,
@@ -83,31 +82,27 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_floats(values) -> str:
-    return ",".join(_fmt(v) for v in values)
-
-
-# key -> (attribute, parser, serializer)
+# key -> (attribute, parser)
 _CONFIG_KEYS = {
-    "io.signal": ("signal_path", str, str),
-    "io.out": ("out_dir", str, str),
-    "sampler.n_iter": ("n_iter", int, str),
-    "sampler.burn_in": ("burn_in", int, str),
-    "sampler.seed": ("seed", int, str),
-    "sampler.ratio_mode": ("ratio_mode", str, str),
-    "sampler.representation": ("representation", str, str),
-    "sampler.k_max": ("k_max", int, str),
-    "sampler.c": ("c", float, _fmt),
-    "model.lambda": ("lam", float, _fmt),
-    "model.lambda_prior": ("lambda_prior", _parse_pair, _fmt_floats),
-    "model.delta2": ("delta2", float, _fmt),
-    "model.delta2_prior": ("delta2_prior", _parse_pair, _fmt_floats),
-    "model.flat_likelihood": ("flat_likelihood", _parse_bool, lambda b: "true" if b else "false"),
-    "experiment.omega_true": ("omega_true", _parse_floats, _fmt_floats),
-    "experiment.amp2_true": ("amp2_true", _parse_floats, _fmt_floats),
-    "experiment.snr_db": ("snr_db", float, _fmt),
-    "experiment.n_obs": ("n_obs", int, str),
-    "experiment.replications": ("replications", int, str),
+    "io.signal": ("signal_path", str),
+    "io.out": ("out_dir", str),
+    "sampler.n_iter": ("n_iter", int),
+    "sampler.burn_in": ("burn_in", int),
+    "sampler.seed": ("seed", int),
+    "sampler.ratio_mode": ("ratio_mode", str),
+    "sampler.representation": ("representation", str),
+    "sampler.k_max": ("k_max", int),
+    "sampler.c": ("c", float),
+    "model.lambda": ("lam", float),
+    "model.lambda_prior": ("lambda_prior", _parse_pair),
+    "model.delta2": ("delta2", float),
+    "model.delta2_prior": ("delta2_prior", _parse_pair),
+    "model.flat_likelihood": ("flat_likelihood", _parse_bool),
+    "experiment.omega_true": ("omega_true", _parse_floats),
+    "experiment.amp2_true": ("amp2_true", _parse_floats),
+    "experiment.snr_db": ("snr_db", float),
+    "experiment.n_obs": ("n_obs", int),
+    "experiment.replications": ("replications", int),
 }
 
 
@@ -138,7 +133,7 @@ def parse_config(path: str | os.PathLike | None = None,
         if key in given:
             raise ConfigurationError(f"line {lineno}: duplicate config key {key!r}")
         given.add(key)
-        attr, parser, _ = entry
+        attr, parser = entry
         try:
             setattr(cfg, attr, parser(value))
         except ConfigurationError:
@@ -168,20 +163,12 @@ def parse_config(path: str | os.PathLike | None = None,
 
 def _validate_config(cfg: RunConfig) -> None:
     check_iteration_counts(cfg.n_iter, cfg.burn_in)
-    if cfg.ratio_mode not in RATIO_MODES:
-        raise ConfigurationError(f"unknown ratio mode {cfg.ratio_mode!r}")
-    if cfg.representation not in REPRESENTATIONS:
-        raise ConfigurationError(f"unknown representation {cfg.representation!r}")
-    if not 0.0 < cfg.c <= 0.5:
-        raise ConfigurationError(f"sampler.c={cfg.c} outside (0, 0.5]")
-    if cfg.k_max < 1:
-        raise ConfigurationError("sampler.k_max must be at least 1")
+    check_sweep_settings(k_max=cfg.k_max, c=cfg.c, ratio_mode=cfg.ratio_mode,
+                         representation=cfg.representation, lam=cfg.lam,
+                         lambda_prior=cfg.lambda_prior, delta2=cfg.delta2,
+                         delta2_prior=cfg.delta2_prior)
     if cfg.replications < 1:
         raise ConfigurationError("experiment.replications must be at least 1")
-    if (cfg.lam is None) == (cfg.lambda_prior is None):
-        raise ConfigurationError("exactly one of model.lambda / model.lambda_prior is required")
-    if (cfg.delta2 is None) == (cfg.delta2_prior is None):
-        raise ConfigurationError("exactly one of model.delta2 / model.delta2_prior is required")
     if len(cfg.omega_true) != len(cfg.amp2_true):
         raise ConfigurationError("experiment.omega_true and experiment.amp2_true "
                                  "must have matching lengths")
@@ -198,27 +185,6 @@ def _validate_config(cfg: RunConfig) -> None:
             and any(a > 0.0 for a in cfg.amp2_true)):
         raise ConfigurationError("experiment.amp2_true must be finite and nonnegative, "
                                  "with at least one positive entry")
-    if cfg.lam is not None and not 0.0 < cfg.lam < math.inf:
-        raise ConfigurationError("model.lambda must be finite and positive")
-    if cfg.delta2 is not None and not 0.0 <= cfg.delta2 < math.inf:
-        raise ConfigurationError("model.delta2 must be finite and nonnegative")
-    for key, pair in (("model.lambda_prior", cfg.lambda_prior),
-                      ("model.delta2_prior", cfg.delta2_prior)):
-        if pair is not None and not all(0.0 < v < math.inf for v in pair):
-            raise ConfigurationError(f"{key} entries must be finite and positive")
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) round-trips to an equal config."""
-    by_attr = {attr: (key, to_text) for key, (attr, _, to_text) in _CONFIG_KEYS.items()}
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        key, to_text = by_attr[f.name]
-        lines.append(f"{key} = {to_text(value)}")
-    return "\n".join(lines) + "\n"
 
 
 def read_signal(path: str | os.PathLike) -> np.ndarray:

@@ -234,10 +234,6 @@ class ChainOutput:
         total = counts.sum()
         return counts / total if total else np.zeros(counts.size)
 
-    def mean_k(self, k_max: int | None = None) -> float:
-        freqs = self.k_frequencies(k_max)
-        return float(freqs @ np.arange(freqs.size))
-
 
 def mhg_step(moves: MoveSet, x: VarDimState, rng: Rng,
              out: ChainOutput) -> tuple[str, ProposalOutcome, bool]:
@@ -289,13 +285,3 @@ def run_chain(
             iteration=i, k=x.k, components=x.components, log_target=log_t,
             move=label, accepted=accepted, burn_in=i < burn_in))
     return out
-
-
-def move_stats(out: ChainOutput) -> list[tuple[str, int, float]]:
-    """Per-move (label, proposal count, acceptance rate) rows, sorted by label."""
-    rows = []
-    for label in sorted(out.proposals):
-        n = out.proposals[label]
-        a = out.acceptances.get(label, 0)
-        rows.append((label, n, a / n if n else 0.0))
-    return rows

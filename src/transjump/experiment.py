@@ -13,6 +13,8 @@ import math
 import numpy as np
 
 from .birthdeath import (
+    RATIO_MODES,
+    REPRESENTATIONS,
     BirthDeathSchedule,
     SortedRestriction,
     bod_move_set,
@@ -39,6 +41,36 @@ from .sinusoid import (
 )
 
 
+def check_sweep_settings(*, k_max: int, c: float, ratio_mode: str, representation: str,
+                         lam: float | None, lambda_prior: tuple[float, float] | None,
+                         delta2: float | None,
+                         delta2_prior: tuple[float, float] | None) -> None:
+    """Raise ConfigurationError on settings that run_joint_chain cannot run.
+
+    parse_config checks a config with it too, so the library and the CLI
+    reject the same settings, before any random draw.
+    """
+    if ratio_mode not in RATIO_MODES:
+        raise ConfigurationError(f"unknown ratio mode {ratio_mode!r}")
+    if representation not in REPRESENTATIONS:
+        raise ConfigurationError(f"unknown representation {representation!r}")
+    if not 0.0 < c <= 0.5:
+        raise ConfigurationError(f"c={c} outside (0, 0.5]")
+    if k_max < 1:
+        raise ConfigurationError(f"k_max={k_max} must be at least 1")
+    if (lam is None) == (lambda_prior is None):
+        raise ConfigurationError("give exactly one of lambda / lambda_prior")
+    if (delta2 is None) == (delta2_prior is None):
+        raise ConfigurationError("give exactly one of delta2 / delta2_prior")
+    if lam is not None and not 0.0 < lam < math.inf:
+        raise ConfigurationError(f"lambda={lam} must be finite and positive")
+    if delta2 is not None and not 0.0 <= delta2 < math.inf:
+        raise ConfigurationError(f"delta2={delta2} must be finite and nonnegative")
+    for name, prior in (("lambda_prior", lambda_prior), ("delta2_prior", delta2_prior)):
+        if prior is not None and not all(0.0 < v < math.inf for v in prior):
+            raise ConfigurationError(f"{name} entries must be finite and positive")
+
+
 def run_joint_chain(
     y,
     *,
@@ -62,15 +94,9 @@ def run_joint_chain(
     target is the (k, omega) prior alone, the frequency-update and g-prior
     moves are skipped, and ``y`` may be omitted.
     """
-    if (lam is None) == (lambda_prior is None):
-        raise ConfigurationError("give exactly one of lam / lambda_prior")
-    if (delta2 is None) == (delta2_prior is None):
-        raise ConfigurationError("give exactly one of delta2 / delta2_prior")
-    for name, prior in (("lambda_prior", lambda_prior), ("delta2_prior", delta2_prior)):
-        if prior is not None and not all(0.0 < v < math.inf for v in prior):
-            raise ConfigurationError(f"{name} entries must be finite and positive")
-    if delta2 is not None and not 0.0 <= delta2 < math.inf:
-        raise ConfigurationError("delta2 must be finite and nonnegative")
+    check_sweep_settings(k_max=k_max, c=c, ratio_mode=ratio_mode,
+                         representation=representation, lam=lam, lambda_prior=lambda_prior,
+                         delta2=delta2, delta2_prior=delta2_prior)
     check_iteration_counts(n_iter, burn_in)
     if not flat_likelihood:
         if y is None:

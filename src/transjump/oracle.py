@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .birthdeath import (
     BirthDeathSchedule,
@@ -22,7 +21,7 @@ from .birthdeath import (
     pmf_component_proposal,
 )
 from .core import NEG_INF, BrokenKernelError, ConfigurationError, Rng, VarDimState
-from .sinusoid import sinusoid_log_target
+from .sinusoid import logsumexp, sinusoid_log_target
 
 
 @dataclass
@@ -249,13 +248,13 @@ def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
         points, log_widths = _frequency_partition(y, lam, delta2, k_max, grid_size)
         vals = np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max)
                          for w in points])
-        log_mass.append(float(logsumexp(vals + log_widths)))
+        log_mass.append(logsumexp(vals + log_widths))
     if k_max >= 2:
         vals2 = np.array([
             sinusoid_log_target(y, (w1, w2), lam, delta2, k_max) + lw1 + lw2
             for w1, lw1 in zip(points, log_widths)
             for w2, lw2 in zip(points, log_widths)])
-        log_mass.append(float(logsumexp(vals2)))
+        log_mass.append(logsumexp(vals2))
 
     log_mass = np.array(log_mass)
     shifted = np.exp(log_mass - log_mass.max())

@@ -265,14 +265,17 @@ def _order_terms(k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return j, log_fact
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a finite 1-D array, bit for bit as scipy.special.logsumexp.
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a nonempty 1-D array of finite or -inf entries.
 
-    A transcription of scipy 1.17's algorithm for real input, without its
-    array-API dispatch: the maxima are masked out of the shifted sum, which
-    enters through log1p, and their count m through log(m).
+    Bit for bit as scipy's logsumexp: a transcription of scipy 1.17's
+    algorithm for real input, without its array-API dispatch.  The maxima
+    are masked out of the shifted sum, which enters through log1p, and their
+    count m through log(m); all -inf gives -inf, as scipy's fallback does.
     """
     a_max = a.max()
+    if a_max == NEG_INF:
+        return NEG_INF
     is_max = a == a_max
     m = np.float64(np.count_nonzero(is_max))
     s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum()
@@ -284,7 +287,7 @@ def _logsumexp(a: np.ndarray) -> float:
 def log_truncated_poisson_normalizer(lam: float, k_max: int) -> float:
     """log sum_{j=0}^{k_max} lam^j / j!."""
     j, log_fact = _order_terms(k_max)
-    return _logsumexp(j * math.log(lam) - log_fact)
+    return logsumexp(j * math.log(lam) - log_fact)
 
 
 def sample_lambda(current: float, log_z: float, k: int, shape: float, rate: float,
@@ -341,12 +344,17 @@ def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:
 
     Each component's squared amplitude splits evenly between the cosine and
     sine terms.  The noise variance is |clean|^2 / (N * 10^(SNR/10)), so the
-    realized SNR matches the request exactly by construction.
+    realized SNR matches the request exactly by construction; snr_db = +inf
+    returns the clean signal.
     """
     omega = tuple(float(w) for w in omega)
     amp2 = tuple(float(a) for a in amp2)
     if len(omega) != len(amp2):
         raise ConfigurationError("omega and amp2 must have matching lengths")
+    if not all(0.0 <= a < math.inf for a in amp2):
+        raise ConfigurationError("amp2 entries must be finite and nonnegative")
+    if n_obs < 1:
+        raise ConfigurationError("n_obs must be at least 1")
     if omega:
         amps = np.empty(2 * len(omega))
         amps[0::2] = np.sqrt(np.asarray(amp2) / 2.0)
@@ -356,7 +364,12 @@ def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:
         clean = np.zeros(n_obs)
     if math.isinf(snr_db) and snr_db > 0:
         return clean
-    sigma2 = float(clean @ clean) / (n_obs * 10.0 ** (snr_db / 10.0))
+    try:
+        sigma2 = float(clean @ clean) / (n_obs * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(SNR/10) overflows or underflows to 0
+        sigma2 = math.nan
+    if not math.isfinite(sigma2):
+        raise ConfigurationError(f"snr_db={snr_db} gives no finite noise variance")
     return clean + math.sqrt(sigma2) * rng.standard_normal(n_obs)
 
 
@@ -364,7 +377,7 @@ def _order_pmf(lam: float, k_max: int, power: int) -> np.ndarray:
     """pmf proportional to lam^j / (j!)^power on {0, ..., k_max}."""
     j, log_fact = _order_terms(k_max)
     log_w = j * math.log(lam) - power * log_fact
-    return np.exp(log_w - _logsumexp(log_w))
+    return np.exp(log_w - logsumexp(log_w))
 
 
 def truncated_poisson_pmf(lam: float, k_max: int) -> np.ndarray:

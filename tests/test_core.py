@@ -16,7 +16,6 @@ from transjump.core import (
     check_iteration_counts,
     mhg_accept,
     mhg_step,
-    move_stats,
     rng_stream,
     run_chain,
     select_move,
@@ -275,7 +274,7 @@ class TestChainOutput:
         for i, k in enumerate((0, 1, 1, 3)):
             out.records.append(IterationRecord(i, k, (0.5,) * k, 0.0, "birth", True, i == 0))
         np.testing.assert_array_equal(out.k_counts(), [0, 2, 0, 1])
-        assert out.mean_k() == pytest.approx(5.0 / 3.0)
+        assert out.k_frequencies() @ np.arange(4) == pytest.approx(5.0 / 3.0)
         assert out.k_frequencies(5).size == 6
 
     def test_records_are_slotted(self):
@@ -287,15 +286,15 @@ class TestChainOutput:
 class TestMoveStats:
     def test_empty_output_empty_table(self):
         out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 0, 0, rng_stream(19))
-        assert move_stats(out) == []
+        assert out.proposals == {} and out.acceptances == {}
 
     def test_all_accepted_rates_one(self):
         out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 300, 0,
                         rng_stream(20))
-        assert all(rate == 1.0 for _, _, rate in move_stats(out))
+        assert out.proposals and out.acceptances == out.proposals
 
     def test_rates_match_record_recount(self):
-        """Rates recomputed from raw records agree exactly with the tallies."""
+        """The per-move tallies agree exactly with a recount of the raw records."""
         init = VarDimState()
         target = PointTarget(init)
         out = run_chain(target, jump_moves(target), init, 2000, 0, rng_stream(21))
@@ -303,10 +302,11 @@ class TestMoveStats:
         accepted: dict[str, int] = {}
         for r in out.records:
             proposed[r.move] = proposed.get(r.move, 0) + 1
-            accepted[r.move] = accepted.get(r.move, 0) + r.accepted
-        for label, n, rate in move_stats(out):
-            assert n == proposed[label]
-            assert rate == accepted[label] / proposed[label]
+            if r.accepted:
+                accepted[r.move] = accepted.get(r.move, 0) + 1
+        assert out.proposals == proposed
+        assert out.acceptances == accepted
+        assert 0 < sum(accepted.values()) < sum(proposed.values())
 
 
 class TestRngStream:

@@ -42,15 +42,25 @@ class TestValidation:
         {"lambda_prior": (1.0, np.nan)},
         {"delta2_prior": (2.0, np.inf)},
         {"delta2_prior": (np.nan, 100.0)},
+        {"c": 0.9, "n_iter": 0},
+        {"c": 0.0, "n_iter": 0},
+        {"ratio_mode": "bogus", "n_iter": 0},
+        {"representation": "diagonal", "n_iter": 0},
+        {"k_max": 0, "n_iter": 0},
+        {"k_max": -1, "flat_likelihood": True, "y": None},
+        {"lambda_prior": None, "lam": 0.0, "flat_likelihood": True, "y": None, "n_iter": 0},
+        {"lambda_prior": None, "lam": np.nan, "flat_likelihood": True, "y": None, "n_iter": 0},
     ])
     def test_settings_the_cli_rejects_are_config_errors(self, change):
-        """The library rejects these settings itself, before any sweep runs."""
+        """The library rejects these settings itself, before any sweep or draw."""
         kwargs = dict(y=[0.5, 1.0, -0.5], n_iter=10, burn_in=0,
                       lambda_prior=(1.0, 1e-3), delta2_prior=(2.0, 100.0),
                       rng=rng_stream(0))
         kwargs.update(change)
+        rng = kwargs["rng"]
         with pytest.raises(ConfigurationError):
             run_joint_chain(kwargs.pop("y"), **kwargs)
+        assert rng.random() == rng_stream(0).random()
 
 
 class TestFlatRuns:
@@ -104,7 +114,8 @@ class TestFlatRuns:
                               delta2=50.0, flat_likelihood=True, rng=rng_stream(4))
         freqs = res.k_frequencies()
         assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert res.mean_k() == pytest.approx(float(freqs @ np.arange(9)))
+        kept = [r.k for r in res.records if not r.burn_in]
+        assert freqs @ np.arange(9) == pytest.approx(np.mean(kept), rel=1e-12)
 
 
 class TestJointRuns:
@@ -145,7 +156,8 @@ class TestJointRuns:
                                     rng=rng_stream(8, 0), **kwargs)
         legacy = run_joint_chain(None, ratio_mode="legacy",
                                  rng=rng_stream(8, 1), **kwargs)
-        assert legacy.mean_k() < corrected.mean_k() - 0.5
+        ks = np.arange(17)
+        assert legacy.k_frequencies() @ ks < corrected.k_frequencies() @ ks - 0.5
 
     def test_factorisations_bounded_on_reference_chain(self, monkeypatch):
         """The run keeps one posterior, so a state is factorised once, not every sweep.

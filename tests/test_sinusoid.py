@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
+from scipy.special import logsumexp as scipy_logsumexp
 
 from transjump.core import BrokenKernelError, ConfigurationError, VarDimState, rng_stream
 from transjump.sinusoid import (
@@ -17,6 +17,7 @@ from transjump.sinusoid import (
     design_matrix,
     frequency_update_move,
     log_truncated_poisson_normalizer,
+    logsumexp,
     quad_form,
     sample_delta2,
     sample_lambda,
@@ -393,13 +394,27 @@ class TestFrequencyUpdateMove:
 
 class TestLambdaNormalizer:
     def test_equals_scipy_logsumexp_exactly(self):
-        """Bit-for-bit against scipy over lam in e^[-12, 8] and eight truncations."""
+        """Bit-for-bit against scipy over lam in e^[-12, 8] and eight truncations.
+
+        Arrays with -inf entries and tied maxima, as the quadrature sums have,
+        are compared directly.
+        """
         for k_max in (1, 2, 3, 8, 16, 32, 64, 100):
             j = np.arange(k_max + 1)
             log_fact = np.array([math.lgamma(v + 1) for v in j])
             for lam in np.exp(np.linspace(-12.0, 8.0, 2001)):
-                expect = float(logsumexp(j * math.log(lam) - log_fact))
+                expect = float(scipy_logsumexp(j * math.log(lam) - log_fact))
                 assert log_truncated_poisson_normalizer(float(lam), k_max) == expect
+        rng = rng_stream(82)
+        arrays = [np.array([NEG_INF]), np.full(5, NEG_INF), np.array([3.0, 3.0]),
+                  np.array([NEG_INF, -700.0, -700.0, NEG_INF, -745.0])]
+        for _ in range(1000):
+            a = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), size=rng.integers(1, 60))
+            a[rng.random(a.size) < 0.3] = NEG_INF
+            a[rng.random(a.size) < 0.2] = a.max()
+            arrays.append(a)
+        for a in arrays:
+            assert logsumexp(a) == float(scipy_logsumexp(a))
 
     def test_order_pmfs_equal_scipy_normalisation_exactly(self):
         for k_max in (0, 1, 5, 32):
@@ -408,7 +423,7 @@ class TestLambdaNormalizer:
             for lam in np.exp(np.linspace(-6.0, 5.0, 111)):
                 for power, pmf in ((1, truncated_poisson_pmf), (2, accelerated_poisson_pmf)):
                     log_w = j * math.log(lam) - power * log_fact
-                    expect = np.exp(log_w - logsumexp(log_w))
+                    expect = np.exp(log_w - scipy_logsumexp(log_w))
                     np.testing.assert_array_equal(pmf(float(lam), k_max), expect)
 
 
@@ -507,6 +522,25 @@ class TestSynthesize:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigurationError):
             synthesize((0.5, 1.0), (1.0,), 7.0, 32, rng_stream(81))
+
+    @pytest.mark.parametrize("amp2, snr_db, n_obs", [
+        ((20.0, 6.32), math.nan, 32),
+        ((20.0, 6.32), -math.inf, 32),
+        ((20.0, 6.32), -3200.0, 32),
+        ((20.0, 6.32), -3300.0, 32),
+        ((20.0, 6.32), 3100.0, 32),
+        ((20.0, -6.32), 7.0, 32),
+        ((20.0, -6.32), math.inf, 32),
+        ((20.0, math.inf), 7.0, 32),
+        ((20.0, math.nan), 7.0, 32),
+        ((20.0, 6.32), 7.0, 0),
+        ((20.0, 6.32), 7.0, -3),
+    ])
+    def test_unusable_settings_rejected_before_any_draw(self, amp2, snr_db, n_obs):
+        rng = rng_stream(83)
+        with pytest.raises(ConfigurationError):
+            synthesize((0.63, 0.68), amp2, snr_db, n_obs, rng)
+        assert rng.random() == rng_stream(83).random()
 
 
 class TestOrderPmfs:
