@@ -6,7 +6,6 @@ from .core import (
     ConfigurationError,
     IterationRecord,
     Move,
-    MoveSet,
     ProposalOutcome,
     VarDimState,
     mhg_accept,

@@ -19,7 +19,6 @@ from .core import (
     BrokenKernelError,
     ConfigurationError,
     Move,
-    MoveSet,
     ProposalOutcome,
     Rng,
     TargetDensity,
@@ -278,8 +277,8 @@ class SortedRestriction:
         return math.lgamma(x.k + 1) + self.base.log_density(x)
 
 
-def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> MoveSet:
-    """Mixture move set {birth, death, none} for the given schedule.
+def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> tuple[Move, ...]:
+    """Mixture (birth, death, none) for the given schedule.
 
     Move selection weights are p_b(x), p_d(x) and the remainder, which goes to
     the identity move "none": it rejects surely and so keeps the chain in place.
@@ -295,8 +294,8 @@ def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> MoveSet:
     def rest_weight(x):
         return max(0.0, 1.0 - sched.p_birth(x) - sched.p_death(x))
 
-    return MoveSet([
-        Move("birth", "death", sched.p_birth, birth),
-        Move("death", "birth", sched.p_death, death),
-        Move("none", "none", rest_weight, lambda x, rng: ProposalOutcome(x, NEG_INF)),
-    ])
+    return (
+        Move("birth", sched.p_birth, birth),
+        Move("death", sched.p_death, death),
+        Move("none", rest_weight, lambda x, rng: ProposalOutcome(x, NEG_INF)),
+    )

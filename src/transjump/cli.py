@@ -21,6 +21,7 @@ from .sinusoid import (
     OMEGA_HIGH,
     OMEGA_LOW,
     accelerated_poisson_pmf,
+    check_truth_settings,
     synthesize,
     truncated_poisson_pmf,
 )
@@ -167,24 +168,15 @@ def _validate_config(cfg: RunConfig) -> None:
                          representation=cfg.representation, lam=cfg.lam,
                          lambda_prior=cfg.lambda_prior, delta2=cfg.delta2,
                          delta2_prior=cfg.delta2_prior)
+    check_truth_settings(cfg.omega_true, cfg.amp2_true, cfg.n_obs)
     if cfg.replications < 1:
         raise ConfigurationError("experiment.replications must be at least 1")
-    if len(cfg.omega_true) != len(cfg.amp2_true):
-        raise ConfigurationError("experiment.omega_true and experiment.amp2_true "
-                                 "must have matching lengths")
     if any(not OMEGA_LOW < w < OMEGA_HIGH for w in cfg.omega_true):
         raise ConfigurationError("experiment.omega_true frequencies must lie in (0, pi)")
     if len(set(cfg.omega_true)) != len(cfg.omega_true):
         raise ConfigurationError("experiment.omega_true frequencies must be distinct")
     if not math.isfinite(cfg.snr_db):
         raise ConfigurationError("experiment.snr_db must be finite")
-    if cfg.n_obs < 1:
-        raise ConfigurationError("experiment.n_obs must be at least 1")
-    # The SNR sets the noise level from the signal power, so the truth must not be silent.
-    if not (all(0.0 <= a < math.inf for a in cfg.amp2_true)
-            and any(a > 0.0 for a in cfg.amp2_true)):
-        raise ConfigurationError("experiment.amp2_true must be finite and nonnegative, "
-                                 "with at least one positive entry")
 
 
 def read_signal(path: str | os.PathLike) -> np.ndarray:
@@ -253,17 +245,17 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
 
     trace_path = out / "trace.csv"
     _write_lines(trace_path, "iter,k,logtarget,move,accepted,lambda,delta2", (
-        f"{r.iteration},{r.k},{_fmt(r.log_target)},{r.move},{int(r.accepted)},"
+        f"{i},{r.k},{_fmt(r.log_target)},{r.move},{int(r.accepted)},"
         f"{_fmt(r.lam)},{_fmt(r.delta2)}"
-        for r in result.records))
+        for i, r in enumerate(result.records)))
 
     comp_path = out / "components.csv"
     comp_header = "iter," + ",".join(f"c{j + 1}" for j in range(cfg.k_max))
     _write_lines(comp_path, comp_header, (
-        f"{r.iteration}," + ",".join(
+        f"{i}," + ",".join(
             _fmt(r.components[j]) if j < r.k else ""
             for j in range(cfg.k_max))
-        for r in result.records))
+        for i, r in enumerate(result.records)))
 
     summary_path = out / "summary.csv"
     _write_summary(summary_path, result.k_counts())

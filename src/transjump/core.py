@@ -1,10 +1,10 @@
 """Generic Metropolis-Hastings-Green machinery on variable-dimensional state spaces.
 
-A state is a pair (k, s) with s a vector of k components.  Proposal kernels are
-organised as a mixture of elementary moves, each with a state-dependent
-selection probability and a declared reverse move.  All ratio arithmetic is
-done in the log domain; -inf is a legitimate "reject surely" value while NaN
-always signals a broken kernel.
+A state is a pair (k, s) with s a vector of k components.  A proposal kernel is
+a mixture: a tuple of elementary moves, each with a state-dependent selection
+probability and a proposal whose ratio accounts for its own reverse move.  All
+ratio arithmetic is done in the log domain; -inf is a legitimate "reject
+surely" value while NaN always signals a broken kernel.
 """
 from __future__ import annotations
 
@@ -102,42 +102,16 @@ class ProposalOutcome:
 
 @dataclass(frozen=True)
 class Move:
-    """An elementary move: selection weight j(x, m), proposal procedure, reverse label."""
+    """An elementary move of a mixture: selection weight j(x, m) and proposal procedure."""
 
     label: str
-    reverse_label: str
     weight: Callable[[VarDimState], float]
     propose: Callable[[VarDimState, Rng], ProposalOutcome]
 
 
-class MoveSet:
-    """A mixture of elementary moves with state-dependent selection probabilities.
-
-    The reverse-move pairing must be an involution on the labels in the set,
-    and the selection probabilities must sum to one at every reachable state.
-    """
-
-    def __init__(self, moves: list[Move]):
-        labels = [m.label for m in moves]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(f"duplicate move labels: {labels}")
-        by_label = {m.label: m for m in moves}
-        for m in moves:
-            rev = by_label.get(m.reverse_label)
-            if rev is None:
-                raise ConfigurationError(
-                    f"move {m.label!r} declares unknown reverse {m.reverse_label!r}")
-            if rev.reverse_label != m.label:
-                raise ConfigurationError(
-                    f"reverse pairing is not an involution: "
-                    f"{m.label!r} -> {m.reverse_label!r} -> {rev.reverse_label!r}")
-        self.moves = list(moves)
-        self.by_label = by_label
-
-
-def select_move(moves: MoveSet, x: VarDimState, rng: Rng) -> str:
-    """Draw a move label with probability j(x, m), using a single uniform draw."""
-    weights = [m.weight(x) for m in moves.moves]
+def select_move(moves: tuple[Move, ...], x: VarDimState, rng: Rng) -> Move:
+    """Draw a move with probability j(x, m), using a single uniform draw."""
+    weights = [m.weight(x) for m in moves]
     total = 0.0
     for w in weights:
         if w < 0.0:
@@ -148,14 +122,14 @@ def select_move(moves: MoveSet, x: VarDimState, rng: Rng) -> str:
             f"move selection probabilities sum to {total!r} at k={x.k}, expected 1")
     u = rng.random()
     acc = 0.0
-    for move, w in zip(moves.moves, weights):
+    for move, w in zip(moves, weights):
         acc += w
         if u < acc:
-            return move.label
+            return move
     # u landed in the final rounding sliver; return the last selectable move.
-    for move, w in zip(reversed(moves.moves), reversed(weights)):
+    for move, w in zip(reversed(moves), reversed(weights)):
         if w > 0.0:
-            return move.label
+            return move
     raise ConfigurationError("no move has positive selection probability")
 
 
@@ -186,11 +160,11 @@ def check_iteration_counts(n_iter: int, burn_in: int) -> None:
 class IterationRecord:
     """State after one transition (or sweep); ``move`` is the mixture move attempted.
 
-    ``lam`` and ``delta2`` hold the hyperparameter values of sweeps that sample
-    or fix them, and stay None for plain chains.
+    A record's iteration is its index in ``ChainOutput.records``.  ``lam`` and
+    ``delta2`` hold the hyperparameter values of sweeps that sample or fix
+    them, and stay None for plain chains.
     """
 
-    iteration: int
     k: int
     components: tuple[float, ...]
     log_target: float
@@ -203,11 +177,12 @@ class IterationRecord:
 
 @dataclass
 class ChainOutput:
-    """Per-iteration records plus per-move tallies and a config echo.
+    """Per-iteration records plus per-move tallies and the run's lengths.
 
-    Burn-in records are kept (flagged) so diagnostics can inspect them;
-    summary helpers exclude them, and their ``k_max`` defaults to
-    ``config["k_max"]`` when the driver records one.
+    ``config`` holds ``n_iter`` and ``burn_in``, and ``k_max`` for sweep
+    chains.  Burn-in records are kept (flagged) so diagnostics can inspect
+    them; summary helpers exclude them, and their ``k_max`` defaults to
+    ``config["k_max"]``.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -235,25 +210,25 @@ class ChainOutput:
         return counts / total if total else np.zeros(counts.size)
 
 
-def mhg_step(moves: MoveSet, x: VarDimState, rng: Rng,
+def mhg_step(moves: tuple[Move, ...], x: VarDimState, rng: Rng,
              out: ChainOutput) -> tuple[str, ProposalOutcome, bool]:
     """One MHG transition of the mixture kernel, tallied into ``out``.
 
     Selects a move, proposes and accepts with probability min{1, r}; the
     caller moves to ``outcome.proposed`` when ``accepted`` is true.
     """
-    label = select_move(moves, x, rng)
-    outcome = moves.by_label[label].propose(x, rng)
+    move = select_move(moves, x, rng)
+    outcome = move.propose(x, rng)
     if any(math.isnan(c) for c in outcome.proposed.components):
-        raise BrokenKernelError(f"move {label!r} proposed a state with NaN components")
+        raise BrokenKernelError(f"move {move.label!r} proposed a state with NaN components")
     accepted = mhg_accept(outcome.log_ratio, rng)
-    out.tally(label, accepted)
-    return label, outcome, accepted
+    out.tally(move.label, accepted)
+    return move.label, outcome, accepted
 
 
 def run_chain(
     target: TargetDensity,
-    moves: MoveSet,
+    moves: tuple[Move, ...],
     init: VarDimState,
     n_iter: int,
     burn_in: int,
@@ -282,6 +257,6 @@ def run_chain(
             else:
                 log_t = target.log_density(x)
         out.records.append(IterationRecord(
-            iteration=i, k=x.k, components=x.components, log_target=log_t,
+            k=x.k, components=x.components, log_target=log_t,
             move=label, accepted=accepted, burn_in=i < burn_in))
     return out

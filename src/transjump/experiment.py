@@ -116,11 +116,7 @@ def run_joint_chain(
     proposal = uniform_component_proposal()
     sorted_rep = representation == "sorted"
     x = VarDimState()
-    out = ChainOutput(config={
-        "n_iter": n_iter, "burn_in": burn_in, "k_max": k_max,
-        "c": c, "ratio_mode": ratio_mode, "representation": representation,
-        "flat_likelihood": flat_likelihood,
-    })
+    out = ChainOutput(config={"n_iter": n_iter, "burn_in": burn_in, "k_max": k_max})
     posterior = None if flat_likelihood else SinusoidPosterior(y, lam_val, delta2_val, k_max)
     log_z = None if lambda_prior is None else log_truncated_poisson_normalizer(lam_val, k_max)
 
@@ -156,7 +152,7 @@ def run_joint_chain(
         if math.isnan(log_t):
             raise BrokenKernelError(f"target returned NaN at sweep {i}, k={x.k}")
         out.records.append(IterationRecord(
-            iteration=i, k=x.k, components=x.components, log_target=log_t,
+            k=x.k, components=x.components, log_target=log_t,
             move=move, accepted=move_accepted, burn_in=i < burn_in,
             lam=lam_val, delta2=delta2_val))
     return out

@@ -232,13 +232,13 @@ def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
                            grid_size: int = 200) -> np.ndarray:
     """Posterior law of the model order by Riemann sums over (0, pi)^k grids.
 
-    Only small problems (k_max <= 2) are supported.  The order-1 sum uses the
-    peak-resolving partition above (``grid_size`` evaluations), the order-2 sum
-    its tensor product (``grid_size``^2 evaluations); all sums are max-log
+    Only small problems (0 <= k_max <= 2) are supported.  The order-1 sum uses
+    the peak-resolving partition above (``grid_size`` evaluations), the order-2
+    sum its tensor product (``grid_size``^2 evaluations); all sums are max-log
     shifted so no overflow can occur.
     """
-    if k_max > 2:
-        raise ConfigurationError("quadrature oracle supports k_max <= 2 only")
+    if not 0 <= k_max <= 2:
+        raise ConfigurationError("quadrature oracle supports 0 <= k_max <= 2 only")
     if grid_size < 100:
         raise ConfigurationError("grid_size must be at least 100")
     y = np.asarray(y, dtype=float)

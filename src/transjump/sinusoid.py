@@ -216,6 +216,10 @@ class PriorOnlyTarget:
     lam: float
     k_max: int
 
+    def __post_init__(self):
+        if not (0.0 < self.lam < math.inf and self.k_max >= 0):
+            raise ConfigurationError("lam must be finite and positive; k_max nonnegative")
+
     def log_density(self, x: VarDimState) -> float:
         k = x.k
         if not _in_support(x.components, self.k_max):
@@ -339,6 +343,21 @@ def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
     return current, False
 
 
+def check_truth_settings(omega, amp2, n_obs: int) -> None:
+    """Raise ConfigurationError on a truth that synthesize cannot scale to an SNR.
+
+    The noise variance is a share of the clean signal's power, so the truth
+    must not be silent.  parse_config checks a config's truth with it too.
+    """
+    if len(omega) != len(amp2):
+        raise ConfigurationError("omega and amp2 must have matching lengths")
+    if not (all(0.0 <= a < math.inf for a in amp2) and any(a > 0.0 for a in amp2)):
+        raise ConfigurationError("amp2 entries must be finite and nonnegative, "
+                                 "with at least one positive entry")
+    if n_obs < 1:
+        raise ConfigurationError("n_obs must be at least 1")
+
+
 def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:
     """Clean sinusoid mixture plus white noise scaled to the requested SNR.
 
@@ -349,19 +368,11 @@ def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:
     """
     omega = tuple(float(w) for w in omega)
     amp2 = tuple(float(a) for a in amp2)
-    if len(omega) != len(amp2):
-        raise ConfigurationError("omega and amp2 must have matching lengths")
-    if not all(0.0 <= a < math.inf for a in amp2):
-        raise ConfigurationError("amp2 entries must be finite and nonnegative")
-    if n_obs < 1:
-        raise ConfigurationError("n_obs must be at least 1")
-    if omega:
-        amps = np.empty(2 * len(omega))
-        amps[0::2] = np.sqrt(np.asarray(amp2) / 2.0)
-        amps[1::2] = np.sqrt(np.asarray(amp2) / 2.0)
-        clean = design_matrix(omega, n_obs) @ amps
-    else:
-        clean = np.zeros(n_obs)
+    check_truth_settings(omega, amp2, n_obs)
+    amps = np.empty(2 * len(omega))
+    amps[0::2] = np.sqrt(np.asarray(amp2) / 2.0)
+    amps[1::2] = np.sqrt(np.asarray(amp2) / 2.0)
+    clean = design_matrix(omega, n_obs) @ amps
     if math.isinf(snr_db) and snr_db > 0:
         return clean
     try:

@@ -17,7 +17,7 @@ from .birthdeath import (
     birth_propose_unsorted,
     bod_move_set,
 )
-from .core import Move, MoveSet, ProposalOutcome, VarDimState, rng_stream, run_chain
+from .core import Move, ProposalOutcome, VarDimState, rng_stream, run_chain
 from .oracle import (
     build_transition_matrix,
     detailed_balance_residual,
@@ -152,14 +152,14 @@ def quadrature() -> list[CheckResult]:
     """
     y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(DEFAULT_SEED, 4, 0))
     model = SinusoidPosterior(y, lam=1.0, delta2=100.0, k_max=2)
-    birth, death, rest = bod_move_set(model, BirthDeathSchedule.green(1.0, 2)).moves
+    birth, death, rest = bod_move_set(model, BirthDeathSchedule.green(1.0, 2))
 
     def update(x, rng):
         if x.k == 0:
             return ProposalOutcome(x, 0.0)
         return frequency_update_move(x, model, rng, 0.25 / 32)
 
-    moves = MoveSet([birth, death, Move("update", "update", rest.weight, update)])
+    moves = (birth, death, Move("update", rest.weight, update))
     out = run_chain(model, moves, VarDimState(), n_iter=500_000, burn_in=50_000,
                     rng=rng_stream(DEFAULT_SEED, 4, 1))
     freqs = out.k_frequencies(2)

@@ -356,15 +356,16 @@ class TestMoveSetFactory:
         moves = bod_move_set(target, sched)
         for k in range(7):
             x = VarDimState(tuple(0.1 + 0.3 * j for j in range(k)))
-            assert sum(m.weight(x) for m in moves.moves) == pytest.approx(1.0, abs=1e-15)
+            assert sum(m.weight(x) for m in moves) == pytest.approx(1.0, abs=1e-15)
 
     def test_identity_move_rejects_surely_without_drawing(self):
         target = PriorOnlyTarget(3.0, 6)
-        moves = bod_move_set(target, BirthDeathSchedule.green(3.0, 6))
+        birth, death, none = bod_move_set(target, BirthDeathSchedule.green(3.0, 6))
+        assert (birth.label, death.label, none.label) == ("birth", "death", "none")
         rng = rng_stream(52)
         before = rng.bit_generator.state
         x = VarDimState((0.4, 1.2))
-        out = moves.by_label["none"].propose(x, rng)
+        out = none.propose(x, rng)
         assert out.proposed is x
         assert out.log_ratio == NEG_INF
         assert rng.bit_generator.state == before

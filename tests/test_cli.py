@@ -188,6 +188,9 @@ class TestRunExperiment:
         lines = paths["trace"].read_text().splitlines()
         assert lines[0] == "iter,k,logtarget,move,accepted,lambda,delta2"
         assert len(lines) == 11
+        for name in ("trace", "components"):
+            rows = paths[name].read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == [str(i) for i in range(10)]
 
     def test_summary_frequencies_sum_to_one(self, tmp_path):
         cfg = flat_config(tmp_path, n_iter=500, burn_in=100)

@@ -10,7 +10,6 @@ from transjump.core import (
     ConfigurationError,
     IterationRecord,
     Move,
-    MoveSet,
     ProposalOutcome,
     VarDimState,
     check_iteration_counts,
@@ -22,13 +21,10 @@ from transjump.core import (
 )
 
 
-def constant_moves(weights: dict[str, float], reverse: dict[str, str]) -> MoveSet:
+def constant_moves(weights: dict[str, float]) -> tuple[Move, ...]:
     """Moves that propose the unchanged state with ratio 0 (always accept)."""
-    return MoveSet([
-        Move(label, reverse[label], lambda x, w=w: w,
-             lambda x, rng: ProposalOutcome(x, 0.0))
-        for label, w in weights.items()
-    ])
+    return tuple(Move(label, lambda x, w=w: w, lambda x, rng: ProposalOutcome(x, 0.0))
+                 for label, w in weights.items())
 
 
 class TestVarDimState:
@@ -66,55 +62,33 @@ class TestVarDimState:
 class TestSelectMove:
     def test_inapplicable_move_never_selected(self):
         """A move with zero selection probability at the state is never drawn."""
-        moves = constant_moves(
-            {"birth": 0.5, "death": 0.0, "update": 0.5},
-            {"birth": "death", "death": "birth", "update": "update"})
+        moves = constant_moves({"birth": 0.5, "death": 0.0, "update": 0.5})
         rng = rng_stream(1)
-        labels = {select_move(moves, VarDimState(), rng) for _ in range(5000)}
+        labels = {select_move(moves, VarDimState(), rng).label for _ in range(5000)}
         assert "death" not in labels
 
     def test_degenerate_single_move(self):
-        moves = constant_moves({"only": 1.0}, {"only": "only"})
+        moves = constant_moves({"only": 1.0})
         rng = rng_stream(2)
-        assert all(select_move(moves, VarDimState(), rng) == "only" for _ in range(100))
+        assert all(select_move(moves, VarDimState(), rng) is moves[0] for _ in range(100))
 
     def test_selection_frequencies_match_weights(self):
         """Empirical frequencies over 1e5 draws stay in 3-sigma binomial bands."""
         weights = {"birth": 0.25, "death": 0.15, "update": 0.6}
-        moves = constant_moves(
-            weights, {"birth": "death", "death": "birth", "update": "update"})
+        moves = constant_moves(weights)
         rng = rng_stream(3)
         n = 100_000
         counts = {label: 0 for label in weights}
         for _ in range(n):
-            counts[select_move(moves, VarDimState(), rng)] += 1
+            counts[select_move(moves, VarDimState(), rng).label] += 1
         for label, p in weights.items():
             band = 3.0 * math.sqrt(p * (1 - p) / n)
             assert abs(counts[label] / n - p) < band
 
     def test_weights_must_sum_to_one(self):
-        moves = constant_moves({"a": 0.6, "b": 0.6}, {"a": "b", "b": "a"})
+        moves = constant_moves({"a": 0.6, "b": 0.6})
         with pytest.raises(ConfigurationError):
             select_move(moves, VarDimState(), rng_stream(4))
-
-
-class TestMoveSetValidation:
-    def test_unknown_reverse_label_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MoveSet([Move("a", "ghost", lambda x: 1.0,
-                          lambda x, rng: ProposalOutcome(x, 0.0))])
-
-    def test_non_involutive_pairing_rejected(self):
-        mk = lambda lab, rev: Move(lab, rev, lambda x: 0.5,
-                                   lambda x, rng: ProposalOutcome(x, 0.0))
-        with pytest.raises(ConfigurationError):
-            MoveSet([mk("a", "b"), mk("b", "c"), mk("c", "a")])
-
-    def test_duplicate_labels_rejected(self):
-        mk = lambda: Move("a", "a", lambda x: 0.5,
-                          lambda x, rng: ProposalOutcome(x, 0.0))
-        with pytest.raises(ConfigurationError):
-            MoveSet([mk(), mk()])
 
 
 class TestMhgAccept:
@@ -157,7 +131,7 @@ class PointTarget:
         return 0.0 if x == self.point else float("-inf")
 
 
-def jump_moves(target=None) -> MoveSet:
+def jump_moves(target=None) -> tuple[Move, ...]:
     """Birth/death-shaped moves over k via insertion of a fixed component.
 
     The acceptance ratio is the log target difference (symmetric bookkeeping),
@@ -176,12 +150,11 @@ def jump_moves(target=None) -> MoveSet:
         proposed = x.remove(x.k - 1)
         return ProposalOutcome(proposed, ratio(x, proposed))
 
-    return MoveSet([
-        Move("birth", "death", lambda x: 0.5, birth),
-        Move("death", "birth", lambda x: 0.5 if x.k else 0.0, death),
-        Move("hold", "hold", lambda x: 0.0 if x.k else 0.5,
-             lambda x, rng: ProposalOutcome(x, 0.0)),
-    ])
+    return (
+        Move("birth", lambda x: 0.5, birth),
+        Move("death", lambda x: 0.5 if x.k else 0.0, death),
+        Move("hold", lambda x: 0.0 if x.k else 0.5, lambda x, rng: ProposalOutcome(x, 0.0)),
+    )
 
 
 class TestRunChain:
@@ -235,9 +208,8 @@ class TestRunChain:
             run_chain(target, jump_moves(target), VarDimState(), 10, 0, rng_stream(16))
 
     def test_nan_components_hard_error(self):
-        bad = MoveSet([Move("bad", "bad", lambda x: 1.0,
-                            lambda x, rng: ProposalOutcome(
-                                VarDimState((float("nan"),)), 0.0))])
+        bad = (Move("bad", lambda x: 1.0,
+                    lambda x, rng: ProposalOutcome(VarDimState((float("nan"),)), 0.0)),)
         with pytest.raises(BrokenKernelError):
             run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
 
@@ -272,13 +244,13 @@ class TestChainOutput:
     def test_k_max_defaults_to_config(self):
         out = ChainOutput(config={"k_max": 3})
         for i, k in enumerate((0, 1, 1, 3)):
-            out.records.append(IterationRecord(i, k, (0.5,) * k, 0.0, "birth", True, i == 0))
+            out.records.append(IterationRecord(k, (0.5,) * k, 0.0, "birth", True, i == 0))
         np.testing.assert_array_equal(out.k_counts(), [0, 2, 0, 1])
         assert out.k_frequencies() @ np.arange(4) == pytest.approx(5.0 / 3.0)
         assert out.k_frequencies(5).size == 6
 
     def test_records_are_slotted(self):
-        r = IterationRecord(0, 0, (), 0.0, "none", False, False)
+        r = IterationRecord(0, (), 0.0, "none", False, False)
         assert not hasattr(r, "__dict__")
         assert r.lam is None and r.delta2 is None
 

@@ -70,7 +70,7 @@ class TestFlatRuns:
                               rng=rng_stream(1))
         assert len(res.records) == 200
         assert all(r.lam == 3.0 and r.delta2 == 100.0 for r in res.records)
-        assert res.config["flat_likelihood"] is True
+        assert res.config == {"n_iter": 200, "burn_in": 50, "k_max": 8}
 
     def test_reproducible_given_seed(self):
         runs = [run_joint_chain(None, n_iter=500, burn_in=100, k_max=8, lam=3.0,
@@ -100,8 +100,7 @@ class TestFlatRuns:
                           3000, 300, rng_stream(9))
 
         def key(r):
-            return (r.iteration, r.k, r.components, r.log_target, r.move,
-                    r.accepted, r.burn_in)
+            return (r.k, r.components, r.log_target, r.move, r.accepted, r.burn_in)
 
         assert [key(r) for r in joint.records] == [key(r) for r in plain.records]
         assert joint.proposals == plain.proposals

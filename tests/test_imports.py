@@ -64,33 +64,50 @@ def public_definitions(source: str) -> list[str]:
     return names
 
 
-def referenced_names(source: str) -> set[str]:
-    """Names read as a bare name or as an attribute; an import alone is not a reference."""
+def referenced_names(source: str) -> tuple[set[str], set[str]]:
+    """(names read bare or as an attribute, attribute names a method may go by).
+
+    An import alone is not a reference.  A method counts as referenced only
+    through an attribute read, in a file that stores no attribute of that
+    name: there ``self.mean_k[i]`` reads the file's own data, not a method.
+    """
     tree = ast.parse(source)
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    read = {node.attr for node in attributes if isinstance(node.ctx, ast.Load)}
+    stored = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in attributes}, read - stored
 
 
-def unreferenced(definitions: list[str], references: set[str]) -> list[str]:
-    return [name for name in definitions if name.rpartition(".")[2] not in references]
+def unreferenced(definitions: list[str], references: list[tuple[set[str], set[str]]]) -> list[str]:
+    """The definitions that no file's references name; ``Class.method`` needs a method read."""
+    names = set().union(*(r[0] for r in references))
+    methods = set().union(*(r[1] for r in references))
+    return [name for name in definitions
+            if (name.partition(".")[2] not in methods if "." in name else name not in names)]
 
 
 def test_definition_scan_flags_only_unreferenced_names():
     package = ("class A:\n    def used(self): pass\n    def spare(self): pass\n"
-               "    def _private(self): pass\n"
+               "    def mean_k(self): pass\n    def _private(self): pass\n"
                "def called(): pass\ndef orphan(): pass\ndef _helper(): pass\n")
     caller = ("from pkg import orphan\nimport pkg\n"
               "pkg.called(); x = A(); x.used()\n")
-    assert public_definitions(package) == ["A", "A.used", "A.spare", "called", "orphan"]
+    # A same-named attribute the file stores is its own data, not a call of A.mean_k.
+    namesake = ("class B:\n    def __init__(self): self.mean_k = {}\n"
+                "    def f(self): self.mean_k[0]\n")
+    assert public_definitions(package) == ["A", "A.used", "A.spare", "A.mean_k", "called",
+                                           "orphan"]
     assert unreferenced(public_definitions(package),
-                        referenced_names(caller)) == ["A.spare", "orphan"]
+                        [referenced_names(caller), referenced_names(namesake)]) == [
+        "A.spare", "A.mean_k", "orphan"]
+    assert unreferenced(["A.mean_k"], [referenced_names("a.mean_k()\n")]) == []
 
 
 def test_every_public_definition_is_referenced():
-    references = set().union(*(referenced_names(p.read_text()) for p in CALLERS))
-    definitions = [f"{p.stem}.{name}" for p in PACKAGE
-                   for name in public_definitions(p.read_text())]
-    assert unreferenced(definitions, references) == []
+    references = [referenced_names(p.read_text()) for p in CALLERS]
+    assert [f"{p.stem}.{name}" for p in PACKAGE
+            for name in unreferenced(public_definitions(p.read_text()), references)] == []
 
 
 def test_cli_import_leaves_scipy_special_out():

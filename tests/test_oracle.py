@@ -211,6 +211,8 @@ class TestQuadraturePosterior:
             quadrature_posterior_k(y, 10.0, 1.0, 3, grid_size=200)
         with pytest.raises(ConfigurationError):
             quadrature_posterior_k(y, 10.0, 1.0, 2, grid_size=50)
+        with pytest.raises(ConfigurationError):
+            quadrature_posterior_k(y, 100.0, 1.0, -1, 200)
 
 
 class TestDistances:

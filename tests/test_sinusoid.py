@@ -319,6 +319,12 @@ class TestPriorOnlyTarget:
         assert t.log_density(VarDimState((1.0, 3.5))) == NEG_INF
         assert t.log_density(VarDimState((0.1, 0.2, 0.3, 0.4))) == NEG_INF
 
+    @pytest.mark.parametrize("lam, k_max", [
+        (0.0, 8), (-1.0, 8), (math.nan, 8), (math.inf, 8), (5.0, -1)])
+    def test_unusable_settings_rejected_at_construction(self, lam, k_max):
+        with pytest.raises(ConfigurationError):
+            PriorOnlyTarget(lam, k_max)
+
 
 class TestFrequencyUpdateMove:
     def test_out_of_domain_proposal_rejected_surely(self):
@@ -535,11 +541,16 @@ class TestSynthesize:
         ((20.0, math.nan), 7.0, 32),
         ((20.0, 6.32), 7.0, 0),
         ((20.0, 6.32), 7.0, -3),
+        pytest.param((), 7.0, 4, id="no-tone"),
+        pytest.param((0.0,), 7.0, 4, id="silent-tone"),
+        pytest.param((0.0, 0.0), math.inf, 32, id="silent-tones-clean"),
     ])
     def test_unusable_settings_rejected_before_any_draw(self, amp2, snr_db, n_obs):
+        """A silent truth (no tone, or zero power) has no noise level to scale."""
+        omega = (0.63, 0.68)[:len(amp2)]
         rng = rng_stream(83)
         with pytest.raises(ConfigurationError):
-            synthesize((0.63, 0.68), amp2, snr_db, n_obs, rng)
+            synthesize(omega, amp2, snr_db, n_obs, rng)
         assert rng.random() == rng_stream(83).random()
 
 
