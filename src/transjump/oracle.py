@@ -21,7 +21,12 @@ from .birthdeath import (
     pmf_component_proposal,
 )
 from .core import NEG_INF, BrokenKernelError, ConfigurationError, Rng, VarDimState
-from .sinusoid import logsumexp, sinusoid_log_target
+from .sinusoid import (
+    check_posterior_settings,
+    logsumexp,
+    projection_norms,
+    sinusoid_log_target,
+)
 
 
 @dataclass
@@ -209,8 +214,7 @@ def _frequency_partition(y, lam: float, delta2: float, k_max: int,
     sub = (grid_size - n_coarse) // n_refine
     width = math.pi / n_coarse
     mids = (np.arange(n_coarse) + 0.5) * width
-    vals = np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max)
-                     for w in mids])
+    vals = _order1_log_targets(y, mids, lam, delta2, k_max)
     padded = np.concatenate(([NEG_INF], vals, [NEG_INF]))
     scores = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
     refine = set(np.argsort(scores)[::-1][:n_refine].tolist())
@@ -228,6 +232,14 @@ def _frequency_partition(y, lam: float, delta2: float, k_max: int,
     return np.array(points), np.array(log_widths)
 
 
+def _order1_log_targets(y, points: np.ndarray, lam: float, delta2: float,
+                        k_max: int) -> np.ndarray:
+    """sinusoid_log_target at each one-tone state (w,), w in points."""
+    norms = projection_norms(y, points[:, None]).tolist()
+    return np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max, s=s)
+                     for w, s in zip(points.tolist(), norms)])
+
+
 def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
                            grid_size: int = 200) -> np.ndarray:
     """Posterior law of the model order by Riemann sums over (0, pi)^k grids.
@@ -235,26 +247,34 @@ def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
     Only small problems (0 <= k_max <= 2) are supported.  The order-1 sum uses
     the peak-resolving partition above (``grid_size`` evaluations), the order-2
     sum its tensor product (``grid_size``^2 evaluations); all sums are max-log
-    shifted so no overflow can occur.
+    shifted so no overflow can occur.  The cells are evaluated one grid row
+    at a time: sinusoid.projection_norms factorises a row's designs through
+    stacked Gram and Cholesky kernels, and each cell's density is
+    sinusoid_log_target given that norm, so every value is the one a cell by
+    cell evaluation gives.  The settings are checked as SinusoidPosterior
+    checks them, before any evaluation.
     """
     if not 0 <= k_max <= 2:
         raise ConfigurationError("quadrature oracle supports 0 <= k_max <= 2 only")
     if grid_size < 100:
         raise ConfigurationError("grid_size must be at least 100")
-    y = np.asarray(y, dtype=float)
+    y = check_posterior_settings(y, lam, delta2, k_max)
 
     log_mass = [sinusoid_log_target(y, (), lam, delta2, k_max)]
     if k_max >= 1:
         points, log_widths = _frequency_partition(y, lam, delta2, k_max, grid_size)
-        vals = np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max)
-                         for w in points])
+        vals = _order1_log_targets(y, points, lam, delta2, k_max)
         log_mass.append(logsumexp(vals + log_widths))
     if k_max >= 2:
-        vals2 = np.array([
-            sinusoid_log_target(y, (w1, w2), lam, delta2, k_max) + lw1 + lw2
-            for w1, lw1 in zip(points, log_widths)
-            for w2, lw2 in zip(points, log_widths)])
-        log_mass.append(logsumexp(vals2))
+        cells = list(zip(points.tolist(), log_widths.tolist()))
+        vals2 = np.empty((len(cells), len(cells)))
+        omegas = np.column_stack((points, points))
+        for row, (w1, lw1) in zip(vals2, cells):
+            omegas[:, 0] = w1
+            norms = projection_norms(y, omegas).tolist()
+            row[:] = [sinusoid_log_target(y, (w1, w2), lam, delta2, k_max, s=s) + lw1 + lw2
+                      for (w2, lw2), s in zip(cells, norms)]
+        log_mass.append(logsumexp(vals2.ravel()))
 
     log_mass = np.array(log_mass)
     shifted = np.exp(log_mass - log_mass.max())

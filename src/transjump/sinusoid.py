@@ -36,13 +36,17 @@ class SingularDesignError(RuntimeError):
 
 
 def design_matrix(omega, n_obs: int) -> np.ndarray:
-    """N x 2k design with columns cos(w_j t), sin(w_j t), t = 0 .. N-1."""
+    """N x 2k design with columns cos(w_j t), sin(w_j t), t = 0 .. N-1.
+
+    An (m, k) omega gives the (m, N, 2k) stack of its rows' designs, each
+    bit for bit the design of that row alone.
+    """
     omega = np.asarray(omega, dtype=float)
     t = np.arange(n_obs, dtype=float)
-    phases = np.outer(t, omega)
-    d = np.empty((n_obs, 2 * omega.size))
-    d[:, 0::2] = np.cos(phases)
-    d[:, 1::2] = np.sin(phases)
+    phases = t[:, None] * omega[..., None, :]
+    d = np.empty(phases.shape[:-1] + (2 * omega.shape[-1],))
+    d[..., 0::2] = np.cos(phases)
+    d[..., 1::2] = np.sin(phases)
     return d
 
 
@@ -73,6 +77,11 @@ def _projection_norm2(y: np.ndarray, omega) -> float:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise SingularDesignError(f"design is singular at omega={omega}")
+    return _whitened_norm2(chol, z)
+
+
+def _whitened_norm2(chol: np.ndarray, z: np.ndarray) -> float:
+    """|w|^2 for L w = z, with L the C-ordered lower Cholesky factor of D^T D and z = D^T y."""
     # chol is C-ordered, so its transpose is the Fortran-ordered upper factor.
     w, info = dtrtrs(chol.T, z, lower=0, trans=1)
     if info != 0:
@@ -82,6 +91,47 @@ def _projection_norm2(y: np.ndarray, omega) -> float:
     if not math.isfinite(s) and not np.isfinite(z).all():
         raise ValueError("y must be finite")
     return s
+
+
+def _norm_or_inf(y: np.ndarray, omega) -> float:
+    """_projection_norm2(y, omega), or inf where the design is singular."""
+    try:
+        return _projection_norm2(y, omega)
+    except SingularDesignError:
+        return math.inf
+
+
+def projection_norms(y: np.ndarray, omegas) -> np.ndarray:
+    """_projection_norm2(y, row) for each row of an (m, k) array, inf where it is singular.
+
+    The rows that pass the scalar path's finite and near-duplicate checks
+    share one design stack, one stacked D^T D and D^T y, and one stacked
+    Cholesky call; only the triangular solve runs per row.  The stacked
+    matmul and cholesky run the per-matrix kernels of the scalar path, so
+    every value is bit for bit the scalar one.  If the stacked factorisation
+    fails on some row, every row goes through _projection_norm2.  The stack
+    holds m * N * 2k doubles, so callers pass a bounded batch.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    norms = np.zeros(len(omegas))
+    if omegas.shape[1] == 0:
+        return norms
+    if not np.isfinite(omegas).all():
+        raise ValueError("non-finite frequency in omegas")
+    regular = (np.diff(np.sort(omegas, axis=1), axis=1) >= NEAR_DUPLICATE_GAP).all(axis=1)
+    norms[~regular] = math.inf
+    rows = omegas[regular]
+    d = design_matrix(rows, y.size)
+    dt = d.swapaxes(1, 2)
+    gram = dt @ d
+    z = dt @ y
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        norms[regular] = [_norm_or_inf(y, row) for row in rows.tolist()]
+    else:
+        norms[regular] = [_whitened_norm2(c, zr) for c, zr in zip(chol, z)]
+    return norms
 
 
 def quad_form(y, omega, delta2: float, *, s: float | None = None) -> float:
@@ -143,6 +193,24 @@ def _remember(memo: dict, key: tuple, value: float) -> None:
     memo[key] = value
 
 
+def check_posterior_settings(y, lam: float, delta2: float, k_max: int) -> np.ndarray:
+    """y as a float vector; ConfigurationError on settings no posterior can evaluate.
+
+    y must be a nonempty, finite, not all-zero vector, lam finite and
+    positive, delta2 finite and nonnegative, and k_max nonnegative.
+    SinusoidPosterior and the quadrature oracle both check with it.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ConfigurationError("y must be a nonempty vector")
+    if not (np.all(np.isfinite(y)) and np.any(y)):
+        raise ConfigurationError("y must be finite and not all zero")
+    if not (0.0 < lam < math.inf and 0.0 <= delta2 < math.inf and k_max >= 0):
+        raise ConfigurationError("lam must be finite and positive; delta2 finite and "
+                                 "nonnegative; k_max nonnegative")
+    return y
+
+
 class SinusoidPosterior:
     """Target density over (k, omega) for one data vector, with settable hyperparameters.
 
@@ -157,14 +225,7 @@ class SinusoidPosterior:
     """
 
     def __init__(self, y, lam: float, delta2: float, k_max: int = 32):
-        self.y = np.asarray(y, dtype=float)
-        if self.y.ndim != 1 or self.y.size == 0:
-            raise ConfigurationError("y must be a nonempty vector")
-        if not (np.all(np.isfinite(self.y)) and np.any(self.y)):
-            raise ConfigurationError("y must be finite and not all zero")
-        if not (0.0 < lam < math.inf and 0.0 <= delta2 < math.inf and k_max >= 0):
-            raise ConfigurationError("lam must be finite and positive; delta2 finite and "
-                                     "nonnegative; k_max nonnegative")
+        self.y = check_posterior_settings(y, lam, delta2, k_max)
         self.n_obs = self.y.size
         self.yty = float(self.y @ self.y)
         self.lam = float(lam)
@@ -184,10 +245,7 @@ class SinusoidPosterior:
         """s(omega) = _projection_norm2(y, omega), 0 at k = 0, inf on a singular design."""
         s = self._norms.get(omega)
         if s is None:
-            try:
-                s = _projection_norm2(self.y, omega)
-            except SingularDesignError:
-                s = math.inf
+            s = _norm_or_inf(self.y, omega)
             _remember(self._norms, omega, s)
         return s
 

@@ -1,5 +1,6 @@
 """Exact transition-matrix oracles, quadrature and distance utilities."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,14 +206,40 @@ class TestQuadraturePosterior:
             p2 = quadrature_posterior_k(y, 100.0, 1.0, 2, grid_size=400)
             assert np.abs(p1 - p2).max() < 1e-3
 
-    def test_preconditions(self):
+    def test_preconditions(self, monkeypatch):
+        """Bad orders, grids, hyperparameters and signals raise ConfigurationError
+        before any density is evaluated; y is checked as SinusoidPosterior checks it."""
+        def evaluated(*args, **kwargs):
+            raise AssertionError("density evaluated")
+        monkeypatch.setattr("transjump.oracle.sinusoid_log_target", evaluated)
         y = np.ones(8)
-        with pytest.raises(ConfigurationError):
-            quadrature_posterior_k(y, 10.0, 1.0, 3, grid_size=200)
-        with pytest.raises(ConfigurationError):
-            quadrature_posterior_k(y, 10.0, 1.0, 2, grid_size=50)
-        with pytest.raises(ConfigurationError):
-            quadrature_posterior_k(y, 100.0, 1.0, -1, 200)
+        cases = [(y, 10.0, 1.0, 3, 200), (y, 10.0, 1.0, 2, 50), (y, 100.0, 1.0, -1, 200),
+                 (y, 10.0, math.nan, 2, 200), (y, math.nan, 1.0, 2, 200),
+                 (y, -0.5, 1.0, 2, 200), (y, -1.0, 1.0, 2, 200),
+                 (y, 10.0, 0.0, 2, 200), (y, 10.0, -1.0, 2, 200),
+                 (y, 10.0, math.inf, 2, 200), (y, math.inf, 1.0, 2, 200),
+                 (np.zeros(8), 10.0, 1.0, 2, 200), (np.zeros(0), 10.0, 1.0, 2, 200),
+                 (np.ones((2, 8)), 10.0, 1.0, 2, 200)]
+        for bad in (math.nan, math.inf, -math.inf):
+            y_bad = np.ones(8)
+            y_bad[3] = bad
+            cases.append((y_bad, 10.0, 1.0, 2, 200))
+        for args in cases:
+            with pytest.raises(ConfigurationError):
+                quadrature_posterior_k(*args)
+        assert issubclass(ConfigurationError, ValueError)
+
+    def test_memory_stays_per_grid_row(self):
+        """Batches are one grid row: stacking the whole order-2 grid would hold
+        ~39 MB of designs at N = 32; a row's stack holds 0.2 MB."""
+        y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))
+        tracemalloc.start()
+        try:
+            quadrature_posterior_k(y, 100.0, 1.0, 2, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestDistances:

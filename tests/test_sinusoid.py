@@ -18,6 +18,7 @@ from transjump.sinusoid import (
     frequency_update_move,
     log_truncated_poisson_normalizer,
     logsumexp,
+    projection_norms,
     quad_form,
     sample_delta2,
     sample_lambda,
@@ -184,6 +185,75 @@ class TestProjectionNorm:
                 _projection_norm2(y, omega)
             with pytest.raises(ValueError):
                 quad_form(y, omega, 100.0)
+
+
+def _scalar_norm_or_inf(y, omega) -> float:
+    """_projection_norm2, with inf where it raises SingularDesignError."""
+    try:
+        return _projection_norm2(y, omega)
+    except SingularDesignError:
+        return math.inf
+
+
+class TestProjectionNorms:
+    """The stacked projection norms equal the scalar path row by row."""
+
+    SIGNALS = {"three-tone": TestProjectionNorm.REFERENCE,
+               "one-tone": synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))}
+
+    def assert_rows_match(self, y, omegas):
+        got = projection_norms(y, omegas).tolist()
+        assert got == [_scalar_norm_or_inf(y, tuple(row)) for row in omegas]
+
+    @pytest.mark.parametrize("signal", list(SIGNALS))
+    def test_random_rows_match_scalar_bit_for_bit(self, signal):
+        """2000 random rows at each k = 1..4, in batches of 200."""
+        y = self.SIGNALS[signal]
+        rng = rng_stream(75)
+        for k in range(1, 5):
+            for _ in range(10):
+                self.assert_rows_match(y, rng.uniform(0.0, math.pi, size=(200, k)).tolist())
+
+    @pytest.mark.parametrize("signal", list(SIGNALS))
+    def test_near_duplicate_rows_are_inf(self, signal):
+        """Rows with gaps of 5e-9 would factorise, but the scalar path calls them
+        singular; gaps of 2e-8 are regular.  Exact duplicates sit in a batch of
+        their own, since their Gram makes the stacked factorisation fail."""
+        y = self.SIGNALS[signal]
+        pairs = [(1.0, 1.0 + 5e-9), (1.0 + 5e-9, 1.0), (1.0, 1.0 + 2e-8), (0.4, 2.2)]
+        triples = [(0.5, 2.0 + 5e-9, 2.0), (2.5, 2.5 + 5e-9, 0.3),
+                   (0.5, 2.0, 2.0 + 2e-8), (0.1, 1.1, 2.1)]
+        duplicates = [(0.8, 0.8), (0.4, 2.2)]
+        for batch in (pairs, triples, duplicates):
+            self.assert_rows_match(y, batch)
+        assert projection_norms(y, pairs)[:2].tolist() == [math.inf, math.inf]
+        assert math.isfinite(projection_norms(y, pairs)[2])
+        assert projection_norms(y, triples)[:2].tolist() == [math.inf, math.inf]
+        assert projection_norms(y, duplicates)[0] == math.inf
+
+    @pytest.mark.parametrize("signal", list(SIGNALS))
+    def test_failed_stacked_factorisation_falls_back_to_scalar(self, signal):
+        y = self.SIGNALS[signal]
+        batch = [(0.2, 1.4, 2.9), CHOLESKY_FAILS, INACCURATE_PROJECTION[:3]]
+        d = design_matrix(batch, y.size)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(d.swapaxes(1, 2) @ d)
+        self.assert_rows_match(y, batch)
+        assert projection_norms(y, batch)[1] == math.inf
+
+    def test_empty_model_is_zero(self):
+        y = TestProjectionNorm.REFERENCE
+        assert projection_norms(y, np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_or_signal_raises(self, bad):
+        y = TestProjectionNorm.REFERENCE
+        with pytest.raises(ValueError):
+            projection_norms(y, [(0.63, 0.73), (0.3, bad)])
+        y = y.copy()
+        y[7] = bad
+        with pytest.raises(ValueError):
+            projection_norms(y, [(0.63, 0.73), (0.3, 1.3)])
 
 
 class TestLogTarget:
