@@ -16,7 +16,6 @@ from .core import (
 )
 from .birthdeath import (
     BirthDeathSchedule,
-    BoDDetail,
     ComponentProposal,
     SortedRestriction,
     birth_propose_sorted,

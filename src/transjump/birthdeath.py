@@ -75,21 +75,6 @@ def pmf_component_proposal(points, probabilities) -> ComponentProposal:
 
 
 @dataclass(frozen=True)
-class BoDDetail:
-    """Bookkeeping attached to a birth or death proposal.
-
-    ``log_q`` is the proposal log-density of the inserted (or removed)
-    component, evaluated once at proposal time so the ratio is guaranteed to
-    use the density consistent with the sampler.
-    """
-
-    kind: str  # "birth" | "death"
-    index: int  # 0-based slot
-    value: float
-    log_q: float
-
-
-@dataclass(frozen=True)
 class BirthDeathSchedule:
     """Birth/death selection probabilities plus the component proposal q.
 
@@ -150,7 +135,7 @@ def _checked_log_density(target: TargetDensity, x: VarDimState) -> float:
     return lt
 
 
-def _log_ratio(x, x_new, detail, sched, target) -> tuple[float, float]:
+def _log_ratio(x, x_new, log_q, sched, target) -> tuple[float, float]:
     """(log MHG ratio, log f(x')) of a birth or death; see move_log_ratio.
 
     A birth is chosen with probability p_b(x) and undone by a death chosen
@@ -158,43 +143,47 @@ def _log_ratio(x, x_new, detail, sched, target) -> tuple[float, float]:
     negated reverse-birth call: that would add the terms in another order and
     round differently.
     """
-    if detail.kind == "birth":
-        if detail.log_q == NEG_INF:
+    if x_new.k == x.k + 1:
+        if log_q == NEG_INF:
             raise BrokenKernelError(
                 "proposal density is zero at the sampled component; "
                 "sampler and density evaluator disagree")
-        p_go, p_back, sign, fix = sched.p_birth, sched.p_death, 1.0, -math.log(x.k + 1)
+        kind, p_go, p_back, sign, fix = (
+            "birth", sched.p_birth, sched.p_death, 1.0, -math.log(x.k + 1))
+    elif x_new.k == x.k - 1:
+        kind, p_go, p_back, sign, fix = (
+            "death", sched.p_death, sched.p_birth, -1.0, math.log(x.k))
     else:
-        if x.k == 0:
-            raise BrokenKernelError("death proposed at k=0; schedule must prevent this")
-        p_go, p_back, sign, fix = sched.p_death, sched.p_birth, -1.0, math.log(x.k)
+        raise BrokenKernelError(
+            f"orders k={x.k} -> k'={x_new.k} are neither a birth nor a death")
     go = p_go(x)
     if go <= 0.0:
-        raise BrokenKernelError(
-            f"{detail.kind} proposed at k={x.k} where p_{detail.kind} = 0")
+        raise BrokenKernelError(f"{kind} proposed at k={x.k} where p_{kind} = 0")
     lt_new = _checked_log_density(target, x_new)
     if lt_new == NEG_INF:
         return NEG_INF, lt_new
     back = p_back(x_new)
-    if back <= 0.0 or detail.log_q == NEG_INF:
+    if back <= 0.0 or log_q == NEG_INF:
         return NEG_INF, lt_new
     lt_cur = _checked_log_density(target, x)
     n_fix = (sched.representation == "sorted") + (sched.ratio_mode == "legacy")
     ratio = (lt_new - lt_cur + math.log(back) - math.log(go)
-             - sign * detail.log_q + n_fix * fix)
+             - sign * log_q + n_fix * fix)
     return ratio, lt_new
 
 
-def move_log_ratio(x: VarDimState, x_new: VarDimState, detail: BoDDetail,
+def move_log_ratio(x: VarDimState, x_new: VarDimState, log_q: float,
                    sched: BirthDeathSchedule, target: TargetDensity) -> float:
-    """Log MHG ratio for a birth/death move under the schedule's representation and mode.
+    """Log MHG ratio of a birth or death x -> x' under the schedule's representation and mode.
 
-    For a birth from order k this is log f(x') - log f(x) + log p_d(x')
-    - log p_b(x) - log q(s*); a death is the exact negation with the roles
-    swapped, and the uniform location-selection terms 1/(k+1) cancel.  The
-    sorted representation (target f~ = k! f for an exchangeable f, insertion
-    slot probabilities cancelling) and the legacy mode each add -log(k+1) to a
-    birth and +log(k) to a death; a legacy chain targets f_k / k!.
+    Order k' = k + 1 is a birth of s*, k' = k - 1 a death of s*, and any other
+    pair a broken kernel; ``log_q`` is log q(s*).  For a birth this is
+    log f(x') - log f(x) + log p_d(x') - log p_b(x) - log q(s*); a death is
+    the exact negation with the roles swapped, and the uniform
+    location-selection terms 1/(k+1) cancel.  The sorted representation
+    (target f~ = k! f for an exchangeable f, insertion slot probabilities
+    cancelling) and the legacy mode each add -log(k+1) to a birth and +log(k)
+    to a death; a legacy chain targets f_k / k!.
 
     This is the single code path the proposal functions use; exact
     transition-matrix oracles call it so they exercise the implemented ratio,
@@ -202,7 +191,7 @@ def move_log_ratio(x: VarDimState, x_new: VarDimState, detail: BoDDetail,
     """
     if sched.representation == "sorted" and not (x.is_sorted() and x_new.is_sorted()):
         raise BrokenKernelError("sorted ratio evaluated on an unsorted state")
-    return _log_ratio(x, x_new, detail, sched, target)[0]
+    return _log_ratio(x, x_new, log_q, sched, target)[0]
 
 
 def _draw_component(proposal: ComponentProposal, rng: Rng) -> tuple[float, float]:
@@ -223,9 +212,8 @@ def birth_propose_unsorted(x: VarDimState, sched: BirthDeathSchedule,
     s_star, log_q = _draw_component(sched.proposal, rng)
     index = int(rng.integers(0, x.k + 1))
     proposed = x.insert(index, s_star)
-    detail = BoDDetail("birth", index, s_star, log_q)
-    log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
-    return ProposalOutcome(proposed, log_ratio, detail, lt_new)
+    log_ratio, lt_new = _log_ratio(x, proposed, log_q, sched, target)
+    return ProposalOutcome(proposed, log_ratio, lt_new)
 
 
 def birth_propose_sorted(x: VarDimState, sched: BirthDeathSchedule,
@@ -241,11 +229,10 @@ def birth_propose_sorted(x: VarDimState, sched: BirthDeathSchedule,
     s_star, log_q = _draw_component(sched.proposal, rng)
     index = bisect.bisect_left(x.components, s_star)
     proposed = x.insert(index, s_star)
-    detail = BoDDetail("birth", index, s_star, log_q)
     if s_star in x.components:
-        return ProposalOutcome(proposed, NEG_INF, detail)
-    log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
-    return ProposalOutcome(proposed, log_ratio, detail, lt_new)
+        return ProposalOutcome(proposed, NEG_INF)
+    log_ratio, lt_new = _log_ratio(x, proposed, log_q, sched, target)
+    return ProposalOutcome(proposed, log_ratio, lt_new)
 
 
 def death_propose(x: VarDimState, sched: BirthDeathSchedule,
@@ -254,11 +241,10 @@ def death_propose(x: VarDimState, sched: BirthDeathSchedule,
     if x.k == 0:
         raise BrokenKernelError("death proposed at k=0; schedule must prevent this")
     index = int(rng.integers(0, x.k))
-    value = x.components[index]
     proposed = x.remove(index)
-    detail = BoDDetail("death", index, value, sched.proposal.log_density(value))
-    log_ratio, lt_new = _log_ratio(x, proposed, detail, sched, target)
-    return ProposalOutcome(proposed, log_ratio, detail, lt_new)
+    log_q = sched.proposal.log_density(x.components[index])
+    log_ratio, lt_new = _log_ratio(x, proposed, log_q, sched, target)
+    return ProposalOutcome(proposed, log_ratio, lt_new)
 
 
 @dataclass(frozen=True)

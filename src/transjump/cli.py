@@ -163,6 +163,9 @@ def parse_config(path: str | os.PathLike | None = None,
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    if cfg.seed < 0:
+        raise ConfigurationError(
+            f"seed={cfg.seed} (sampler.seed or {SEED_ENV_VAR}) must be nonnegative")
     check_iteration_counts(cfg.n_iter, cfg.burn_in)
     check_sweep_settings(k_max=cfg.k_max, c=cfg.c, ratio_mode=cfg.ratio_mode,
                          representation=cfg.representation, lam=cfg.lam,

@@ -88,15 +88,13 @@ class TargetDensity(Protocol):
 class ProposalOutcome:
     """A proposed state together with its fully assembled log acceptance ratio.
 
-    ``detail`` carries move-specific bookkeeping (e.g. insertion slot and the
-    proposal log-density evaluated at proposal time).  ``proposed_log_density``
-    caches the target evaluation made while assembling the ratio so the chain
-    driver does not have to recompute it on acceptance.
+    ``proposed_log_density`` caches the target evaluation made while
+    assembling the ratio so the chain driver does not have to recompute it on
+    acceptance.
     """
 
     proposed: VarDimState
     log_ratio: float
-    detail: object | None = None
     proposed_log_density: float | None = None
 
 

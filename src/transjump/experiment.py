@@ -44,11 +44,12 @@ from .sinusoid import (
 def check_sweep_settings(*, k_max: int, c: float, ratio_mode: str, representation: str,
                          lam: float | None, lambda_prior: tuple[float, float] | None,
                          delta2: float | None,
-                         delta2_prior: tuple[float, float] | None) -> None:
-    """Raise ConfigurationError on settings that run_joint_chain cannot run.
+                         delta2_prior: tuple[float, float] | None) -> tuple[float, float]:
+    """The starting (lambda, delta2) of run_joint_chain, or ConfigurationError.
 
-    parse_config checks a config with it too, so the library and the CLI
-    reject the same settings, before any random draw.
+    A sampled lambda starts at a/(b+1), a sampled delta2 at scale/(shape-1)
+    or, for shape <= 1, at scale.  parse_config checks a config with it too,
+    so the library and the CLI reject the same settings, before any draw.
     """
     if ratio_mode not in RATIO_MODES:
         raise ConfigurationError(f"unknown ratio mode {ratio_mode!r}")
@@ -69,6 +70,17 @@ def check_sweep_settings(*, k_max: int, c: float, ratio_mode: str, representatio
     for name, prior in (("lambda_prior", lambda_prior), ("delta2_prior", delta2_prior)):
         if prior is not None and not all(0.0 < v < math.inf for v in prior):
             raise ConfigurationError(f"{name} entries must be finite and positive")
+    if lam is None:
+        lam = lambda_prior[0] / (lambda_prior[1] + 1.0)
+    if delta2 is None:
+        shape, scale = delta2_prior
+        delta2 = scale / (shape - 1.0) if shape > 1.0 else scale
+    for name, prior, start in (("lambda_prior", lambda_prior, lam),
+                               ("delta2_prior", delta2_prior, delta2)):
+        if prior is not None and not 0.0 < start < math.inf:
+            raise ConfigurationError(
+                f"{name}={prior} gives the start value {start!r}, not finite and positive")
+    return lam, delta2
 
 
 def run_joint_chain(
@@ -94,9 +106,9 @@ def run_joint_chain(
     target is the (k, omega) prior alone, the frequency-update and g-prior
     moves are skipped, and ``y`` may be omitted.
     """
-    check_sweep_settings(k_max=k_max, c=c, ratio_mode=ratio_mode,
-                         representation=representation, lam=lam, lambda_prior=lambda_prior,
-                         delta2=delta2, delta2_prior=delta2_prior)
+    lam_val, delta2_val = check_sweep_settings(
+        k_max=k_max, c=c, ratio_mode=ratio_mode, representation=representation, lam=lam,
+        lambda_prior=lambda_prior, delta2=delta2, delta2_prior=delta2_prior)
     check_iteration_counts(n_iter, burn_in)
     if not flat_likelihood:
         if y is None:
@@ -105,13 +117,6 @@ def run_joint_chain(
         walk_sd = 0.25 / y.size
     else:
         walk_sd = 0.0
-
-    lam_val = lam if lam is not None else lambda_prior[0] / (lambda_prior[1] + 1.0)
-    if delta2 is not None:
-        delta2_val = delta2
-    else:
-        shape, scale = delta2_prior
-        delta2_val = scale / (shape - 1.0) if shape > 1.0 else scale
 
     proposal = uniform_component_proposal()
     sorted_rep = representation == "sorted"

@@ -16,7 +16,6 @@ import numpy as np
 
 from .birthdeath import (
     BirthDeathSchedule,
-    BoDDetail,
     move_log_ratio,
     pmf_component_proposal,
 )
@@ -144,17 +143,15 @@ def build_transition_matrix(spec: DiscreteToySpec,
                     if spec.representation == "sorted" and s_star in x.components:
                         alpha = 0.0
                     else:
-                        detail = BoDDetail("birth", i, s_star, log_q)
                         alpha = math.exp(min(0.0, move_log_ratio(
-                            x, proposed, detail, sched, spec)))
+                            x, proposed, log_q, sched, spec)))
                     _accumulate(matrix, index, xi, proposed, slot_prob, alpha)
         if p_d > 0.0:
             for i in range(x.k):
-                value = x.components[i]
                 proposed = x.remove(i)
-                detail = BoDDetail("death", i, value, sched.proposal.log_density(value))
+                log_q = sched.proposal.log_density(x.components[i])
                 alpha = math.exp(min(0.0, move_log_ratio(
-                    x, proposed, detail, sched, spec)))
+                    x, proposed, log_q, sched, spec)))
                 _accumulate(matrix, index, xi, proposed, p_d / x.k, alpha)
 
     row_err = np.abs(matrix.sum(axis=1) - 1.0).max()

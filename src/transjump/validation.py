@@ -17,7 +17,8 @@ from .birthdeath import (
     birth_propose_unsorted,
     bod_move_set,
 )
-from .core import Move, ProposalOutcome, VarDimState, rng_stream, run_chain
+from .core import VarDimState, rng_stream, run_chain
+from .experiment import run_joint_chain
 from .oracle import (
     build_transition_matrix,
     detailed_balance_residual,
@@ -31,7 +32,6 @@ from .sinusoid import (
     PriorOnlyTarget,
     SinusoidPosterior,
     accelerated_poisson_pmf,
-    frequency_update_move,
     quad_form,
     synthesize,
     truncated_poisson_pmf,
@@ -147,21 +147,13 @@ def prior_only() -> list[CheckResult]:
 def quadrature() -> list[CheckResult]:
     """Chain k-marginal against direct quadrature on a single-tone problem.
 
-    The chain mixes birth, death and a frequency update, which takes the
-    birth-or-death mixture's remaining mass and holds at k = 0.
+    The chain is run_joint_chain, the driver the CLI runs, with lambda and
+    delta2 fixed: each sweep is one birth-or-death step and, at k >= 1, one
+    frequency update.
     """
     y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(DEFAULT_SEED, 4, 0))
-    model = SinusoidPosterior(y, lam=1.0, delta2=100.0, k_max=2)
-    birth, death, rest = bod_move_set(model, BirthDeathSchedule.green(1.0, 2))
-
-    def update(x, rng):
-        if x.k == 0:
-            return ProposalOutcome(x, 0.0)
-        return frequency_update_move(x, model, rng, 0.25 / 32)
-
-    moves = (birth, death, Move("update", rest.weight, update))
-    out = run_chain(model, moves, VarDimState(), n_iter=500_000, burn_in=50_000,
-                    rng=rng_stream(DEFAULT_SEED, 4, 1))
+    out = run_joint_chain(y, n_iter=500_000, burn_in=50_000, k_max=2, lam=1.0,
+                          delta2=100.0, rng=rng_stream(DEFAULT_SEED, 4, 1))
     freqs = out.k_frequencies(2)
     pmf = quadrature_posterior_k(y, 100.0, 1.0, 2, 200)
     return [

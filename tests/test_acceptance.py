@@ -59,7 +59,7 @@ class TestAcceptance:
         assert elapsed < 60.0
 
     def test_criterion_4_quadrature_cross_check(self):
-        """500k-iteration chain against direct quadrature on a single-tone signal."""
+        """500k-sweep run_joint_chain against direct quadrature on a single-tone signal."""
         t0 = time.time()
         checks = quadrature()
         elapsed = time.time() - t0

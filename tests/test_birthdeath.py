@@ -6,7 +6,6 @@ import pytest
 
 from transjump.birthdeath import (
     BirthDeathSchedule,
-    BoDDetail,
     SortedRestriction,
     birth_propose_sorted,
     birth_propose_unsorted,
@@ -41,6 +40,18 @@ def random_state(rng, k):
 def order(k):
     """A state of model order k."""
     return VarDimState((0.5,) * k)
+
+
+def slot(x, x_new):
+    """The slot a birth filled or a death emptied: the first index where x and x' differ."""
+    short = min(x.k, x_new.k)
+    return next((i for i in range(short) if x.components[i] != x_new.components[i]), short)
+
+
+def log_q(sched, x, x_new):
+    """log q(s*) of the component born or removed between x and x'."""
+    longer = x_new if x_new.k > x.k else x
+    return sched.proposal.log_density(longer.components[slot(x, x_new)])
 
 
 class TestScheduleProbabilities:
@@ -86,19 +97,22 @@ class TestBirthProposeUnsorted:
         sched = BirthDeathSchedule.green(2.0, 8)
         out = birth_propose_unsorted(VarDimState(), sched, target, rng)
         assert out.proposed.k == 1
-        assert out.detail.index == 0
-        assert out.proposed.components == (out.detail.value,)
+        assert slot(VarDimState(), out.proposed) == 0
+        # s* is the stream's first draw from q, uniform on (0, pi)
+        assert out.proposed.components == (rng_stream(30).uniform(0.0, math.pi),)
 
     def test_insertion_preserves_order_of_others(self):
         rng = rng_stream(31)
         target = PriorOnlyTarget(2.0, 8)
         sched = BirthDeathSchedule.green(2.0, 8)
         x = VarDimState((1.0, 2.0))
+        twin = rng_stream(31)  # replays the draws: s* ~ q, then the slot
         for _ in range(50):
             out = birth_propose_unsorted(x, sched, target, rng)
-            d = out.detail
+            s_star, index = twin.uniform(0.0, math.pi), int(twin.integers(0, x.k + 1))
+            assert slot(x, out.proposed) == index
             rest = list(out.proposed.components)
-            assert rest.pop(d.index) == d.value
+            assert rest.pop(index) == s_star
             assert tuple(rest) == x.components
 
     def test_insertion_slot_uniform(self):
@@ -110,7 +124,7 @@ class TestBirthProposeUnsorted:
         n = 100_000
         counts = np.zeros(3)
         for _ in range(n):
-            counts[birth_propose_unsorted(x, sched, target, rng).detail.index] += 1
+            counts[slot(x, birth_propose_unsorted(x, sched, target, rng).proposed)] += 1
         band = 3.0 * math.sqrt((1 / 3) * (2 / 3) / n)
         assert np.all(np.abs(counts / n - 1 / 3) < band)
 
@@ -128,9 +142,10 @@ class TestDeathPropose:
         rng = rng_stream(34)
         target = PriorOnlyTarget(2.0, 8)
         sched = BirthDeathSchedule.green(2.0, 8)
-        out = death_propose(VarDimState((0.7,)), sched, target, rng)
+        x = VarDimState((0.7,))
+        out = death_propose(x, sched, target, rng)
         assert out.proposed == VarDimState()
-        assert out.detail.value == 0.7
+        assert x.components[slot(x, out.proposed)] == 0.7
 
     def test_removal_keeps_others_in_order(self):
         rng = rng_stream(35)
@@ -138,11 +153,14 @@ class TestDeathPropose:
         sched = BirthDeathSchedule.green(2.0, 8)
         x = VarDimState((1.0, 2.0, 3.0))
         seen = set()
+        twin = rng_stream(35)  # replays the draw of the removal index
         for _ in range(200):
             out = death_propose(x, sched, target, rng)
-            seen.add(out.detail.index)
+            index = int(twin.integers(0, x.k))
+            assert slot(x, out.proposed) == index
+            seen.add(index)
             expect = list(x.components)
-            expect.pop(out.detail.index)
+            expect.pop(index)
             assert out.proposed.components == tuple(expect)
         assert seen == {0, 1, 2}
 
@@ -154,7 +172,7 @@ class TestDeathPropose:
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
-            counts[death_propose(x, sched, target, rng).detail.index] += 1
+            counts[slot(x, death_propose(x, sched, target, rng).proposed)] += 1
         band = 3.0 * math.sqrt(0.25 * 0.75 / n)
         assert np.all(np.abs(counts / n - 0.25) < band)
 
@@ -173,12 +191,11 @@ class TestBodLogRatio:
             def log_density(self, x):
                 return 0.0
 
-        # p_b(1) = p_d(2) = 0.3; the detail carries log q(s*) = 0
+        # p_b(1) = p_d(2) = 0.3 and log q(s*) = 0
         sched = BirthDeathSchedule.green(2.0, 8, 0.3)
         x = VarDimState((0.5,))
         x_new = x.insert(1, 0.25)
-        detail = BoDDetail("birth", 1, 0.25, 0.0)
-        assert move_log_ratio(x, x_new, detail, sched, Flat()) == pytest.approx(0.0, abs=1e-15)
+        assert move_log_ratio(x, x_new, 0.0, sched, Flat()) == pytest.approx(0.0, abs=1e-15)
 
     def test_antisymmetry_with_reverse_death(self):
         """Reverse-move log ratio is the exact negation, across random setups."""
@@ -190,8 +207,8 @@ class TestBodLogRatio:
             out = birth_propose_unsorted(x, sched, model, rng)
             if out.log_ratio == NEG_INF:
                 continue
-            back = BoDDetail("death", out.detail.index, out.detail.value, out.detail.log_q)
-            reverse = move_log_ratio(out.proposed, x, back, sched, model)
+            reverse = move_log_ratio(out.proposed, x, log_q(sched, x, out.proposed),
+                                     sched, model)
             assert reverse == pytest.approx(-out.log_ratio, abs=1e-12)
 
     def test_location_terms_cancel_against_naive_form(self):
@@ -208,15 +225,26 @@ class TestBodLogRatio:
             naive = (model.log_density(out.proposed) - model.log_density(x)
                      + (math.log(sched.p_death(out.proposed)) - math.log(k + 1))
                      - (math.log(sched.p_birth(x)) - math.log(k + 1))
-                     - out.detail.log_q)
+                     - log_q(sched, x, out.proposed))
             assert out.log_ratio == pytest.approx(naive, abs=1e-12)
 
     def test_zero_proposal_density_is_hard_error(self):
         sched = BirthDeathSchedule.green(2.0, 8)
         x = VarDimState((0.5,))
-        detail = BoDDetail("birth", 0, 0.2, NEG_INF)
         with pytest.raises(BrokenKernelError):
-            move_log_ratio(x, x.insert(0, 0.2), detail, sched, PriorOnlyTarget(2.0, 8))
+            move_log_ratio(x, x.insert(0, 0.2), NEG_INF, sched, PriorOnlyTarget(2.0, 8))
+
+    def test_orders_neither_birth_nor_death_are_hard_errors(self):
+        """Only k' = k + 1 (birth) and k' = k - 1 (death) have a ratio."""
+        sched = BirthDeathSchedule.green(2.0, 8)
+        target = PriorOnlyTarget(2.0, 8)
+        x = VarDimState((0.5, 1.0))
+        with pytest.raises(BrokenKernelError):
+            move_log_ratio(x, x, 0.0, sched, target)
+        with pytest.raises(BrokenKernelError):
+            move_log_ratio(x, x.insert(0, 0.2).insert(0, 0.1), 0.0, sched, target)
+        with pytest.raises(BrokenKernelError):
+            move_log_ratio(x, VarDimState(), 0.0, sched, target)
 
 
 class TestLegacyLogRatio:
@@ -229,7 +257,8 @@ class TestLegacyLogRatio:
         legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
         x = VarDimState()
         out = birth_propose_unsorted(x, sched, model, rng)
-        legacy = move_log_ratio(x, out.proposed, out.detail, legacy_sched, model)
+        legacy = move_log_ratio(x, out.proposed, log_q(sched, x, out.proposed),
+                                legacy_sched, model)
         assert legacy == pytest.approx(out.log_ratio, abs=1e-12)
 
     def test_birth_offset_is_log_k_plus_one(self):
@@ -240,7 +269,8 @@ class TestLegacyLogRatio:
             legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
             x = random_state(rng, k)
             out = birth_propose_unsorted(x, sched, model, rng)
-            legacy = move_log_ratio(x, out.proposed, out.detail, legacy_sched, model)
+            legacy = move_log_ratio(x, out.proposed, log_q(sched, x, out.proposed),
+                                    legacy_sched, model)
             assert legacy - out.log_ratio == pytest.approx(-math.log(k + 1), abs=1e-12)
 
     def test_death_offset_is_plus_log_k(self):
@@ -251,7 +281,8 @@ class TestLegacyLogRatio:
             legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
             x = random_state(rng, k)
             out = death_propose(x, sched, model, rng)
-            legacy = move_log_ratio(x, out.proposed, out.detail, legacy_sched, model)
+            legacy = move_log_ratio(x, out.proposed, log_q(sched, x, out.proposed),
+                                    legacy_sched, model)
             assert legacy - out.log_ratio == pytest.approx(math.log(k), abs=1e-12)
 
 
@@ -261,17 +292,20 @@ class TestSortedKernel:
         target = SortedRestriction(PriorOnlyTarget(2.0, 8))
         sched = BirthDeathSchedule.green(2.0, 8, representation="sorted")
         x = VarDimState((0.3, 0.9))
+        twin = rng_stream(43)  # replays the draw of s* ~ q
         for _ in range(100):
             out = birth_propose_sorted(x, sched, target, rng)
+            s_star = twin.uniform(0.0, math.pi)
             assert out.proposed.is_sorted()
-            assert out.proposed.components[out.detail.index] == out.detail.value
+            assert out.proposed.components[slot(x, out.proposed)] == s_star
 
     def test_empty_state_slot_zero(self):
         rng = rng_stream(44)
         target = SortedRestriction(PriorOnlyTarget(2.0, 8))
         sched = BirthDeathSchedule.green(2.0, 8, representation="sorted")
         out = birth_propose_sorted(VarDimState(), sched, target, rng)
-        assert out.detail.index == 0
+        assert out.proposed.k == 1
+        assert slot(VarDimState(), out.proposed) == 0
 
     def test_tie_rejects_surely(self):
         prop = pmf_component_proposal([0.5, 1.5], [0.5, 0.5])
@@ -287,10 +321,9 @@ class TestSortedKernel:
         target = SortedRestriction(PriorOnlyTarget(2.0, 8))
         with pytest.raises(BrokenKernelError):
             birth_propose_sorted(VarDimState((1.0, 0.5)), sched, target, rng_stream(46))
-        detail = BoDDetail("birth", 0, 0.1, 0.0)
         with pytest.raises(BrokenKernelError):
             move_log_ratio(VarDimState((1.0, 0.5)), VarDimState((0.1, 1.0, 0.5)),
-                           detail, sched, target)
+                           0.0, sched, target)
 
     def test_insertion_slot_probability_matches_gap(self):
         """Middle-slot hits over 1e5 draws match (0.9-0.3)/pi within 3 sigma."""
@@ -300,7 +333,7 @@ class TestSortedKernel:
         x = VarDimState((0.3, 0.9))
         p_gap = (0.9 - 0.3) / math.pi
         n = 100_000
-        hits = sum(birth_propose_sorted(x, sched, target, rng).detail.index == 1
+        hits = sum(slot(x, birth_propose_sorted(x, sched, target, rng).proposed) == 1
                    for _ in range(n))
         band = 3.0 * math.sqrt(p_gap * (1 - p_gap) / n)
         assert abs(hits / n - p_gap) < band
@@ -318,9 +351,7 @@ class TestSortedKernel:
             if out.log_ratio == NEG_INF:
                 continue
             unsorted_ratio = move_log_ratio(
-                x, out.proposed,
-                BoDDetail("birth", out.detail.index, out.detail.value, out.detail.log_q),
-                usched, model)
+                x, out.proposed, log_q(ssched, x, out.proposed), usched, model)
             assert out.log_ratio == pytest.approx(unsorted_ratio, abs=1e-12)
 
     def test_flat_sorted_target_birth_ratio_closed_form(self):
@@ -344,8 +375,7 @@ class TestSortedKernel:
                                          representation="sorted")
         x = random_state(rng, 3)
         out = death_propose(x, sched, target, rng)
-        back = BoDDetail("birth", out.detail.index, out.detail.value, out.detail.log_q)
-        reverse = move_log_ratio(out.proposed, x, back, sched, target)
+        reverse = move_log_ratio(out.proposed, x, log_q(sched, x, out.proposed), sched, target)
         assert reverse == pytest.approx(-out.log_ratio, abs=1e-12)
 
 

@@ -107,6 +107,10 @@ class TestParseConfig:
         "model.lambda_prior = nan,1",
         "model.delta2_prior = 2,-100",
         "model.delta2_prior = inf,100",
+        "model.lambda_prior = 1e-300,1e300",
+        "model.delta2_prior = 1e10,1e-320",
+        "model.delta2_prior = 1.0000000000000002,1e300",
+        "sampler.seed = -1",
     ])
     def test_unusable_model_or_truth_rejected(self, text):
         with pytest.raises(ConfigurationError):
@@ -132,6 +136,9 @@ class TestParseConfig:
         monkeypatch.setenv("TRANSJUMP_SEED", "many")
         with pytest.raises(ConfigurationError):
             parse_config(text="")
+        monkeypatch.setenv("TRANSJUMP_SEED", "-1")
+        with pytest.raises(ConfigurationError):
+            parse_config(text="sampler.seed = 5")
 
 
 class TestSignalIO:
@@ -359,6 +366,19 @@ class TestMain:
         config.write_text("sampler.mystery = 1")
         assert main(["run", "--config", str(config)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_seed, env_seed", [("-1", None), ("5", "-1")])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                           config_seed, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("TRANSJUMP_SEED", env_seed)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"io.out = {tmp_path / 'out'}\nsampler.seed = {config_seed}\n"
+                          "sampler.n_iter = 30\nsampler.burn_in = 5\n"
+                          "model.flat_likelihood = true\n")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_signal_is_config_error(self, tmp_path, capsys):
         signal = tmp_path / "signal.txt"

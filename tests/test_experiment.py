@@ -50,6 +50,11 @@ class TestValidation:
         {"k_max": -1, "flat_likelihood": True, "y": None},
         {"lambda_prior": None, "lam": 0.0, "flat_likelihood": True, "y": None, "n_iter": 0},
         {"lambda_prior": None, "lam": np.nan, "flat_likelihood": True, "y": None, "n_iter": 0},
+        # starting values from the priors: lambda underflows to 0, delta2 to 0 or overflows
+        {"lambda_prior": (1e-300, 1e300), "flat_likelihood": True, "y": None},
+        {"lambda_prior": (1e-300, 1e300)},
+        {"delta2_prior": (1e10, 1e-320)},
+        {"delta2_prior": (1.0000000000000002, 1e300)},
     ])
     def test_settings_the_cli_rejects_are_config_errors(self, change):
         """The library rejects these settings itself, before any sweep or draw."""
@@ -61,6 +66,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_joint_chain(kwargs.pop("y"), **kwargs)
         assert rng.random() == rng_stream(0).random()
+
+    @pytest.mark.parametrize("name, prior", [("lambda_prior", (1e-300, 1e300)),
+                                             ("delta2_prior", (1.0000000000000002, 1e300))])
+    def test_unusable_start_value_names_its_prior(self, name, prior):
+        settings = {"lambda_prior": (1.0, 1e-3), "delta2_prior": (2.0, 100.0), name: prior}
+        with pytest.raises(ConfigurationError, match=name):
+            run_joint_chain([0.5, 1.0, -0.5], n_iter=10, burn_in=0, rng=rng_stream(0),
+                            **settings)
 
 
 class TestFlatRuns:

@@ -4,7 +4,8 @@ The import scan covers the package modules (except ``__init__``, whose imports
 are its public surface) and the test modules.  An unused import reads as a live
 dependency; no linter ships with the project, so this test is the check.  The
 definition scan keeps public code that only its own unit test calls out of the
-package, and a fresh interpreter shows what importing the CLI pulls in.
+package, and with it the fields of public classes that no package or benchmark
+code reads; a fresh interpreter shows what importing the CLI pulls in.
 """
 import ast
 import os
@@ -64,27 +65,43 @@ def public_definitions(source: str) -> list[str]:
     return names
 
 
-def referenced_names(source: str) -> tuple[set[str], set[str]]:
-    """(names read bare or as an attribute, attribute names a method may go by).
+def public_fields(source: str) -> list[str]:
+    """The annotated fields of public module-level classes, as ``Class.field``."""
+    return [f"{node.name}.{item.target.id}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and not item.target.id.startswith("_")]
+
+
+def referenced_names(source: str) -> tuple[set[str], set[str], set[str]]:
+    """(names read bare or as attributes, names a method may go by, attributes read).
 
     An import alone is not a reference.  A method counts as referenced only
     through an attribute read, in a file that stores no attribute of that
     name: there ``self.mean_k[i]`` reads the file's own data, not a method.
+    A field counts as referenced through any attribute read; a store is not one.
     """
     tree = ast.parse(source)
     attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     read = {node.attr for node in attributes if isinstance(node.ctx, ast.Load)}
     stored = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return names | {node.attr for node in attributes}, read - stored
+    return names | {node.attr for node in attributes}, read - stored, read
 
 
-def unreferenced(definitions: list[str], references: list[tuple[set[str], set[str]]]) -> list[str]:
+def unreferenced(definitions: list[str], references: list[tuple[set[str], ...]]) -> list[str]:
     """The definitions that no file's references name; ``Class.method`` needs a method read."""
     names = set().union(*(r[0] for r in references))
     methods = set().union(*(r[1] for r in references))
     return [name for name in definitions
             if (name.partition(".")[2] not in methods if "." in name else name not in names)]
+
+
+def unread_fields(fields: list[str], references: list[tuple[set[str], ...]]) -> list[str]:
+    """The ``Class.field`` names whose field no file reads as an attribute."""
+    read = set().union(*(r[2] for r in references))
+    return [name for name in fields if name.partition(".")[2] not in read]
 
 
 def test_definition_scan_flags_only_unreferenced_names():
@@ -102,12 +119,18 @@ def test_definition_scan_flags_only_unreferenced_names():
                         [referenced_names(caller), referenced_names(namesake)]) == [
         "A.spare", "A.mean_k", "orphan"]
     assert unreferenced(["A.mean_k"], [referenced_names("a.mean_k()\n")]) == []
+    # A field counts only through an attribute read: a store or a bare name is not one.
+    record = "class R:\n    size: int\n    spare: int = 0\n    _own: int = 0\n"
+    user = "r = R(1); r.size + 1; r.spare = 2; spare = 3\n"
+    assert public_fields(record) == ["R.size", "R.spare"]
+    assert unread_fields(public_fields(record), [referenced_names(user)]) == ["R.spare"]
 
 
 def test_every_public_definition_is_referenced():
     references = [referenced_names(p.read_text()) for p in CALLERS]
     assert [f"{p.stem}.{name}" for p in PACKAGE
-            for name in unreferenced(public_definitions(p.read_text()), references)] == []
+            for name in unreferenced(public_definitions(p.read_text()), references)
+            + unread_fields(public_fields(p.read_text()), references)] == []
 
 
 def test_cli_import_leaves_scipy_special_out():
