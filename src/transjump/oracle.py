@@ -21,10 +21,11 @@ from .birthdeath import (
 )
 from .core import NEG_INF, BrokenKernelError, ConfigurationError, Rng, VarDimState
 from .sinusoid import (
+    FrequencyGrid,
     check_posterior_settings,
     logsumexp,
-    projection_norms,
     sinusoid_log_target,
+    sinusoid_log_targets,
 )
 
 
@@ -79,8 +80,8 @@ def enumerate_states(spec: DiscreteToySpec) -> list[VarDimState]:
     Orders ascend by k, then lexicographically; the empty state comes first.
     Sorted specs enumerate combinations, unsorted ones ordered arrangements.
     """
-    n_states = sum(
-        math.perm(len(spec.points), k) for k in range(spec.k_max + 1))
+    count = math.comb if spec.representation == "sorted" else math.perm
+    n_states = sum(count(len(spec.points), k) for k in range(spec.k_max + 1))
     if n_states >= 10_000:
         raise ConfigurationError(f"state space too large to enumerate ({n_states})")
     pts = tuple(sorted(spec.points))
@@ -201,17 +202,19 @@ def _frequency_partition(y, lam: float, delta2: float, k_max: int,
                          grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Riemann partition of (0, pi) that resolves narrow likelihood peaks.
 
-    A uniform coarse pass spends half the evaluation budget; the five highest
-    scoring coarse cells (by their own midpoint value or a neighbour's, so a
-    peak hiding at a cell boundary is still caught) are subdivided with the
-    remaining budget.  Returns cell midpoints and log cell widths; the total
-    number of density evaluations stays at ``grid_size`` per axis.
+    A uniform coarse pass over grid_size // 2 cells evaluates each cell's
+    midpoint; the five highest scoring coarse cells (by their own midpoint
+    value or a neighbour's, so a peak hiding at a cell boundary is still
+    caught) are each cut into (grid_size - grid_size // 2) // 5 cells.
+    Returns cell midpoints and log cell widths: grid_size // 2 - 5 coarse
+    cells plus the refined ones, 195 points at grid_size 200.  The coarse
+    pass spends grid_size // 2 density evaluations of its own.
     """
     n_coarse, n_refine = grid_size // 2, 5
     sub = (grid_size - n_coarse) // n_refine
     width = math.pi / n_coarse
     mids = (np.arange(n_coarse) + 0.5) * width
-    vals = _order1_log_targets(y, mids, lam, delta2, k_max)
+    vals = _order1_log_targets(y, FrequencyGrid(mids, y.size), lam, delta2, k_max)
     padded = np.concatenate(([NEG_INF], vals, [NEG_INF]))
     scores = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
     refine = set(np.argsort(scores)[::-1][:n_refine].tolist())
@@ -229,27 +232,30 @@ def _frequency_partition(y, lam: float, delta2: float, k_max: int,
     return np.array(points), np.array(log_widths)
 
 
-def _order1_log_targets(y, points: np.ndarray, lam: float, delta2: float,
+def _order1_log_targets(y, grid: FrequencyGrid, lam: float, delta2: float,
                         k_max: int) -> np.ndarray:
-    """sinusoid_log_target at each one-tone state (w,), w in points."""
-    norms = projection_norms(y, points[:, None]).tolist()
-    return np.array([sinusoid_log_target(y, (w,), lam, delta2, k_max, s=s)
-                     for w, s in zip(points.tolist(), norms)])
+    """sinusoid_log_target at each one-tone state (w,), w in grid.points."""
+    cells = np.arange(len(grid.points))[:, None]
+    norms = grid.projection_norms(y, cells)
+    return sinusoid_log_targets(y, grid.points[cells], norms, lam, delta2, k_max)
 
 
 def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
                            grid_size: int = 200) -> np.ndarray:
     """Posterior law of the model order by Riemann sums over (0, pi)^k grids.
 
-    Only small problems (0 <= k_max <= 2) are supported.  The order-1 sum uses
-    the peak-resolving partition above (``grid_size`` evaluations), the order-2
-    sum its tensor product (``grid_size``^2 evaluations); all sums are max-log
-    shifted so no overflow can occur.  The cells are evaluated one grid row
-    at a time: sinusoid.projection_norms factorises a row's designs through
-    stacked Gram and Cholesky kernels, and each cell's density is
-    sinusoid_log_target given that norm, so every value is the one a cell by
-    cell evaluation gives.  The settings are checked as SinusoidPosterior
-    checks them, before any evaluation.
+    Only small problems (0 <= k_max <= 2) are supported.  The order-1 sum
+    runs over the G points of the peak-resolving partition above, the
+    order-2 sum over its G x G tensor product; all sums are max-log shifted
+    so no overflow can occur.  With the empty model and the partition's
+    coarse pass, one call evaluates 1 + grid_size // 2 + G + G^2 densities:
+    38321 at grid_size 200, where G = 195.  The cells are evaluated one grid
+    row at a time: a sinusoid.FrequencyGrid holds the cos/sin columns of the
+    G points, each row's designs are gathered from it and factorised through
+    stacked Gram and Cholesky kernels, and sinusoid_log_targets turns the
+    row's norms into densities, so every value is the one a cell by cell
+    sinusoid_log_target evaluation gives.  The settings are checked as
+    SinusoidPosterior checks them, before any evaluation.
     """
     if not 0 <= k_max <= 2:
         raise ConfigurationError("quadrature oracle supports 0 <= k_max <= 2 only")
@@ -260,17 +266,18 @@ def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
     log_mass = [sinusoid_log_target(y, (), lam, delta2, k_max)]
     if k_max >= 1:
         points, log_widths = _frequency_partition(y, lam, delta2, k_max, grid_size)
-        vals = _order1_log_targets(y, points, lam, delta2, k_max)
+        grid = FrequencyGrid(points, y.size)
+        vals = _order1_log_targets(y, grid, lam, delta2, k_max)
         log_mass.append(logsumexp(vals + log_widths))
     if k_max >= 2:
-        cells = list(zip(points.tolist(), log_widths.tolist()))
-        vals2 = np.empty((len(cells), len(cells)))
-        omegas = np.column_stack((points, points))
-        for row, (w1, lw1) in zip(vals2, cells):
-            omegas[:, 0] = w1
-            norms = projection_norms(y, omegas).tolist()
-            row[:] = [sinusoid_log_target(y, (w1, w2), lam, delta2, k_max, s=s) + lw1 + lw2
-                      for (w2, lw2), s in zip(cells, norms)]
+        g = len(points)
+        vals2 = np.empty((g, g))
+        cells = np.column_stack((np.zeros(g, dtype=np.intp), np.arange(g)))
+        for i, lw1 in enumerate(log_widths.tolist()):
+            cells[:, 0] = i
+            norms = grid.projection_norms(y, cells)
+            vals2[i] = (sinusoid_log_targets(y, points[cells], norms, lam, delta2, k_max)
+                        + lw1 + log_widths)
         log_mass.append(logsumexp(vals2.ravel()))
 
     log_mass = np.array(log_mass)

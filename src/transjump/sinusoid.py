@@ -101,37 +101,53 @@ def _norm_or_inf(y: np.ndarray, omega) -> float:
         return math.inf
 
 
-def projection_norms(y: np.ndarray, omegas) -> np.ndarray:
-    """_projection_norm2(y, row) for each row of an (m, k) array, inf where it is singular.
+class FrequencyGrid:
+    """A fixed set of frequencies and their design columns at one signal length.
 
-    The rows that pass the scalar path's finite and near-duplicate checks
-    share one design stack, one stacked D^T D and D^T y, and one stacked
-    Cholesky call; only the triangular solve runs per row.  The stacked
-    matmul and cholesky run the per-matrix kernels of the scalar path, so
-    every value is bit for bit the scalar one.  If the stacked factorisation
-    fails on some row, every row goes through _projection_norm2.  The stack
-    holds m * N * 2k doubles, so callers pass a bounded batch.
+    ``table`` is design_matrix(points, n_obs), built once, so every design
+    over grid points is a gather of its columns: the cos and sin of each
+    point are computed once per grid, not once per design that holds it.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    norms = np.zeros(len(omegas))
-    if omegas.shape[1] == 0:
+
+    def __init__(self, points, n_obs: int):
+        self.points = np.asarray(points, dtype=float)
+        self.table = design_matrix(self.points, n_obs)
+
+    def projection_norms(self, y: np.ndarray, cells) -> np.ndarray:
+        """_projection_norm2(y, points[row]) for each row of (m, k) integer cells.
+
+        inf where the design is singular, 0 at k = 0.  The scalar path's
+        finite and near-duplicate checks run on points[cells].  The rows that
+        pass share one C-contiguous (m, N, 2k) design stack gathered from the
+        table, one stacked D^T D and D^T y and one stacked Cholesky call,
+        which run the scalar path's per-matrix kernels on the same columns,
+        so every value is bit for bit the scalar one; only the triangular
+        solve runs per row.  If the stacked factorisation fails, every row
+        goes through _projection_norm2.  The stack holds m * N * 2k doubles,
+        so callers pass a bounded batch.
+        """
+        cells = np.asarray(cells, dtype=np.intp)
+        m, k = cells.shape
+        norms = np.zeros(m)
+        if k == 0:
+            return norms
+        omegas = self.points[cells]
+        if not np.isfinite(omegas).all():
+            raise ValueError("non-finite frequency in omegas")
+        regular = (np.diff(np.sort(omegas, axis=1), axis=1) >= NEAR_DUPLICATE_GAP).all(axis=1)
+        norms[~regular] = math.inf
+        columns = (2 * cells[regular, :, None] + (0, 1)).reshape(-1, 2 * k)
+        d = np.ascontiguousarray(self.table[:, columns].transpose(1, 0, 2))
+        dt = d.swapaxes(1, 2)
+        gram = dt @ d
+        z = dt @ y
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            norms[regular] = [_norm_or_inf(y, row) for row in omegas[regular].tolist()]
+        else:
+            norms[regular] = [_whitened_norm2(c, zr) for c, zr in zip(chol, z)]
         return norms
-    if not np.isfinite(omegas).all():
-        raise ValueError("non-finite frequency in omegas")
-    regular = (np.diff(np.sort(omegas, axis=1), axis=1) >= NEAR_DUPLICATE_GAP).all(axis=1)
-    norms[~regular] = math.inf
-    rows = omegas[regular]
-    d = design_matrix(rows, y.size)
-    dt = d.swapaxes(1, 2)
-    gram = dt @ d
-    z = dt @ y
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        norms[regular] = [_norm_or_inf(y, row) for row in rows.tolist()]
-    else:
-        norms[regular] = [_whitened_norm2(c, zr) for c, zr in zip(chol, z)]
-    return norms
 
 
 def quad_form(y, omega, delta2: float, *, s: float | None = None) -> float:
@@ -180,6 +196,36 @@ def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int, *,
     n = y.size
     return (-0.5 * n * math.log(q) + k * math.log(lam) - k * math.log(math.pi)
             - math.lgamma(k + 1) - k * math.log1p(delta2))
+
+
+def sinusoid_log_targets(y, omegas, s, lam: float, delta2: float, k_max: int) -> np.ndarray:
+    """sinusoid_log_target(y, row, lam, delta2, k_max, s=s_row) for each row of (m, k) omegas.
+
+    Each cell is bit for bit the scalar value, -inf included: the per-call
+    constants come from math as there, the per-cell arithmetic runs in the
+    scalar operation order, left to right, and each cell's log q is a
+    math.log of its own.
+    """
+    y = np.asarray(y, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
+    m, k = omegas.shape
+    vals = np.full(m, NEG_INF)
+    if k > k_max:
+        return vals
+    valid = ((OMEGA_LOW < omegas) & (omegas < OMEGA_HIGH)).all(axis=1)
+    yty = float(y @ y)
+    if k == 0 or delta2 == 0.0:
+        q = np.full(m, yty)
+    else:
+        s = np.asarray(s, dtype=float)
+        valid &= s <= yty
+        q = yty - delta2 / (1.0 + delta2) * s
+    if valid.any():
+        log_q = np.array(list(map(math.log, q[valid].tolist())))
+        n = y.size
+        vals[valid] = (-0.5 * n * log_q + k * math.log(lam) - k * math.log(math.pi)
+                       - math.lgamma(k + 1) - k * math.log1p(delta2))
+    return vals
 
 
 # Component tuples memoised per SinusoidPosterior, oldest evicted first.

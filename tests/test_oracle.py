@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from transjump import oracle
 from transjump.core import ConfigurationError, rng_stream
 from transjump.oracle import (
     DiscreteToySpec,
+    _frequency_partition,
     build_transition_matrix,
     detailed_balance_residual,
     enumerate_states,
@@ -17,7 +19,7 @@ from transjump.oracle import (
     stationary_distribution,
     tv_distance,
 )
-from transjump.sinusoid import synthesize
+from transjump.sinusoid import sinusoid_log_target, synthesize
 
 
 def toy(m=3, k_max=2, seed=90, representation="unsorted"):
@@ -47,6 +49,15 @@ class TestEnumerateStates:
         spec.k_max = 4
         with pytest.raises(ConfigurationError):
             enumerate_states(spec)
+
+    def test_sorted_cap_counts_combinations(self):
+        """12 points to k_max = 4 give 794 sorted states, under the cap that the
+        13345 unsorted arrangements exceed."""
+        spec = toy(m=3, k_max=2, representation="sorted")
+        spec.points = tuple(np.linspace(0.1, 3.0, 12))
+        spec.q = tuple([1 / 12] * 12)
+        spec.k_max = 4
+        assert len(enumerate_states(spec)) == 794
 
 
 class TestBuildTransitionMatrix:
@@ -182,7 +193,6 @@ class TestQuadraturePosterior:
         y = synthesize((1.2,), (4.0,), 0.0, 16, rng_stream(104))
         pmf = quadrature_posterior_k(y, 5.0, 1.0, 2, grid_size=200)
 
-        from transjump.sinusoid import sinusoid_log_target
         from scipy.special import logsumexp
         g = 200
         mids = (np.arange(g) + 0.5) * math.pi / g
@@ -211,7 +221,8 @@ class TestQuadraturePosterior:
         before any density is evaluated; y is checked as SinusoidPosterior checks it."""
         def evaluated(*args, **kwargs):
             raise AssertionError("density evaluated")
-        monkeypatch.setattr("transjump.oracle.sinusoid_log_target", evaluated)
+        for name in ("sinusoid_log_target", "sinusoid_log_targets", "FrequencyGrid"):
+            monkeypatch.setattr(f"transjump.oracle.{name}", evaluated)
         y = np.ones(8)
         cases = [(y, 10.0, 1.0, 3, 200), (y, 10.0, 1.0, 2, 50), (y, 100.0, 1.0, -1, 200),
                  (y, 10.0, math.nan, 2, 200), (y, math.nan, 1.0, 2, 200),
@@ -228,6 +239,22 @@ class TestQuadraturePosterior:
             with pytest.raises(ConfigurationError):
                 quadrature_posterior_k(*args)
         assert issubclass(ConfigurationError, ValueError)
+
+    def test_partition_size_and_evaluation_count(self, monkeypatch):
+        """The partition holds grid_size // 2 - 5 coarse cells plus 5 refined
+        blocks; a call evaluates 1 + grid_size // 2 + G + G^2 densities."""
+        y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))
+        for grid_size, g in ((120, 115), (200, 195), (400, 395)):
+            points, log_widths = _frequency_partition(y, 1.0, 100.0, 2, grid_size)
+            assert len(points) == len(log_widths) == g
+        cells = []
+        targets = oracle.sinusoid_log_targets
+        monkeypatch.setattr(oracle, "sinusoid_log_target",
+                            lambda *a, **kw: cells.append(1) or sinusoid_log_target(*a, **kw))
+        monkeypatch.setattr(oracle, "sinusoid_log_targets",
+                            lambda y, omegas, *a: cells.append(len(omegas)) or targets(y, omegas, *a))
+        quadrature_posterior_k(y, 100.0, 1.0, 2, 200)
+        assert sum(cells) == 1 + 100 + 195 + 195 ** 2 == 38321
 
     def test_memory_stays_per_grid_row(self):
         """Batches are one grid row: stacking the whole order-2 grid would hold

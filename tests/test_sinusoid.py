@@ -7,8 +7,10 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
 from transjump.core import BrokenKernelError, ConfigurationError, VarDimState, rng_stream
+from transjump.oracle import _frequency_partition
 from transjump.sinusoid import (
     POSTERIOR_CACHE_SIZE,
+    FrequencyGrid,
     PriorOnlyTarget,
     SingularDesignError,
     SinusoidPosterior,
@@ -18,11 +20,11 @@ from transjump.sinusoid import (
     frequency_update_move,
     log_truncated_poisson_normalizer,
     logsumexp,
-    projection_norms,
     quad_form,
     sample_delta2,
     sample_lambda,
     sinusoid_log_target,
+    sinusoid_log_targets,
     synthesize,
     truncated_poisson_pmf,
 )
@@ -195,14 +197,31 @@ def _scalar_norm_or_inf(y, omega) -> float:
         return math.inf
 
 
-class TestProjectionNorms:
-    """The stacked projection norms equal the scalar path row by row."""
+def grid_norms(y, omegas) -> np.ndarray:
+    """FrequencyGrid.projection_norms of the rows of omegas, as cells of a grid.
+
+    The grid holds the distinct frequencies of omegas in a shuffled order,
+    plus two that no row uses, so cells gather columns out of order.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    distinct = np.unique(omegas)
+    points = rng_stream(76).permutation(np.concatenate((distinct, [0.05, 3.1])))
+    order = np.argsort(points)
+    cells = order[np.searchsorted(points, omegas, sorter=order)]
+    assert np.array_equal(points[cells], omegas, equal_nan=True)
+    with np.errstate(invalid="ignore"):  # the columns of a non-finite point are NaN
+        grid = FrequencyGrid(points, y.size)
+    return grid.projection_norms(y, cells)
+
+
+class TestGridProjectionNorms:
+    """The grid's stacked projection norms equal the scalar path row by row."""
 
     SIGNALS = {"three-tone": TestProjectionNorm.REFERENCE,
                "one-tone": synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))}
 
     def assert_rows_match(self, y, omegas):
-        got = projection_norms(y, omegas).tolist()
+        got = grid_norms(y, omegas).tolist()
         assert got == [_scalar_norm_or_inf(y, tuple(row)) for row in omegas]
 
     @pytest.mark.parametrize("signal", list(SIGNALS))
@@ -213,6 +232,14 @@ class TestProjectionNorms:
         for k in range(1, 5):
             for _ in range(10):
                 self.assert_rows_match(y, rng.uniform(0.0, math.pi, size=(200, k)).tolist())
+
+    def test_table_columns_are_the_design_columns(self):
+        """Every design gathered from the table is bit for bit design_matrix's."""
+        points = rng_stream(77).uniform(0.0, math.pi, size=50)
+        grid = FrequencyGrid(points, 64)
+        assert np.array_equal(grid.table, design_matrix(points, 64))
+        for w in points[:5]:
+            assert np.array_equal(design_matrix((w,), 64), FrequencyGrid([w], 64).table)
 
     @pytest.mark.parametrize("signal", list(SIGNALS))
     def test_near_duplicate_rows_are_inf(self, signal):
@@ -226,10 +253,10 @@ class TestProjectionNorms:
         duplicates = [(0.8, 0.8), (0.4, 2.2)]
         for batch in (pairs, triples, duplicates):
             self.assert_rows_match(y, batch)
-        assert projection_norms(y, pairs)[:2].tolist() == [math.inf, math.inf]
-        assert math.isfinite(projection_norms(y, pairs)[2])
-        assert projection_norms(y, triples)[:2].tolist() == [math.inf, math.inf]
-        assert projection_norms(y, duplicates)[0] == math.inf
+        assert grid_norms(y, pairs)[:2].tolist() == [math.inf, math.inf]
+        assert math.isfinite(grid_norms(y, pairs)[2])
+        assert grid_norms(y, triples)[:2].tolist() == [math.inf, math.inf]
+        assert grid_norms(y, duplicates)[0] == math.inf
 
     @pytest.mark.parametrize("signal", list(SIGNALS))
     def test_failed_stacked_factorisation_falls_back_to_scalar(self, signal):
@@ -239,21 +266,68 @@ class TestProjectionNorms:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(d.swapaxes(1, 2) @ d)
         self.assert_rows_match(y, batch)
-        assert projection_norms(y, batch)[1] == math.inf
+        assert grid_norms(y, batch)[1] == math.inf
 
     def test_empty_model_is_zero(self):
         y = TestProjectionNorm.REFERENCE
-        assert projection_norms(y, np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+        grid = FrequencyGrid([0.63, 0.73], y.size)
+        assert grid.projection_norms(y, np.empty((3, 0), dtype=int)).tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_frequency_or_signal_raises(self, bad):
         y = TestProjectionNorm.REFERENCE
         with pytest.raises(ValueError):
-            projection_norms(y, [(0.63, 0.73), (0.3, bad)])
+            grid_norms(y, [(0.63, 0.73), (0.3, bad)])
         y = y.copy()
         y[7] = bad
         with pytest.raises(ValueError):
-            projection_norms(y, [(0.63, 0.73), (0.3, 1.3)])
+            grid_norms(y, [(0.63, 0.73), (0.3, 1.3)])
+
+
+class TestLogTargets:
+    """The vector log target equals sinusoid_log_target cell by cell, bit for bit."""
+
+    def assert_cells_match(self, y, omegas, s, lam, delta2, k_max):
+        got = sinusoid_log_targets(y, np.reshape(omegas, (len(s), -1)), s,
+                                   lam, delta2, k_max).tolist()
+        assert got == [sinusoid_log_target(y, tuple(row), lam, delta2, k_max, s=sr)
+                       for row, sr in zip(omegas, s)]
+
+    def test_golden_quadrature_grid(self):
+        """Every cell of the order-1 and order-2 grids behind the golden
+        quadrature values (one tone, N = 32, delta2 = 100, lam = 1, k_max = 2)."""
+        y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))
+        points, _ = _frequency_partition(y, 1.0, 100.0, 2, 200)
+        points = points.tolist()
+        assert len(points) == 195
+        singles = [(w,) for w in points]
+        self.assert_cells_match(y, singles, [_scalar_norm_or_inf(y, o) for o in singles],
+                                1.0, 100.0, 2)
+        for w1 in points:
+            row = [(w1, w2) for w2 in points]
+            s = [_scalar_norm_or_inf(y, o) for o in row]
+            self.assert_cells_match(y, row, s, 1.0, 100.0, 2)
+
+    def test_edge_rows(self):
+        """The empty model, orders above k_max, delta2 = 0, a singular, NaN or
+        too large projection, and frequencies at 0, at pi and below 0."""
+        y = TestProjectionNorm.REFERENCE
+        yty = float(y @ y)
+        s_ok = _projection_norm2(y, (0.63, 0.73))
+        pairs = [(0.63, 0.73), (0.63, 0.73), (0.63, 0.73), (0.63, 0.73),
+                 (0.0, 0.73), (0.63, math.pi), (-0.3, 0.73)]
+        s = [s_ok, math.inf, math.nan, yty * (1 + 1e-12), s_ok, s_ok, s_ok]
+        for lam, delta2 in ((2.0, 25.0), (2.0, 0.0), (0.7, 1e-3)):
+            self.assert_cells_match(y, [()] * 3, [0.0, math.inf, math.nan], lam, delta2, 4)
+            self.assert_cells_match(y, [()] * 2, [0.0, 0.0], lam, delta2, 0)
+            self.assert_cells_match(y, pairs, s, lam, delta2, 2)
+            self.assert_cells_match(y, pairs, s, lam, delta2, 1)
+            self.assert_cells_match(y, [(0.63,), (math.pi,)], [s_ok, s_ok], lam, delta2, 3)
+        got = sinusoid_log_targets(y, np.array(pairs), s, 2.0, 25.0, 2)
+        assert math.isfinite(got[0]) and (got[1:] == NEG_INF).all()
+        assert (sinusoid_log_targets(y, np.array(pairs), s, 2.0, 0.0, 2)[:4]
+                > NEG_INF).all()
+        assert (sinusoid_log_targets(y, np.array(pairs), s, 2.0, 25.0, 1) == NEG_INF).all()
 
 
 class TestLogTarget:
