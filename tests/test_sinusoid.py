@@ -214,8 +214,8 @@ def grid_norms(y, omegas) -> np.ndarray:
     return grid.projection_norms(y, cells)
 
 
-class TestGridProjectionNorms:
-    """The grid's stacked projection norms equal the scalar path row by row."""
+class TestProjectionNorms:
+    """FrequencyGrid.projection_norms equals the scalar path row by row."""
 
     SIGNALS = {"three-tone": TestProjectionNorm.REFERENCE,
                "one-tone": synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))}
