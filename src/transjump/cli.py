@@ -246,11 +246,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         ratio_mode=cfg.ratio_mode, rng=rng_stream(cfg.seed),
         **_chain_kwargs(cfg))
 
+    records = result.records
     trace_path = out / "trace.csv"
     _write_lines(trace_path, "iter,k,logtarget,move,accepted,lambda,delta2", (
         f"{i},{r.k},{_fmt(r.log_target)},{r.move},{int(r.accepted)},"
         f"{_fmt(r.lam)},{_fmt(r.delta2)}"
-        for i, r in enumerate(result.records)))
+        for i, r in enumerate(records)))
 
     comp_path = out / "components.csv"
     comp_header = "iter," + ",".join(f"c{j + 1}" for j in range(cfg.k_max))
@@ -258,7 +259,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         f"{i}," + ",".join(
             _fmt(r.components[j]) if j < r.k else ""
             for j in range(cfg.k_max))
-        for i, r in enumerate(result.records)))
+        for i, r in enumerate(records)))
 
     summary_path = out / "summary.csv"
     _write_summary(summary_path, result.k_counts())

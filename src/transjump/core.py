@@ -9,7 +9,9 @@ surely" value while NaN always signals a broken kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Protocol
 
 import numpy as np
@@ -173,34 +175,70 @@ class IterationRecord:
     delta2: float | None = None
 
 
-@dataclass
 class ChainOutput:
-    """Per-iteration records plus per-move tallies and the run's lengths.
+    """Per-iteration columns plus per-move tallies and the run's lengths.
 
-    ``config`` holds ``n_iter`` and ``burn_in``, and ``k_max`` for sweep
-    chains.  Burn-in records are kept (flagged) so diagnostics can inspect
-    them; summary helpers exclude them, and their ``k_max`` defaults to
-    ``config["k_max"]``.
+    Row i is the state after iteration i: ``k[i]``, ``log_target[i]``, the
+    move attempted ``move[i]`` and ``accepted[i]``, and for sweep chains
+    ``lam[i]`` and ``delta2[i]`` (plain chains leave those columns empty).
+    The rows' components lie end to end in the flat ``components`` array, so
+    row i's start at the sum of the earlier k.  ``config`` holds ``n_iter``
+    and ``burn_in``, and ``k_max`` for sweep chains.  The first ``burn_in``
+    rows are burn-in; summary helpers exclude them, and their ``k_max``
+    defaults to ``config["k_max"]``.
     """
 
-    records: list[IterationRecord] = field(default_factory=list)
-    proposals: dict[str, int] = field(default_factory=dict)
-    acceptances: dict[str, int] = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
+    def __init__(self, config: dict | None = None):
+        self.config = {} if config is None else config
+        self.proposals: dict[str, int] = {}
+        self.acceptances: dict[str, int] = {}
+        self.k = array("q")
+        self.components = array("d")
+        self.log_target = array("d")
+        self.move: list[str] = []
+        self.accepted = array("b")
+        self.lam = array("d")
+        self.delta2 = array("d")
 
     def tally(self, label: str, accepted: bool) -> None:
         self.proposals[label] = self.proposals.get(label, 0) + 1
         if accepted:
             self.acceptances[label] = self.acceptances.get(label, 0) + 1
 
+    def append(self, components: tuple[float, ...], log_target: float, move: str,
+               accepted: bool, lam: float | None = None, delta2: float | None = None) -> None:
+        """Add one iteration's row; sweep chains give ``lam`` and ``delta2`` on every row."""
+        self.k.append(len(components))
+        self.components.extend(components)
+        self.log_target.append(log_target)
+        self.move.append(move)
+        self.accepted.append(accepted)
+        if lam is not None:
+            self.lam.append(lam)
+            self.delta2.append(delta2)
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        """The rows as ``IterationRecord`` values, built from the columns on each read."""
+        burn_in = self.config.get("burn_in", 0)
+        hyper = zip(self.lam, self.delta2) if self.lam else repeat((None, None))
+        comps = self.components
+        rows = []
+        end = 0
+        for i, (k, log_t, move, accepted, (lam, delta2)) in enumerate(zip(
+                self.k, self.log_target, self.move, self.accepted, hyper)):
+            start, end = end, end + k
+            rows.append(IterationRecord(k, tuple(comps[start:end]), log_t, move,
+                                        bool(accepted), i < burn_in, lam, delta2))
+        return rows
+
     def k_counts(self, k_max: int | None = None) -> np.ndarray:
         if k_max is None:
             k_max = self.config["k_max"]
-        counts = np.zeros(k_max + 1, dtype=np.int64)
-        for r in self.records:
-            if not r.burn_in:
-                counts[r.k] += 1
-        return counts
+        kept = np.frombuffer(self.k, dtype=np.int64)[self.config.get("burn_in", 0):]
+        if kept.size and kept.max() > k_max:
+            raise IndexError(f"a kept row has k={kept.max()}, above k_max={k_max}")
+        return np.bincount(kept, minlength=k_max + 1)
 
     def k_frequencies(self, k_max: int | None = None) -> np.ndarray:
         counts = self.k_counts(k_max)
@@ -246,7 +284,7 @@ def run_chain(
 
     x = init
     out = ChainOutput(config={"n_iter": n_iter, "burn_in": burn_in})
-    for i in range(n_iter):
+    for _ in range(n_iter):
         label, outcome, accepted = mhg_step(moves, x, rng, out)
         if accepted and outcome.proposed is not x:
             x = outcome.proposed
@@ -254,7 +292,5 @@ def run_chain(
                 log_t = outcome.proposed_log_density
             else:
                 log_t = target.log_density(x)
-        out.records.append(IterationRecord(
-            k=x.k, components=x.components, log_target=log_t,
-            move=label, accepted=accepted, burn_in=i < burn_in))
+        out.append(x.components, log_t, label, accepted)
     return out

@@ -24,7 +24,6 @@ from .core import (
     BrokenKernelError,
     ChainOutput,
     ConfigurationError,
-    IterationRecord,
     Rng,
     VarDimState,
     check_iteration_counts,
@@ -156,8 +155,5 @@ def run_joint_chain(
         log_t = target.log_density(x)
         if math.isnan(log_t):
             raise BrokenKernelError(f"target returned NaN at sweep {i}, k={x.k}")
-        out.records.append(IterationRecord(
-            k=x.k, components=x.components, log_target=log_t,
-            move=move, accepted=move_accepted, burn_in=i < burn_in,
-            lam=lam_val, delta2=delta2_val))
+        out.append(x.components, log_t, move, move_accepted, lam_val, delta2_val)
     return out

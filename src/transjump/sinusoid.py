@@ -426,7 +426,10 @@ def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
     Targets the conditional density proportional to
     IG(delta2; shape, scale) * (y^T P_k y)^(-N/2) * (1 + delta2)^(-k),
     with the log-scale Jacobian included.  The projection norm of x comes
-    from the posterior's memo.  Returns (new value, accepted flag).
+    from the posterior's memo.  A proposal whose exp overflows or underflows
+    to 0 lies outside (0, inf), where the density is zero: it is rejected
+    surely, with log ratio -inf and no uniform drawn.  Returns (new value,
+    accepted flag).
     """
     n = posterior.n_obs
     k = x.k
@@ -440,8 +443,14 @@ def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
 
     v = math.log(current)
     v_new = v + 0.5 * rng.standard_normal()
-    proposed = math.exp(v_new)
-    log_ratio = (log_cond(proposed) + v_new) - (log_cond(current) + v)
+    try:
+        proposed = math.exp(v_new)
+    except OverflowError:
+        proposed = math.inf
+    if 0.0 < proposed < math.inf:
+        log_ratio = (log_cond(proposed) + v_new) - (log_cond(current) + v)
+    else:
+        log_ratio = NEG_INF
     if mhg_accept(log_ratio, rng):
         return proposed, True
     return current, False

@@ -1,4 +1,5 @@
 """Config parsing, file outputs, reproducibility and the command-line surface."""
+import math
 import warnings
 from dataclasses import replace
 
@@ -323,6 +324,22 @@ class TestMain:
         out = capsys.readouterr().out
         assert "trace.csv" in out
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("prior", ["2,1e308", "2,5e-324"])
+    def test_run_with_extreme_delta2_prior_completes(self, tmp_path, capsys, prior):
+        """delta2 starts at 1e308 or 5e-324; proposals that leave the floats are rejected."""
+        signal = tmp_path / "signal.txt"
+        write_signal(signal, rng_stream(3).standard_normal(32))
+        config = tmp_path / "run.cfg"
+        config.write_text(f"io.signal = {signal}\nio.out = {tmp_path / 'out'}\n"
+                          "sampler.n_iter = 200\nsampler.burn_in = 20\nsampler.k_max = 6\n"
+                          f"model.delta2_prior = {prior}\n")
+        assert main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        assert len(lines) == 201
+        delta2 = [float(line.split(",")[6]) for line in lines[1:]]
+        assert all(0.0 < d < math.inf for d in delta2)
 
     def test_priors_plot_command(self, tmp_path, capsys):
         code = main(["priors-plot", "--lambda", "5", "--kmax", "12",

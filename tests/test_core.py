@@ -242,12 +242,57 @@ class TestMhgStep:
 
 class TestChainOutput:
     def test_k_max_defaults_to_config(self):
-        out = ChainOutput(config={"k_max": 3})
-        for i, k in enumerate((0, 1, 1, 3)):
-            out.records.append(IterationRecord(k, (0.5,) * k, 0.0, "birth", True, i == 0))
+        out = ChainOutput(config={"k_max": 3, "burn_in": 1})
+        for k in (0, 1, 1, 3):
+            out.append((0.5,) * k, 0.0, "birth", True)
         np.testing.assert_array_equal(out.k_counts(), [0, 2, 0, 1])
         assert out.k_frequencies() @ np.arange(4) == pytest.approx(5.0 / 3.0)
         assert out.k_frequencies(5).size == 6
+
+    def test_k_above_k_max_raises(self):
+        out = ChainOutput(config={"k_max": 2, "burn_in": 1})
+        for k in (3, 1, 3):
+            out.append((0.5,) * k, 0.0, "birth", True)
+        with pytest.raises(IndexError, match="k=3"):
+            out.k_counts()
+        with pytest.raises(IndexError):
+            out.k_frequencies(2)
+        np.testing.assert_array_equal(out.k_counts(3), [0, 1, 0, 1])
+
+    def test_burn_in_row_above_k_max_is_not_counted(self):
+        out = ChainOutput(config={"k_max": 2, "burn_in": 1})
+        for k in (5, 2):
+            out.append((0.5,) * k, 0.0, "birth", True)
+        np.testing.assert_array_equal(out.k_counts(), [0, 0, 1])
+
+    def test_empty_columns(self):
+        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 0, 0, rng_stream(24))
+        assert len(out.k) == len(out.components) == len(out.move) == 0
+        np.testing.assert_array_equal(out.k_counts(3), [0, 0, 0, 0])
+        np.testing.assert_array_equal(out.k_frequencies(3), [0.0, 0.0, 0.0, 0.0])
+
+    def test_burn_in_boundary(self):
+        """Row burn_in - 1 is the last burn-in row, row burn_in the first kept one."""
+        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 40, 15, rng_stream(25))
+        records = out.records
+        assert [r.burn_in for r in records] == [True] * 15 + [False] * 25
+        k_max = max(out.k)
+        expected = np.bincount([r.k for r in records[15:]], minlength=k_max + 1)
+        np.testing.assert_array_equal(out.k_counts(k_max), expected)
+        assert out.k_counts(k_max).sum() == 25
+
+    def test_records_rebuild_the_columns(self):
+        out = ChainOutput(config={"burn_in": 1})
+        out.append((0.25, 0.5), -1.5, "birth", True, 2.0, 50.0)
+        out.append((), -0.5, "death", False, 3.0, 60.0)
+        out.append((0.75,), 0.0, "none", False, 4.0, 70.0)
+        assert out.records == [
+            IterationRecord(2, (0.25, 0.5), -1.5, "birth", True, True, 2.0, 50.0),
+            IterationRecord(0, (), -0.5, "death", False, False, 3.0, 60.0),
+            IterationRecord(1, (0.75,), 0.0, "none", False, False, 4.0, 70.0)]
+        assert list(out.components) == [0.25, 0.5, 0.75]
+        with pytest.raises(AttributeError):
+            out.records = []
 
     def test_records_are_slotted(self):
         r = IterationRecord(0, (), 0.0, "none", False, False)

@@ -1,4 +1,8 @@
 """Sweep driver: validation, reproducibility, prior recovery, hyper sampling."""
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +147,17 @@ class TestJointRuns:
         assert "lambda" in res.proposals and "delta2" in res.proposals
         assert res.proposals["lambda"] == 800
 
+    @pytest.mark.parametrize("delta2_prior", [(2.0, 1e308), (2.0, 5e-324)])
+    def test_delta2_proposals_beyond_float_range_are_rejected(self, delta2_prior):
+        """Starting at 1e308 or 5e-324, log-scale steps leave the floats; the
+        run completes with every delta2 finite and positive."""
+        y = synthesize((0.63,), (20.0,), 10.0, 32, rng_stream(10, 0))
+        res = run_joint_chain(y, n_iter=300, burn_in=30, k_max=8, lam=1.0,
+                              delta2_prior=delta2_prior, rng=rng_stream(10, 1))
+        assert len(res.records) == 300
+        assert all(0.0 < r.delta2 < math.inf for r in res.records)
+        assert 0 < res.acceptances["delta2"] < res.proposals["delta2"] == 300
+
     def test_move_tallies_track_attempts(self):
         y = synthesize((0.63,), (20.0,), 10.0, 32, rng_stream(6, 0))
         res = run_joint_chain(y, n_iter=2000, burn_in=200, k_max=8, lam=1.0,
@@ -192,3 +207,39 @@ class TestJointRuns:
         run_joint_chain(y, n_iter=1500, burn_in=300, lambda_prior=(1.0, 1e-3),
                         delta2_prior=(2.0, 100.0), rng=rng_stream(17))
         assert 0 < len(calls) <= 5056 // 2
+
+
+class TestRetainedMemory:
+    @staticmethod
+    def retained_per_record(run, n: int) -> float:
+        """Bytes per record that deleting a run's result frees, by tracemalloc.
+
+        A short run first settles one-time allocations; collections empty the
+        free lists, so what the result held returns to the allocator.
+        """
+        run(50)
+        tracemalloc.start()
+        try:
+            result = run(n)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del result
+            gc.collect()
+            return (held - tracemalloc.get_traced_memory()[0]) / n
+        finally:
+            tracemalloc.stop()
+
+    def test_prior_only_run_chain_retains_under_100_bytes_per_record(self):
+        """lambda = 5 keeps ~5 components a row; per-row objects held ~150 B."""
+        target = PriorOnlyTarget(5.0, 32)
+        moves = bod_move_set(target, BirthDeathSchedule.green(5.0, 32, 0.25))
+        per_record = self.retained_per_record(lambda n: run_chain(
+            target, moves, VarDimState(), n, n // 10, rng_stream(0, 1)), 4000)
+        assert 0 < per_record < 100
+
+    def test_sampled_hyperparameter_sweeps_retain_under_100_bytes_per_record(self):
+        y = synthesize((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64, rng_stream(0))
+        per_record = self.retained_per_record(lambda n: run_joint_chain(
+            y, n_iter=n, burn_in=n // 10, lambda_prior=(1.0, 1e-3),
+            delta2_prior=(2.0, 100.0), rng=rng_stream(0, 2)), 300)
+        assert 0 < per_record < 100

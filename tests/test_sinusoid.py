@@ -647,6 +647,20 @@ class TestSampleDelta2:
         chain_mean = float(np.mean(draws[6000:]))
         assert chain_mean == pytest.approx(oracle_mean, rel=0.1)
 
+    @pytest.mark.parametrize("current, scale, sign", [(1.7e308, 1e308, 1.0),
+                                                      (5e-324, 5e-324, -1.0)])
+    def test_proposal_outside_positive_reals_rejected_surely(self, current, scale, sign):
+        """A log-scale step whose exp overflows, or underflows to 0, has zero
+        density: it is rejected, and no uniform is drawn after the step."""
+        posterior = SinusoidPosterior(rng_stream(78).standard_normal(16), 1.0, 100.0)
+        seed = next(s for s in range(100) if sign * rng_stream(79, s).standard_normal() > 2.0)
+        rng = rng_stream(79, seed)
+        assert sample_delta2(current, VarDimState(), posterior, 2.0, scale, rng) == (
+            current, False)
+        reference = rng_stream(79, seed)
+        reference.standard_normal()
+        assert rng.random() == reference.random()
+
 
 class TestSynthesize:
     def test_infinite_snr_returns_clean_signal(self):
