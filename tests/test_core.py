@@ -249,21 +249,16 @@ class TestChainOutput:
         assert out.k_frequencies() @ np.arange(4) == pytest.approx(5.0 / 3.0)
         assert out.k_frequencies(5).size == 6
 
-    def test_k_above_k_max_raises(self):
+    def test_kept_k_above_k_max_raises(self):
+        """Only kept rows count: the burn-in row's k = 5 neither raises nor widens the counts."""
         out = ChainOutput(config={"k_max": 2, "burn_in": 1})
-        for k in (3, 1, 3):
+        for k in (5, 1, 3):
             out.append((0.5,) * k, 0.0, "birth", True)
         with pytest.raises(IndexError, match="k=3"):
             out.k_counts()
         with pytest.raises(IndexError):
             out.k_frequencies(2)
         np.testing.assert_array_equal(out.k_counts(3), [0, 1, 0, 1])
-
-    def test_burn_in_row_above_k_max_is_not_counted(self):
-        out = ChainOutput(config={"k_max": 2, "burn_in": 1})
-        for k in (5, 2):
-            out.append((0.5,) * k, 0.0, "birth", True)
-        np.testing.assert_array_equal(out.k_counts(), [0, 0, 1])
 
     def test_empty_columns(self):
         out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 0, 0, rng_stream(24))

@@ -230,7 +230,7 @@ class TestRetainedMemory:
             tracemalloc.stop()
 
     def test_prior_only_run_chain_retains_under_100_bytes_per_record(self):
-        """lambda = 5 keeps ~5 components a row; per-row objects held ~150 B."""
+        """lambda = 5 keeps ~5 components, 40 B, in a row of ~74 B."""
         target = PriorOnlyTarget(5.0, 32)
         moves = bod_move_set(target, BirthDeathSchedule.green(5.0, 32, 0.25))
         per_record = self.retained_per_record(lambda n: run_chain(
