@@ -221,6 +221,19 @@ def _write_summary(path: Path, counts: np.ndarray) -> None:
     _write_lines(path, "k,count,frequency", rows)
 
 
+def _component_rows(result, k_max: int):
+    """components.csv rows: the iteration, then k_max cells with the row's k components first."""
+    comps = result.components.tolist()
+    empty = "," * (k_max - 1)
+    end = 0
+    for i, k in enumerate(result.k):
+        if k == 0:
+            yield f"{i},{empty}"
+        else:
+            start, end = end, end + k
+            yield f"{i}," + ",".join(map(repr, comps[start:end])) + "," * (k_max - k)
+
+
 def _chain_kwargs(cfg: RunConfig) -> dict:
     return dict(
         k_max=cfg.k_max, c=cfg.c, representation=cfg.representation,
@@ -246,20 +259,17 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         ratio_mode=cfg.ratio_mode, rng=rng_stream(cfg.seed),
         **_chain_kwargs(cfg))
 
-    records = result.records
+    # Rows come straight from the columns; every float is written as its repr.
     trace_path = out / "trace.csv"
     _write_lines(trace_path, "iter,k,logtarget,move,accepted,lambda,delta2", (
-        f"{i},{r.k},{_fmt(r.log_target)},{r.move},{int(r.accepted)},"
-        f"{_fmt(r.lam)},{_fmt(r.delta2)}"
-        for i, r in enumerate(records)))
+        f"{i},{k},{log_t!r},{move},{accepted},{lam!r},{delta2!r}"
+        for i, (k, log_t, move, accepted, lam, delta2) in enumerate(zip(
+            result.k, result.log_target, result.move, result.accepted,
+            result.lam, result.delta2))))
 
     comp_path = out / "components.csv"
     comp_header = "iter," + ",".join(f"c{j + 1}" for j in range(cfg.k_max))
-    _write_lines(comp_path, comp_header, (
-        f"{i}," + ",".join(
-            _fmt(r.components[j]) if j < r.k else ""
-            for j in range(cfg.k_max))
-        for i, r in enumerate(records)))
+    _write_lines(comp_path, comp_header, _component_rows(result, cfg.k_max))
 
     summary_path = out / "summary.csv"
     _write_summary(summary_path, result.k_counts())

@@ -110,27 +110,33 @@ class Move:
 
 
 def select_move(moves: tuple[Move, ...], x: VarDimState, rng: Rng) -> Move:
-    """Draw a move with probability j(x, m), using a single uniform draw."""
-    weights = [m.weight(x) for m in moves]
+    """Draw a move with probability j(x, m), using a single uniform draw.
+
+    Each weight is read once; its running sum is both the total that must
+    be 1 and the threshold the uniform is compared with.
+    """
+    thresholds = []
     total = 0.0
-    for w in weights:
+    last = None
+    for m in moves:
+        w = m.weight(x)
         if w < 0.0:
             raise ConfigurationError(f"negative move selection probability at k={x.k}")
         total += w
+        thresholds.append(total)
+        if w > 0.0:
+            last = m
     if abs(total - 1.0) > 1e-12:
         raise ConfigurationError(
             f"move selection probabilities sum to {total!r} at k={x.k}, expected 1")
     u = rng.random()
-    acc = 0.0
-    for move, w in zip(moves, weights):
-        acc += w
-        if u < acc:
+    for move, threshold in zip(moves, thresholds):
+        if u < threshold:
             return move
     # u landed in the final rounding sliver; return the last selectable move.
-    for move, w in zip(reversed(moves), reversed(weights)):
-        if w > 0.0:
-            return move
-    raise ConfigurationError("no move has positive selection probability")
+    if last is None:
+        raise ConfigurationError("no move has positive selection probability")
+    return last
 
 
 def mhg_accept(log_ratio: float, rng: Rng) -> bool:
@@ -255,7 +261,8 @@ def mhg_step(moves: tuple[Move, ...], x: VarDimState, rng: Rng,
     """
     move = select_move(moves, x, rng)
     outcome = move.propose(x, rng)
-    if any(math.isnan(c) for c in outcome.proposed.components):
+    # A move that keeps x proposes nothing new to scan.
+    if outcome.proposed is not x and any(math.isnan(c) for c in outcome.proposed.components):
         raise BrokenKernelError(f"move {move.label!r} proposed a state with NaN components")
     accepted = mhg_accept(outcome.log_ratio, rng)
     out.tally(move.label, accepted)

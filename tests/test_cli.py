@@ -215,6 +215,22 @@ class TestRunExperiment:
         assert lines[0].split(",") == ["iter"] + [f"c{j}" for j in range(1, 9)]
         assert all(len(line.split(",")) == 9 for line in lines[1:])
 
+    def test_csv_rows_equal_rows_formatted_from_records(self, tmp_path):
+        """The column writer matches each IterationRecord formatted field by field,
+        on rows at k = 0 and at k = k_max."""
+        cfg = flat_config(tmp_path, n_iter=400, burn_in=50)
+        cfg.k_max = 2
+        paths = run_experiment(cfg)
+        records = paths["result"].records
+        assert {r.k for r in records} == {0, 1, 2}
+        trace = [f"{i},{r.k},{r.log_target!r},{r.move},{int(r.accepted)},"
+                 f"{r.lam!r},{r.delta2!r}" for i, r in enumerate(records)]
+        comps = [f"{i}," + ",".join(repr(r.components[j]) if j < r.k else ""
+                                    for j in range(cfg.k_max))
+                 for i, r in enumerate(records)]
+        assert paths["trace"].read_text().splitlines()[1:] == trace
+        assert paths["components"].read_text().splitlines() == ["iter,c1,c2"] + comps
+
     def test_outputs_byte_stable(self, tmp_path):
         cfg = flat_config(tmp_path, n_iter=200, burn_in=50)
         first = run_experiment(cfg, out_dir=tmp_path / "a")

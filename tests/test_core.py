@@ -10,6 +10,7 @@ from transjump.core import (
     ConfigurationError,
     IterationRecord,
     Move,
+    NEG_INF,
     ProposalOutcome,
     VarDimState,
     check_iteration_counts,
@@ -210,6 +211,13 @@ class TestRunChain:
     def test_nan_components_hard_error(self):
         bad = (Move("bad", lambda x: 1.0,
                     lambda x, rng: ProposalOutcome(VarDimState((float("nan"),)), 0.0)),)
+        with pytest.raises(BrokenKernelError):
+            run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
+
+    def test_nan_components_hard_error_when_rejected(self):
+        """A surely rejected proposal is still scanned; only proposing x itself skips it."""
+        bad = (Move("bad", lambda x: 1.0,
+                    lambda x, rng: ProposalOutcome(VarDimState((float("nan"),)), NEG_INF)),)
         with pytest.raises(BrokenKernelError):
             run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
 
