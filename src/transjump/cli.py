@@ -259,7 +259,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         ratio_mode=cfg.ratio_mode, rng=rng_stream(cfg.seed),
         **_chain_kwargs(cfg))
 
-    # Rows come straight from the columns; every float is written as its repr.
     trace_path = out / "trace.csv"
     _write_lines(trace_path, "iter,k,logtarget,move,accepted,lambda,delta2", (
         f"{i},{k},{log_t!r},{move},{accepted},{lam!r},{delta2!r}"

@@ -393,9 +393,26 @@ def logsumexp(a: np.ndarray) -> float:
 
 
 def log_truncated_poisson_normalizer(lam: float, k_max: int) -> float:
-    """log sum_{j=0}^{k_max} lam^j / j!."""
-    j, log_fact = _order_terms(k_max)
-    return logsumexp(j * math.log(lam) - log_fact)
+    """log sum_{j=0}^{k_max} lam^j / j!.
+
+    Below lam = k_max + 1 this is lam + log1p(-P), where P = P(k_max + 1, lam)
+    is the regularised lower incomplete gamma function, summed from its power
+    series e^-lam lam^a / a! * sum_n lam^n / ((a+1)...(a+n)) with a = k_max + 1.
+    The terms shrink at least geometrically, by lam / (a + 1) < 1.  At and
+    above k_max + 1 the terms are summed by logsumexp.
+    """
+    a = k_max + 1
+    if lam >= a:
+        j, log_fact = _order_terms(k_max)
+        return logsumexp(j * math.log(lam) - log_fact)
+    term = series = 1.0
+    n = a
+    while term > series * 2.0 ** -53:
+        n += 1
+        term *= lam / n
+        series += term
+    p = math.exp(-lam + a * math.log(lam) - math.lgamma(a + 1)) * series
+    return lam + math.log1p(-p)
 
 
 def sample_lambda(current: float, log_z: float, k: int, shape: float, rate: float,

@@ -20,23 +20,23 @@ from transjump.sinusoid import synthesize
 
 RUNS = {
     "corrected": ("", (
-        "de34a360fdf371b05137eceb69276909dd9bc4a19130516e830b9dc75daccbfa",
-        "51f9258bedc6185dfbb93556c16b22636602dc5c5ccbf1eea85d58f1721f4313",
-        "48466dc2a04d71ba2be641bd5fd8cd7f1e7b55a1b604500a0ffdcbe8af57c15f")),
+        "da931ceb85d43095cf22f9792a1fae69dab48922acadf4e63809083dc5c2aed9",
+        "42535fef4120576f982a68a8fed3cdcab7aafd8c72e9948c6f27aa3d0fbc061a",
+        "bcc370d761119188cd31e43bfdf29b5de7ce8a88ebfb72eec6710bd738d31a95")),
     "legacy": ("sampler.ratio_mode = legacy", (
-        "9aae693cd0ae27f211e5896398ece001a44b535ffc5f99e0037743b0789a6602",
-        "e0a7d4529f3acf8da699f26326f709e6a0202640601fc3e6a6aef4476371b179",
-        "e45851ca52f503f5504c919d19060e18e798195d6ebae7d755e797f87607fc07")),
+        "0e8afdb1b50cf054863cb2c2cade2c292e9e9162a28b1a0d3a38833bc7667103",
+        "f534aa8c780c39c88c8c542fb6f0dbe610f26b19ee371aac42b08adc6d3df95b",
+        "6dcccb11fa8a4dcf62c3e0b5be922b78705fdf6645ad2b16e50dedef3b576bfa")),
     "sorted": ("sampler.representation = sorted", (
-        "d676dbca0c34c719434789ffe15a2605b738970491544ebe75e849d1eb9ce80e",
-        "6027dc1aa8aa924b1be7679b53dc2f205da1a8e445f8db220efd5a8ddeedfa17",
-        "5750242ba4a4e18270b59dce8417acbeaade673fb859f170af7375beaba0e26f")),
+        "09633913d1d65c1686a2f7be9f99b55f8f713c159362e6f51089c756671a1693",
+        "1d8978102f148f46245ec5b0b8454c3b4e2c642bab2857f4545153803273682f",
+        "7bc0cddf7a01f62d9bf2de4cc2c322e602a626f972306d151db56cea53560cb9")),
     "fixed": ("model.lambda = 3\nmodel.delta2 = 50", (
         "544a398fa1ae17e9e31c1f4303a2cf10ab6e882d6e26f0cfe0e6b8d30098e4fb",
         "eb8eb0864be8c4934fe8d929266faff5b4b4ef4bc31e3f727fec1f7f84d5c3a6",
         "7476b68e12f00d7c95437808ae7fcd0862b8e20f1698c3ab080ead8a35cdc5b9")),
 }
-REPLICATE = "b7c5441e48540b0db02cef2f24947be2e6100d13bcb5e383bf443d4f5d975a53"
+REPLICATE = "ab9502992b8e0df83d597f120405474cd376858c240c040dffc11787fa328f4f"
 # quadrature_posterior_k on a one-tone signal (N = 32, 20 dB) at delta2 = 100,
 # lam = 1, k_max = 2 and 200 grid points: P(k = 0), P(k = 1), P(k = 2).
 QUADRATURE = (1.8604680445490663e-24, 0.9803183535507479, 0.01968164644925216)

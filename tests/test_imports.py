@@ -134,9 +134,15 @@ def test_every_public_definition_is_referenced():
 
 
 def test_cli_import_leaves_scipy_special_out():
-    """The package's one log-sum-exp is its own, so scipy.special is never loaded."""
+    """Neither ``import transjump`` nor the CLI loads scipy.special.
+
+    The package's log-sum-exp and the λ normaliser's closed form are its own,
+    so loading it costs no memory or start-up time.  A fresh interpreter is
+    needed, since the test suite itself imports scipy's logsumexp.
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, transjump.cli; print('scipy.special' in sys.modules)"
+    code = ("import sys, transjump; print('scipy.special' in sys.modules)\n"
+            "import transjump.cli; print('scipy.special' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "False"]

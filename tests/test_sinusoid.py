@@ -1,5 +1,6 @@
 """Sinusoid target math, hyperparameter moves, signal synthesis, order pmfs."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -542,19 +543,52 @@ class TestFrequencyUpdateMove:
         assert within.mean() > 0.9
 
 
+def exact_log_normalizer(lam: float, k_max: int) -> float:
+    """log sum_{j<=k_max} lam^j / j!, summed exactly in rationals and rounded once.
+
+    Near z = 1 the log goes through log1p of z - 1, formed exactly: a plain
+    log of the rounded z is off by ~1.5e-11 relative there.
+    """
+    lam = Fraction(lam)
+    z = term = Fraction(1)
+    for j in range(1, k_max + 1):
+        term = term * lam / j
+        z += term
+    return math.log1p(float(z - 1)) if z < 2 else math.log(z)
+
+
+def normalizer_lambdas(k_max: int) -> list[float]:
+    """lam over e^[-12, 8], plus lam just below, at and just above k_max + 1."""
+    edge = float(k_max + 1)
+    return (np.exp(np.linspace(-12.0, 8.0, 201)).tolist()
+            + [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)])
+
+
 class TestLambdaNormalizer:
+    K_MAXES = (1, 2, 3, 8, 16, 32, 64, 100)
+
+    def test_matches_exact_rational_sum(self):
+        """Relative error at most 2e-15 against the exact sum, on both branches."""
+        for k_max in self.K_MAXES:
+            for lam in normalizer_lambdas(k_max):
+                expect = exact_log_normalizer(lam, k_max)
+                got = log_truncated_poisson_normalizer(lam, k_max)
+                assert abs(got - expect) <= 2e-15 * expect, (lam, k_max, got, expect)
+
     def test_equals_scipy_logsumexp_exactly(self):
-        """Bit-for-bit against scipy over lam in e^[-12, 8] and eight truncations.
+        """Bit for bit against scipy: logsumexp, and the normaliser from k_max + 1 up.
 
         Arrays with -inf entries and tied maxima, as the quadrature sums have,
         are compared directly.
         """
-        for k_max in (1, 2, 3, 8, 16, 32, 64, 100):
+        for k_max in self.K_MAXES:
             j = np.arange(k_max + 1)
             log_fact = np.array([math.lgamma(v + 1) for v in j])
-            for lam in np.exp(np.linspace(-12.0, 8.0, 2001)):
-                expect = float(scipy_logsumexp(j * math.log(lam) - log_fact))
-                assert log_truncated_poisson_normalizer(float(lam), k_max) == expect
+            lams = np.exp(np.linspace(-12.0, 8.0, 2001)).tolist() + normalizer_lambdas(k_max)
+            for lam in lams:
+                if lam >= k_max + 1:
+                    expect = float(scipy_logsumexp(j * math.log(lam) - log_fact))
+                    assert log_truncated_poisson_normalizer(lam, k_max) == expect
         rng = rng_stream(82)
         arrays = [np.array([NEG_INF]), np.full(5, NEG_INF), np.array([3.0, 3.0]),
                   np.array([NEG_INF, -700.0, -700.0, NEG_INF, -745.0])]
