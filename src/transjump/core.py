@@ -126,7 +126,7 @@ def select_move(moves: tuple[Move, ...], x: VarDimState, rng: Rng) -> Move:
         thresholds.append(total)
         if w > 0.0:
             last = m
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # a NaN weight makes the total NaN
         raise ConfigurationError(
             f"move selection probabilities sum to {total!r} at k={x.k}, expected 1")
     u = rng.random()

@@ -175,21 +175,39 @@ def _accumulate(matrix, index, xi, proposed, prob, alpha):
     matrix[xi, xi] += prob * (1.0 - alpha)
 
 
-def stationary_distribution(matrix: np.ndarray, tol: float = 1e-12,
-                            max_iter: int = 1_000_000) -> np.ndarray:
-    """Left fixed point of a row-stochastic matrix by power iteration."""
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pi @ matrix
-        nxt /= nxt.sum()
-        resid = float(np.abs(nxt - pi).max())
-        pi = nxt
-        if resid < tol:
-            return pi
-    raise RuntimeError(f"power iteration did not reach residual {tol} "
-                       f"in {max_iter} iterations")
+def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
+    """Left fixed point of a row-stochastic matrix by GTH state reduction.
+
+    Grassmann, Taksar and Heyman (Operations Research 33(5), 1985) censor the
+    chain onto states 0..k-1 for k = n-1 down to 1, then rebuild the law
+    upwards.  Only sums and products of nonnegative entries occur and the
+    diagonal is never read, so the result is accurate to rounding level even
+    when the chain is nearly reducible.  A matrix that is not square, has a
+    non-finite or negative entry, or a row sum off 1 by more than 1e-12 is a
+    ValueError, raised before any work.  The reduction needs an irreducible
+    chain: a state that cannot reach the states before it is a RuntimeError.
+    """
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"transition matrix must be square, 2-D and nonempty, got shape {a.shape}")
+    if not np.isfinite(a).all() or (a < 0.0).any():
+        raise ValueError("transition matrix entries must be finite and nonnegative")
+    row_err = float(np.abs(a.sum(axis=1) - 1.0).max())
+    if row_err > 1e-12:
+        raise ValueError(f"transition rows sum to 1 +/- {row_err:.3e}")
+    n = a.shape[0]
+    for k in range(n - 1, 0, -1):
+        s = a[k, :k].sum()
+        if not s > 0.0:
+            raise RuntimeError(f"state {k} cannot reach states 0..{k - 1}: "
+                               "the chain is reducible")
+        a[:k, k] /= s
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.empty(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 def detailed_balance_residual(matrix: np.ndarray, pi: np.ndarray) -> float:

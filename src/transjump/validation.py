@@ -68,7 +68,7 @@ def toy_stationarity(n_specs: int = 20, seed: int = DEFAULT_SEED) -> list[CheckR
         spec = random_toy_spec(rng, m=3 if i % 2 == 0 else 4, k_max=2)
         matrix = build_transition_matrix(spec, "corrected")
         pi_exact = normalized_target_vector(spec)
-        pi_hat = stationary_distribution(matrix, tol=5e-15)
+        pi_hat = stationary_distribution(matrix)
         worst_tv = max(worst_tv, tv_distance(pi_hat, pi_exact))
         worst_db = max(worst_db, detailed_balance_residual(matrix, pi_exact))
     return [

@@ -373,7 +373,7 @@ class TestMain:
     @pytest.mark.parametrize("suite, lines", [
         ("toy-stationarity", [
             "PASS  stationary law TV vs normalized target (worst of 20 toys): "
-            "value=7.91768e-13 (required < 1e-10)",
+            "value=1.2837e-16 (required < 1e-10)",
             "PASS  detailed balance cell residual (worst of 20 toys): "
             "value=3.46945e-18 (required < 1e-12)",
         ]),

@@ -91,6 +91,12 @@ class TestSelectMove:
         with pytest.raises(ConfigurationError):
             select_move(moves, VarDimState(), rng_stream(4))
 
+    def test_nan_weight_is_config_error(self):
+        """A NaN weight makes the total NaN, which must not pass the sum check."""
+        moves = constant_moves({"a": math.nan, "b": 1.0})
+        with pytest.raises(ConfigurationError):
+            select_move(moves, VarDimState(), rng_stream(4))
+
 
 class TestMhgAccept:
     def test_zero_log_ratio_accepts_surely(self):

@@ -99,7 +99,7 @@ class TestBuildTransitionMatrix:
         for seed in (93, 94, 95):
             spec = toy(m=3 + seed % 2, seed=seed)
             matrix = build_transition_matrix(spec, "corrected")
-            pi_hat = stationary_distribution(matrix, tol=5e-15)
+            pi_hat = stationary_distribution(matrix)
             assert tv_distance(pi_hat, normalized_target_vector(spec)) < 1e-10
 
     def test_stationary_matches_reweighted_target_legacy(self):
@@ -107,14 +107,14 @@ class TestBuildTransitionMatrix:
         for seed in (96, 97):
             spec = toy(seed=seed)
             matrix = build_transition_matrix(spec, "legacy")
-            pi_hat = stationary_distribution(matrix, tol=5e-15)
+            pi_hat = stationary_distribution(matrix)
             assert tv_distance(pi_hat, normalized_target_vector(spec, legacy=True)) < 1e-10
 
     def test_sorted_toy_stationarity(self):
         for seed in (98, 99):
             spec = toy(seed=seed, representation="sorted")
             matrix = build_transition_matrix(spec, "corrected")
-            pi_hat = stationary_distribution(matrix, tol=5e-15)
+            pi_hat = stationary_distribution(matrix)
             assert tv_distance(pi_hat, normalized_target_vector(spec)) < 1e-10
 
     def test_duplicate_proposals_auto_rejected(self):
@@ -135,7 +135,7 @@ class TestChainAgainstExactLaw:
         out = run_chain(spec, bod_move_set(spec, spec.schedule()),
                         VarDimState(), 1_000_000, 0, rng_stream(107))
         states = enumerate_states(spec)
-        pi = stationary_distribution(build_transition_matrix(spec), tol=5e-15)
+        pi = stationary_distribution(build_transition_matrix(spec))
         k_exact = np.zeros(spec.k_max + 1)
         for s, p in zip(states, pi):
             k_exact[s.k] += p
@@ -164,9 +164,59 @@ class TestStationaryDistribution:
         np.testing.assert_allclose(pi, [0.75, 0.25], atol=1e-11)
 
     def test_nonconvergence_raises(self):
-        p = np.array([[1 - 1e-9, 1e-9], [2e-9, 1 - 2e-9]])
+        """A reducible chain has no unique fixed point: one absorbing class
+        reached from the other, and two closed classes."""
         with pytest.raises(RuntimeError):
-            stationary_distribution(p, tol=1e-12, max_iter=10)
+            stationary_distribution(np.eye(2))
+        p = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+        with pytest.raises(RuntimeError):
+            stationary_distribution(p)
+
+    def test_near_reducible_two_state(self):
+        """A spectral gap of 3e-9: the reduction still reaches the exact law."""
+        p = np.array([[1 - 1e-9, 1e-9], [2e-9, 1 - 2e-9]])
+        np.testing.assert_allclose(stationary_distribution(p), [2 / 3, 1 / 3],
+                                   rtol=1e-14)
+
+    def test_dense_random_matrix_against_linear_solve(self):
+        rng = rng_stream(110)
+        p = rng.uniform(0.0, 1.0, size=(17, 17))
+        p /= p.sum(axis=1, keepdims=True)
+        pi = stationary_distribution(p)
+        assert float(np.abs(pi @ p - pi).max()) < 1e-15
+        # pi (I - P) = 0 with the last equation replaced by sum(pi) = 1.
+        system = (np.eye(17) - p).T
+        system[-1] = 1.0
+        rhs = np.zeros(17)
+        rhs[-1] = 1.0
+        np.testing.assert_allclose(pi, np.linalg.solve(system, rhs), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([0.5, 0.5]),
+        np.ones((2, 3)) / 3,
+        np.ones((1, 2, 2)) / 2,
+        np.empty((0, 0)),
+        np.array([[np.nan, 0.5], [0.5, 0.5]]),
+        np.array([[np.inf, 0.5], [0.5, 0.5]]),
+        np.array([[1.5, -0.5], [0.5, 0.5]]),
+        np.array([[0.5, 0.5 + 1e-11], [0.5, 0.5]]),
+    ], ids=["1d", "not-square", "3d", "empty", "nan", "inf", "negative", "row-sum"])
+    def test_malformed_matrix_rejected(self, bad):
+        with pytest.raises(ValueError):
+            stationary_distribution(bad)
+
+    def test_row_sum_within_guard_accepted(self):
+        p = np.array([[0.9, 0.1 + 5e-13], [0.3, 0.7]])
+        np.testing.assert_allclose(stationary_distribution(p), [0.75, 0.25], atol=1e-11)
+
+    def test_toy_laws_at_rounding_level(self):
+        """Corrected, legacy and sorted toys against their closed-form laws."""
+        cases = [(toy(seed=93), "corrected", False),
+                 (toy(seed=96), "legacy", True),
+                 (toy(seed=98, representation="sorted"), "corrected", False)]
+        for spec, mode, legacy in cases:
+            pi_hat = stationary_distribution(build_transition_matrix(spec, mode))
+            assert tv_distance(pi_hat, normalized_target_vector(spec, legacy=legacy)) < 1e-14
 
 
 class TestQuadraturePosterior:
