@@ -189,7 +189,8 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"transition matrix must be square, 2-D and nonempty, got shape {a.shape}")
+        raise ValueError("transition matrix must be square, 2-D and nonempty, "
+                         f"got shape {a.shape}")
     if not np.isfinite(a).all() or (a < 0.0).any():
         raise ValueError("transition matrix entries must be finite and nonnegative")
     row_err = float(np.abs(a.sum(axis=1) - 1.0).max())

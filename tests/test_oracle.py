@@ -164,8 +164,8 @@ class TestStationaryDistribution:
         np.testing.assert_allclose(pi, [0.75, 0.25], atol=1e-11)
 
     def test_nonconvergence_raises(self):
-        """A reducible chain has no unique fixed point: one absorbing class
-        reached from the other, and two closed classes."""
+        """A reducible chain has no unique fixed point: two absorbing states,
+        and two closed classes of one and two states."""
         with pytest.raises(RuntimeError):
             stationary_distribution(np.eye(2))
         p = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
