@@ -184,8 +184,11 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     diagonal is never read, so the result is accurate to rounding level even
     when the chain is nearly reducible.  A matrix that is not square, has a
     non-finite or negative entry, or a row sum off 1 by more than 1e-12 is a
-    ValueError, raised before any work.  The reduction needs an irreducible
-    chain: a state that cannot reach the states before it is a RuntimeError.
+    ValueError, raised before any work.  The reduction keeps the first state
+    to the end, so that must be a state every state reaches: the first such
+    state, found from the reachability closure of matrix > 0, is moved there
+    and back.  Transient states then get exactly 0.  A chain with no such
+    state has more than one closed class and no unique law: a RuntimeError.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -197,18 +200,28 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     if row_err > 1e-12:
         raise ValueError(f"transition rows sum to 1 +/- {row_err:.3e}")
     n = a.shape[0]
+    reach = ((a > 0.0) | np.eye(n, dtype=bool)).astype(float)
+    while not ((wider := (reach @ reach > 0.0).astype(float)) == reach).all():
+        reach = wider
+    roots = np.flatnonzero(reach.all(axis=0))
+    if roots.size == 0:
+        raise RuntimeError("no state is reachable from every state: "
+                           "the chain has more than one closed class")
+    order = np.r_[roots[0], np.delete(np.arange(n), roots[0])]
+    a = a[np.ix_(order, order)]
     for k in range(n - 1, 0, -1):
         s = a[k, :k].sum()
-        if not s > 0.0:
-            raise RuntimeError(f"state {k} cannot reach states 0..{k - 1}: "
-                               "the chain is reducible")
+        if not s > 0.0:  # only underflow can empty a row once state 0 is a root
+            raise RuntimeError(f"state reduction underflowed at step {k}")
         a[:k, k] /= s
         a[:k, :k] += np.outer(a[:k, k], a[k, :k])
     pi = np.empty(n)
     pi[0] = 1.0
     for k in range(1, n):
         pi[k] = pi[:k] @ a[:k, k]
-    return pi / pi.sum()
+    law = np.empty(n)
+    law[order] = pi / pi.sum()
+    return law
 
 
 def detailed_balance_residual(matrix: np.ndarray, pi: np.ndarray) -> float:

@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .core import (
     NEG_INF,
@@ -60,7 +59,8 @@ def _projection_norm2(y: np.ndarray, omega) -> float:
     triangular solve that scipy's solve_triangular makes for it; 0 at k = 0.
     Near-duplicate frequencies (gap below ~1e-8, a posterior null set) and
     factorisation failures raise SingularDesignError; a non-finite omega or
-    y raises ValueError.
+    y raises ValueError.  The first factorisation in a process loads
+    scipy.linalg (see _whitened_norm2); k = 0 and the checks above do not.
     """
     omega = tuple(omega)
     if not omega:
@@ -80,10 +80,23 @@ def _projection_norm2(y: np.ndarray, omega) -> float:
     return _whitened_norm2(chol, z)
 
 
+_dtrtrs = None  # scipy's LAPACK dtrtrs, bound by the first _whitened_norm2 call
+
+
 def _whitened_norm2(chol: np.ndarray, z: np.ndarray) -> float:
-    """|w|^2 for L w = z, with L the C-ordered lower Cholesky factor of D^T D and z = D^T y."""
+    """|w|^2 for L w = z, with L the C-ordered lower Cholesky factor of D^T D and z = D^T y.
+
+    The first call in a process imports scipy.linalg for LAPACK's dtrtrs
+    (~0.3 s and ~20 MB on a 2-vCPU x86-64 host, most of it scipy's array-API
+    layer); later calls read the bound routine from a module global.  So a
+    process that never factorises a design, such as a prior-only chain,
+    ``priors-plot`` or the toy oracle, never loads scipy.linalg.
+    """
+    global _dtrtrs
+    if _dtrtrs is None:
+        from scipy.linalg.lapack import dtrtrs as _dtrtrs
     # chol is C-ordered, so its transpose is the Fortran-ordered upper factor.
-    w, info = dtrtrs(chol.T, z, lower=0, trans=1)
+    w, info = _dtrtrs(chol.T, z, lower=0, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed, info={info}")
     s = float(w @ w)

@@ -1,7 +1,11 @@
 """Config parsing, file outputs, reproducibility and the command-line surface."""
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +366,16 @@ class TestMain:
                      "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "priors.csv").exists()
+
+    def test_module_entry_point(self, tmp_path):
+        """``python -m transjump`` runs the CLI from the source tree, uninstalled."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "transjump", "priors-plot", "--lambda", "5", "--kmax", "4",
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "priors.csv").is_file() and (tmp_path / "priors.svg").is_file()
 
     @pytest.mark.parametrize("args", [["--lambda", "nan"], ["--lambda", "inf"],
                                       ["--lambda", "0"], ["--lambda", "5", "--kmax", "-1"]])

@@ -8,6 +8,7 @@ package, and with it the fields of public classes that no package or benchmark
 code reads; a fresh interpreter shows what importing the CLI pulls in.
 """
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -133,16 +134,53 @@ def test_every_public_definition_is_referenced():
             + unread_fields(public_fields(p.read_text()), references)] == []
 
 
-def test_cli_import_leaves_scipy_special_out():
-    """Neither ``import transjump`` nor the CLI loads scipy.special.
+# One fresh interpreter: the prior-only work first, then one factorisation.
+PRIOR_ONLY_THEN_FACTORISE = """\
+import json, sys
+def loaded():
+    return ['scipy.special' in sys.modules, 'scipy.linalg' in sys.modules]
+import transjump
+seen = {'import': loaded()}
+import transjump.cli
+from transjump import birthdeath, core, sinusoid
+seen['cli'] = loaded()
+target = sinusoid.PriorOnlyTarget(5.0, 32)
+sched = birthdeath.BirthDeathSchedule.green(5.0, 32, 0.25, ratio_mode='corrected')
+out = core.run_chain(target, birthdeath.bod_move_set(target, sched), core.VarDimState(),
+                     n_iter=2000, burn_in=500, rng=core.rng_stream(11, 0))
+seen['run_chain'] = loaded() + [len(out.k)]
+code = transjump.cli.main(['priors-plot', '--lambda', '5', '--kmax', '12', '--out', sys.argv[1]])
+seen['priors-plot'] = loaded() + [code]
+y = sinusoid.synthesize((0.63,), (20.0,), 20.0, 32, core.rng_stream(7, 0))
+seen['norm'] = repr(sinusoid._projection_norm2(y, (0.63,)))
+seen['factorised'] = loaded()
+print(json.dumps(seen))
+"""
 
-    The package's log-sum-exp and the λ normaliser's closed form are its own,
-    so loading it costs no memory or start-up time.  A fresh interpreter is
-    needed, since the test suite itself imports scipy's logsumexp.
+
+def test_no_factorisation_leaves_scipy_special_and_linalg_out(tmp_path):
+    """Only the first factorisation loads scipy.linalg; nothing loads scipy.special.
+
+    Importing the package and the CLI, a prior-only chain and ``priors-plot``
+    never factorise a design, so they leave scipy.linalg (~0.3 s to import)
+    unloaded; the package's log-sum-exp and the λ normaliser's closed form
+    are its own, so scipy.special stays out too.  The first projection norm
+    then loads scipy.linalg and gives the same float as this process, where
+    scipy.linalg is loaded up front.  A fresh interpreter is needed, since
+    the test suite itself imports scipy.
     """
+    from scipy.linalg.lapack import dtrtrs
+
+    from transjump import core, sinusoid
+
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys, transjump; print('scipy.special' in sys.modules)\n"
-            "import transjump.cli; print('scipy.special' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.split() == ["False", "False"]
+    result = subprocess.run([sys.executable, "-c", PRIOR_ONLY_THEN_FACTORISE, str(tmp_path)],
+                            env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(result.stdout.splitlines()[-1])
+    y = sinusoid.synthesize((0.63,), (20.0,), 20.0, 32, core.rng_stream(7, 0))
+    assert seen == {"import": [False, False], "cli": [False, False],
+                    "run_chain": [False, False, 2000], "priors-plot": [False, False, 0],
+                    "norm": repr(sinusoid._projection_norm2(y, (0.63,))),
+                    "factorised": [False, True]}
+    assert sinusoid._dtrtrs is dtrtrs
+    assert (tmp_path / "priors.csv").is_file() and (tmp_path / "priors.svg").is_file()

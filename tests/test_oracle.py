@@ -1,4 +1,5 @@
 """Exact transition-matrix oracles, quadrature and distance utilities."""
+import itertools
 import math
 import tracemalloc
 
@@ -171,6 +172,16 @@ class TestStationaryDistribution:
         p = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
         with pytest.raises(RuntimeError):
             stationary_distribution(p)
+
+    def test_transient_first_state(self):
+        """A zero-weight empty state is transient: π there is exactly 0, and the
+        rest is the normalised target, though the reduction cannot start from it."""
+        points = (0.4, 1.6, 2.8)
+        weights = {t: 1.0 for k in (1, 2) for t in itertools.permutations(points, k)}
+        spec = DiscreteToySpec(points, 2, {(): 0.0, **weights}, (1 / 3,) * 3)
+        pi = stationary_distribution(build_transition_matrix(spec, "corrected"))
+        assert pi[0] == 0.0
+        np.testing.assert_allclose(pi, normalized_target_vector(spec), rtol=0, atol=1e-14)
 
     def test_near_reducible_two_state(self):
         """A spectral gap of 3e-9: the reduction still reaches the exact law."""
