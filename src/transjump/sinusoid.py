@@ -89,8 +89,10 @@ def _whitened_norm2(chol: np.ndarray, z: np.ndarray) -> float:
     The first call in a process imports scipy.linalg for LAPACK's dtrtrs
     (~0.3 s and ~20 MB on a 2-vCPU x86-64 host, most of it scipy's array-API
     layer); later calls read the bound routine from a module global.  So a
-    process that never factorises a design, such as a prior-only chain,
-    ``priors-plot`` or the toy oracle, never loads scipy.linalg.
+    process that never factorises a scalar design, such as a prior-only
+    chain, ``priors-plot``, the toy oracle or the quadrature oracle (whose
+    FrequencyGrid solves its stacked factors in numpy), never loads
+    scipy.linalg.  The chain's norms all come through here, bit for bit.
     """
     global _dtrtrs
     if _dtrtrs is None:
@@ -115,29 +117,34 @@ def _norm_or_inf(y: np.ndarray, omega) -> float:
 
 
 class FrequencyGrid:
-    """A fixed set of frequencies and their design columns at one signal length.
+    """A fixed set of frequencies, their design columns and their Gram table.
 
     ``table`` is design_matrix(points, n_obs), built once, so every design
     over grid points is a gather of its columns: the cos and sin of each
     point are computed once per grid, not once per design that holds it.
+    ``gram`` is table^T table (2G x 2G), also built once, so every design's
+    D^T D is a gather of its entries.
     """
 
     def __init__(self, points, n_obs: int):
         self.points = np.asarray(points, dtype=float)
         self.table = design_matrix(self.points, n_obs)
+        self.gram = self.table.T @ self.table
 
     def projection_norms(self, y: np.ndarray, cells) -> np.ndarray:
         """_projection_norm2(y, points[row]) for each row of (m, k) integer cells.
 
         inf where the design is singular, 0 at k = 0.  The scalar path's
-        finite and near-duplicate checks run on points[cells].  The rows that
-        pass share one C-contiguous (m, N, 2k) design stack gathered from the
-        table, one stacked D^T D and D^T y and one stacked Cholesky call,
-        which run the scalar path's per-matrix kernels on the same columns,
-        so every value is bit for bit the scalar one; only the triangular
-        solve runs per row.  If the stacked factorisation fails, every row
-        goes through _projection_norm2.  The stack holds m * N * 2k doubles,
-        so callers pass a bounded batch.
+        finite and near-duplicate checks run on points[cells].  table^T y is
+        formed once per call; each row that passes gathers its D^T D from
+        ``gram`` and its D^T y from table^T y, the stack is factorised by one
+        np.linalg.cholesky call and solved by one forward substitution over
+        its 2k columns.  The values are not bit for bit the scalar ones: on
+        rows whose gaps are at least 1e-3 they lie within 1e-12 |y|^2 of them,
+        and the inf rows are the scalar path's.  If the stacked factorisation
+        fails, every row goes through _projection_norm2.  A non-finite y
+        raises ValueError, as the scalar path does.  The stack holds
+        m * 4k^2 doubles, so callers pass a bounded batch.
         """
         cells = np.asarray(cells, dtype=np.intp)
         m, k = cells.shape
@@ -150,16 +157,20 @@ class FrequencyGrid:
         regular = (np.diff(np.sort(omegas, axis=1), axis=1) >= NEAR_DUPLICATE_GAP).all(axis=1)
         norms[~regular] = math.inf
         columns = (2 * cells[regular, :, None] + (0, 1)).reshape(-1, 2 * k)
-        d = np.ascontiguousarray(self.table[:, columns].transpose(1, 0, 2))
-        dt = d.swapaxes(1, 2)
-        gram = dt @ d
-        z = dt @ y
+        gram = self.gram[columns[:, :, None], columns[:, None, :]]
+        z = (self.table.T @ y)[columns]
+        if not np.isfinite(z).all():
+            raise ValueError("y must be finite")
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             norms[regular] = [_norm_or_inf(y, row) for row in omegas[regular].tolist()]
-        else:
-            norms[regular] = [_whitened_norm2(c, zr) for c, zr in zip(chol, z)]
+            return norms
+        # Forward substitution L w = z, one column of the whole stack at a time.
+        w = np.empty_like(z)
+        for j in range(2 * k):
+            w[:, j] = (z[:, j] - np.einsum("ij,ij->i", chol[:, j, :j], w[:, :j])) / chol[:, j, j]
+        norms[regular] = np.einsum("ij,ij->i", w, w)
         return norms
 
 

@@ -134,7 +134,8 @@ def test_every_public_definition_is_referenced():
             + unread_fields(public_fields(p.read_text()), references)] == []
 
 
-# One fresh interpreter: the prior-only work first, then one factorisation.
+# One fresh interpreter: the prior-only work and the quadrature oracle first,
+# then one factorisation.
 PRIOR_ONLY_THEN_FACTORISE = """\
 import json, sys
 def loaded():
@@ -142,7 +143,7 @@ def loaded():
 import transjump
 seen = {'import': loaded()}
 import transjump.cli
-from transjump import birthdeath, core, sinusoid
+from transjump import birthdeath, core, oracle, sinusoid
 seen['cli'] = loaded()
 target = sinusoid.PriorOnlyTarget(5.0, 32)
 sched = birthdeath.BirthDeathSchedule.green(5.0, 32, 0.25, ratio_mode='corrected')
@@ -152,6 +153,8 @@ seen['run_chain'] = loaded() + [len(out.k)]
 code = transjump.cli.main(['priors-plot', '--lambda', '5', '--kmax', '12', '--out', sys.argv[1]])
 seen['priors-plot'] = loaded() + [code]
 y = sinusoid.synthesize((0.63,), (20.0,), 20.0, 32, core.rng_stream(7, 0))
+pmf = oracle.quadrature_posterior_k(y, 100.0, 1.0, 2, 120)
+seen['quadrature'] = loaded() + [len(pmf)]
 seen['norm'] = repr(sinusoid._projection_norm2(y, (0.63,)))
 seen['factorised'] = loaded()
 print(json.dumps(seen))
@@ -159,11 +162,12 @@ print(json.dumps(seen))
 
 
 def test_no_factorisation_leaves_scipy_special_and_linalg_out(tmp_path):
-    """Only the first factorisation loads scipy.linalg; nothing loads scipy.special.
+    """Only the first scalar factorisation loads scipy.linalg; nothing loads scipy.special.
 
     Importing the package and the CLI, a prior-only chain and ``priors-plot``
-    never factorise a design, so they leave scipy.linalg (~0.3 s to import)
-    unloaded; the package's log-sum-exp and the λ normaliser's closed form
+    never factorise a design, and the quadrature oracle solves its stacked
+    factors without LAPACK's dtrtrs, so they leave scipy.linalg (~0.3 s to
+    import) unloaded; the package's log-sum-exp and the λ normaliser's closed form
     are its own, so scipy.special stays out too.  The first projection norm
     then loads scipy.linalg and gives the same float as this process, where
     scipy.linalg is loaded up front.  A fresh interpreter is needed, since
@@ -180,6 +184,7 @@ def test_no_factorisation_leaves_scipy_special_and_linalg_out(tmp_path):
     y = sinusoid.synthesize((0.63,), (20.0,), 20.0, 32, core.rng_stream(7, 0))
     assert seen == {"import": [False, False], "cli": [False, False],
                     "run_chain": [False, False, 2000], "priors-plot": [False, False, 0],
+                    "quadrature": [False, False, 3],
                     "norm": repr(sinusoid._projection_norm2(y, (0.63,))),
                     "factorised": [False, True]}
     assert sinusoid._dtrtrs is dtrtrs

@@ -279,13 +279,15 @@ class TestQuadraturePosterior:
 
     def test_preconditions(self, monkeypatch):
         """Bad orders, grids, hyperparameters and signals raise ConfigurationError
-        before any density is evaluated; y is checked as SinusoidPosterior checks it."""
+        before any density is evaluated; y is checked as SinusoidPosterior checks it.
+        An order or grid size that is not an integer is bad too."""
         def evaluated(*args, **kwargs):
             raise AssertionError("density evaluated")
         for name in ("sinusoid_log_target", "sinusoid_log_targets", "FrequencyGrid"):
             monkeypatch.setattr(f"transjump.oracle.{name}", evaluated)
         y = np.ones(8)
         cases = [(y, 10.0, 1.0, 3, 200), (y, 10.0, 1.0, 2, 50), (y, 100.0, 1.0, -1, 200),
+                 (y, 100.0, 1.0, 1.5, 200), (y, 100.0, 1.0, 2, 200.0),
                  (y, 10.0, math.nan, 2, 200), (y, math.nan, 1.0, 2, 200),
                  (y, -0.5, 1.0, 2, 200), (y, -1.0, 1.0, 2, 200),
                  (y, 10.0, 0.0, 2, 200), (y, 10.0, -1.0, 2, 200),
@@ -303,7 +305,7 @@ class TestQuadraturePosterior:
 
     def test_partition_size_and_evaluation_count(self, monkeypatch):
         """The partition holds grid_size // 2 - 5 coarse cells plus 5 refined
-        blocks; a call evaluates 1 + grid_size // 2 + G + G^2 densities."""
+        blocks; a call evaluates 1 + grid_size // 2 + G + G(G - 1)/2 densities."""
         y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))
         for grid_size, g in ((120, 115), (200, 195), (400, 395)):
             points, log_widths = _frequency_partition(y, 1.0, 100.0, 2, grid_size)
@@ -315,11 +317,13 @@ class TestQuadraturePosterior:
         monkeypatch.setattr(oracle, "sinusoid_log_targets",
                             lambda y, omegas, *a: cells.append(len(omegas)) or targets(y, omegas, *a))
         quadrature_posterior_k(y, 100.0, 1.0, 2, 200)
-        assert sum(cells) == 1 + 100 + 195 + 195 ** 2 == 38321
+        assert sum(cells) == 1 + 100 + 195 + 195 * 194 // 2 == 19211
 
     def test_memory_stays_per_grid_row(self):
-        """Batches are one grid row: stacking the whole order-2 grid would hold
-        ~39 MB of designs at N = 32; a row's stack holds 0.2 MB."""
+        """Order-2 pairs go in batches of at most 2048: a batch's gathered
+        Gram stack holds 0.26 MB and its factors as much again, where one
+        stack of every pair would hold ~2.4 MB each.  The grid's 390 x 390
+        Gram table holds 1.2 MB; a call peaked at 2.5 MB."""
         y = synthesize((0.63,), (20.0,), 20.0, 32, rng_stream(1, 0))
         tracemalloc.start()
         try:
