@@ -28,7 +28,6 @@ from .birthdeath import (
 )
 from .sinusoid import (
     PriorOnlyTarget,
-    SingularDesignError,
     SinusoidPosterior,
     accelerated_poisson_pmf,
     design_matrix,

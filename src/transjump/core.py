@@ -9,6 +9,7 @@ surely" value while NaN always signals a broken kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -157,8 +158,9 @@ def mhg_accept(log_ratio: float, rng: Rng) -> bool:
 
 
 def check_iteration_counts(n_iter: int, burn_in: int) -> None:
-    """Require 0 <= burn_in < n_iter, or an empty run with no burn-in."""
-    if not (0 <= burn_in < n_iter or n_iter == burn_in == 0):
+    """Require integers 0 <= burn_in < n_iter, or an empty run with no burn-in."""
+    if not (isinstance(n_iter, numbers.Integral) and isinstance(burn_in, numbers.Integral)
+            and (0 <= burn_in < n_iter or n_iter == burn_in == 0)):
         raise ConfigurationError(f"invalid iteration counts: n_iter={n_iter}, burn_in={burn_in}")
 
 

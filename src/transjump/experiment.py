@@ -9,6 +9,7 @@ Each sweep produces one record, so iteration counts refer to sweeps.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -56,8 +57,8 @@ def check_sweep_settings(*, k_max: int, c: float, ratio_mode: str, representatio
         raise ConfigurationError(f"unknown representation {representation!r}")
     if not 0.0 < c <= 0.5:
         raise ConfigurationError(f"c={c} outside (0, 0.5]")
-    if k_max < 1:
-        raise ConfigurationError(f"k_max={k_max} must be at least 1")
+    if not (isinstance(k_max, numbers.Integral) and k_max >= 1):
+        raise ConfigurationError(f"k_max={k_max!r} must be an integer of at least 1")
     if (lam is None) == (lambda_prior is None):
         raise ConfigurationError("give exactly one of lambda / lambda_prior")
     if (delta2 is None) == (delta2_prior is None):

@@ -296,12 +296,10 @@ def quadrature_posterior_k(y, delta2: float, lam: float, k_max: int,
     bit a cell by cell sinusoid_log_target sum.  The settings are checked as
     SinusoidPosterior checks them, before any evaluation.
     """
-    if not (isinstance(k_max, numbers.Integral) and isinstance(grid_size, numbers.Integral)):
-        raise ConfigurationError("k_max and grid_size must be integers")
     if not 0 <= k_max <= 2:
         raise ConfigurationError("quadrature oracle supports 0 <= k_max <= 2 only")
-    if grid_size < 100:
-        raise ConfigurationError("grid_size must be at least 100")
+    if not (isinstance(grid_size, numbers.Integral) and grid_size >= 100):
+        raise ConfigurationError("grid_size must be an integer of at least 100")
     y = check_posterior_settings(y, lam, delta2, k_max)
 
     log_mass = [sinusoid_log_target(y, (), lam, delta2, k_max)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -30,10 +31,6 @@ OMEGA_LOW = 0.0
 OMEGA_HIGH = math.pi
 
 
-class SingularDesignError(RuntimeError):
-    """The regression design is numerically singular (near-duplicate frequencies)."""
-
-
 def design_matrix(omega, n_obs: int) -> np.ndarray:
     """N x 2k design with columns cos(w_j t), sin(w_j t), t = 0 .. N-1.
 
@@ -52,16 +49,24 @@ def design_matrix(omega, n_obs: int) -> np.ndarray:
 NEAR_DUPLICATE_GAP = 1e-8
 
 
-def _projection_norm2(y: np.ndarray, omega) -> float:
-    """Squared norm of the whitened projection of y onto the design columns.
+_dtrtrs = None  # scipy's LAPACK dtrtrs, bound at the first factorisation
 
-    Computed through a Cholesky factorisation of D^T D and the LAPACK
-    triangular solve that scipy's solve_triangular makes for it; 0 at k = 0.
-    Near-duplicate frequencies (gap below ~1e-8, a posterior null set) and
-    factorisation failures raise SingularDesignError; a non-finite omega or
-    y raises ValueError.  The first factorisation in a process loads
-    scipy.linalg (see _whitened_norm2); k = 0 and the checks above do not.
+
+def _projection_norm2(y: np.ndarray, omega) -> float:
+    """Squared norm |w|^2 of the whitened projection of y onto the design columns.
+
+    L w = z, with L the Cholesky factor of D^T D and z = D^T y, solved by
+    the LAPACK dtrtrs call that scipy's solve_triangular makes; 0 at k = 0.
+    A design singular to working precision gives inf: near-duplicate
+    frequencies (gap below NEAR_DUPLICATE_GAP, a posterior null set) or a
+    failed Cholesky.  A non-finite omega or y raises ValueError.  The first
+    factorisation in a process imports scipy.linalg (~0.3 s and ~20 MB on a
+    2-vCPU x86-64 host, most of it scipy's array-API layer), so a process
+    that never factorises a scalar design, such as a prior-only chain,
+    ``priors-plot`` or the oracles, never loads it.  The chain's norms all
+    come through here, bit for bit.
     """
+    global _dtrtrs
     omega = tuple(omega)
     if not omega:
         return 0.0
@@ -69,32 +74,13 @@ def _projection_norm2(y: np.ndarray, omega) -> float:
         raise ValueError(f"non-finite frequency in omega={omega}")
     ordered = sorted(omega)
     if len(omega) > 1 and min(map(operator.sub, ordered[1:], ordered)) < NEAR_DUPLICATE_GAP:
-        raise SingularDesignError(f"near-duplicate frequencies in omega={omega}")
+        return math.inf
     d = design_matrix(omega, y.size)
-    gram = d.T @ d
     z = d.T @ y
     try:
-        chol = np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(d.T @ d)
     except np.linalg.LinAlgError:
-        raise SingularDesignError(f"design is singular at omega={omega}")
-    return _whitened_norm2(chol, z)
-
-
-_dtrtrs = None  # scipy's LAPACK dtrtrs, bound by the first _whitened_norm2 call
-
-
-def _whitened_norm2(chol: np.ndarray, z: np.ndarray) -> float:
-    """|w|^2 for L w = z, with L the C-ordered lower Cholesky factor of D^T D and z = D^T y.
-
-    The first call in a process imports scipy.linalg for LAPACK's dtrtrs
-    (~0.3 s and ~20 MB on a 2-vCPU x86-64 host, most of it scipy's array-API
-    layer); later calls read the bound routine from a module global.  So a
-    process that never factorises a scalar design, such as a prior-only
-    chain, ``priors-plot``, the toy oracle or the quadrature oracle (whose
-    FrequencyGrid solves its stacked factors in numpy), never loads
-    scipy.linalg.  The chain's norms all come through here, bit for bit.
-    """
-    global _dtrtrs
+        return math.inf
     if _dtrtrs is None:
         from scipy.linalg.lapack import dtrtrs as _dtrtrs
     # chol is C-ordered, so its transpose is the Fortran-ordered upper factor.
@@ -106,14 +92,6 @@ def _whitened_norm2(chol: np.ndarray, z: np.ndarray) -> float:
     if not math.isfinite(s) and not np.isfinite(z).all():
         raise ValueError("y must be finite")
     return s
-
-
-def _norm_or_inf(y: np.ndarray, omega) -> float:
-    """_projection_norm2(y, omega), or inf where the design is singular."""
-    try:
-        return _projection_norm2(y, omega)
-    except SingularDesignError:
-        return math.inf
 
 
 class FrequencyGrid:
@@ -134,16 +112,17 @@ class FrequencyGrid:
     def projection_norms(self, y: np.ndarray, cells) -> np.ndarray:
         """_projection_norm2(y, points[row]) for each row of (m, k) integer cells.
 
-        inf where the design is singular, 0 at k = 0.  The scalar path's
-        finite and near-duplicate checks run on points[cells].  table^T y is
-        formed once per call; each row that passes gathers its D^T D from
-        ``gram`` and its D^T y from table^T y, the stack is factorised by one
-        np.linalg.cholesky call and solved by one forward substitution over
-        its 2k columns.  The values are not bit for bit the scalar ones: on
-        rows whose gaps are at least 1e-3 they lie within 1e-12 |y|^2 of them,
-        and the inf rows are the scalar path's.  If the stacked factorisation
-        fails, every row goes through _projection_norm2.  A non-finite y
-        raises ValueError, as the scalar path does.  The stack holds
+        inf where the design is singular, as there; 0 at k = 0.  The scalar
+        path's finite and near-duplicate checks run on points[cells].
+        table^T y is formed once per call; each row that passes gathers its
+        D^T D from ``gram`` and its D^T y from table^T y, the stack is
+        factorised by one np.linalg.cholesky call and solved by one forward
+        substitution over its 2k columns.  The values are not bit for bit the
+        scalar ones: on rows whose gaps are at least 1e-3 they lie within
+        1e-12 |y|^2 of them, and the inf rows are the scalar path's.  If the
+        stacked factorisation fails, every regular row goes through
+        _projection_norm2.  A non-finite y raises ValueError, as the scalar
+        path does.  The stack holds
         m * 4k^2 doubles, so callers pass a bounded batch.
         """
         cells = np.asarray(cells, dtype=np.intp)
@@ -164,7 +143,7 @@ class FrequencyGrid:
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            norms[regular] = [_norm_or_inf(y, row) for row in omegas[regular].tolist()]
+            norms[regular] = [_projection_norm2(y, row) for row in omegas[regular].tolist()]
             return norms
         # Forward substitution L w = z, one column of the whole stack at a time.
         w = np.empty_like(z)
@@ -178,11 +157,11 @@ def quad_form(y, omega, delta2: float, *, s: float | None = None) -> float:
     """y^T P_k y with P_k the g-prior shrinkage projection; y^T y when k = 0.
 
     P_k is never formed: the quadratic form is y^T y minus the shrunk squared
-    projection s, so the result always lies in [|y|^2 / (1 + delta2), |y|^2].
+    projection s, so a finite result always lies in [|y|^2 / (1 + delta2), |y|^2].
     A caller that already holds s = _projection_norm2(y, omega) passes it.
-    A factorised projection above |y|^2 (inf included), which nearly
-    coincident frequencies can produce, means the design is singular to
-    working precision and raises SingularDesignError.
+    A projection above |y|^2 (inf included), which nearly coincident
+    frequencies can produce, means the design is singular to working
+    precision: the result is inf.
     """
     y = np.asarray(y, dtype=float)
     yty = float(y @ y)
@@ -191,7 +170,7 @@ def quad_form(y, omega, delta2: float, *, s: float | None = None) -> float:
     if s is None:
         s = _projection_norm2(y, omega)
     if not s <= yty:
-        raise SingularDesignError(f"projection exceeds |y|^2 at omega={tuple(omega)}")
+        return math.inf
     return yty - delta2 / (1.0 + delta2) * s
 
 
@@ -205,18 +184,16 @@ def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int, *,
     """Unnormalised log posterior of (k, omega) given the data.
 
     -(N/2) log(y^T P_k y) + k log(lam) - k log(pi) - log k! - k log(1+delta2),
-    or -inf outside (0, pi)^k, above the truncation, or on a numerically
-    singular design.  ``s`` is the projection norm, when the caller holds it
-    (see quad_form).
+    or -inf outside (0, pi)^k and above the truncation.  On a design singular
+    to working precision quad_form is inf, so -(N/2) log(inf) makes the value
+    -inf too.  ``s`` is the projection norm, when the caller holds it (see
+    quad_form).
     """
     y = np.asarray(y, dtype=float)
     k = len(omega)
     if not _in_support(omega, k_max):
         return NEG_INF
-    try:
-        q = quad_form(y, omega, delta2, s=s)
-    except SingularDesignError:
-        return NEG_INF
+    q = quad_form(y, omega, delta2, s=s)
     n = y.size
     return (-0.5 * n * math.log(q) + k * math.log(lam) - k * math.log(math.pi)
             - math.lgamma(k + 1) - k * math.log1p(delta2))
@@ -267,7 +244,7 @@ def check_posterior_settings(y, lam: float, delta2: float, k_max: int) -> np.nda
     """y as a float vector; ConfigurationError on settings no posterior can evaluate.
 
     y must be a nonempty, finite, not all-zero vector, lam finite and
-    positive, delta2 finite and nonnegative, and k_max nonnegative.
+    positive, delta2 finite and nonnegative, and k_max a nonnegative integer.
     SinusoidPosterior and the quadrature oracle both check with it.
     """
     y = np.asarray(y, dtype=float)
@@ -275,9 +252,10 @@ def check_posterior_settings(y, lam: float, delta2: float, k_max: int) -> np.nda
         raise ConfigurationError("y must be a nonempty vector")
     if not (np.all(np.isfinite(y)) and np.any(y)):
         raise ConfigurationError("y must be finite and not all zero")
-    if not (0.0 < lam < math.inf and 0.0 <= delta2 < math.inf and k_max >= 0):
+    if not (0.0 < lam < math.inf and 0.0 <= delta2 < math.inf
+            and isinstance(k_max, numbers.Integral) and k_max >= 0):
         raise ConfigurationError("lam must be finite and positive; delta2 finite and "
-                                 "nonnegative; k_max nonnegative")
+                                 "nonnegative; k_max a nonnegative integer")
     return y
 
 
@@ -312,10 +290,11 @@ class SinusoidPosterior:
             self._densities.clear()
 
     def projection_norm(self, omega: tuple) -> float:
-        """s(omega) = _projection_norm2(y, omega), 0 at k = 0, inf on a singular design."""
+        """s(omega) = _projection_norm2(y, omega), memoised: 0 at k = 0, inf on a
+        singular design, each kept as any other value."""
         s = self._norms.get(omega)
         if s is None:
-            s = _norm_or_inf(self.y, omega)
+            s = _projection_norm2(self.y, omega)
             _remember(self._norms, omega, s)
         return s
 
@@ -363,8 +342,10 @@ def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
     One index is picked uniformly; with probability 0.8 the proposal is a
     Gaussian random-walk step of std ``walk_sd``, otherwise an independent
     uniform draw on (0, pi).  Both branches have symmetric proposal ratio,
-    so the log ratio is the log target difference (with -inf outside the
-    domain).
+    so the log ratio is the log target difference.  A target is -inf outside
+    its support (TargetDensity), here outside (0, pi)^k, on an unsorted state
+    of a sorted restriction and on a singular design, so such a proposal has
+    log ratio -inf and is rejected surely.
     """
     if x.k == 0:
         raise BrokenKernelError("frequency update proposed at k=0")
@@ -378,11 +359,7 @@ def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
     comps = list(x.components)
     comps[index] = float(new)
     proposed = VarDimState(tuple(comps))
-    if not OMEGA_LOW < new < OMEGA_HIGH:
-        return ProposalOutcome(proposed, NEG_INF)
     lt_new = target.log_density(proposed)
-    if lt_new == NEG_INF:
-        return ProposalOutcome(proposed, NEG_INF, proposed_log_density=lt_new)
     log_ratio = lt_new - target.log_density(x)
     return ProposalOutcome(proposed, log_ratio, proposed_log_density=lt_new)
 

@@ -45,7 +45,7 @@ class CheckResult:
     name: str
     value: float
     threshold: float
-    comparison: str  # "<", ">" or ">="
+    comparison: str  # "<" or ">"
     passed: bool
 
     def line(self) -> str:

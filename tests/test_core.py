@@ -203,11 +203,16 @@ class TestRunChain:
             run_chain(FlatTarget(), jump_moves(), VarDimState(), 10, 10, rng_stream(15))
 
     def test_iteration_count_bounds(self):
-        for n_iter, burn_in in ((0, 0), (1, 0), (10, 9)):
+        for n_iter, burn_in in ((0, 0), (1, 0), (10, 9), (np.int64(10), np.int64(9))):
             check_iteration_counts(n_iter, burn_in)
-        for n_iter, burn_in in ((-1, 0), (0, 1), (10, 10), (10, -1)):
+        for n_iter, burn_in in ((-1, 0), (0, 1), (10, 10), (10, -1),
+                                (100, 1.5), (10.5, 0), (10.0, 0), (10, 2.0)):
             with pytest.raises(ConfigurationError):
                 check_iteration_counts(n_iter, burn_in)
+        rng = rng_stream(15)
+        with pytest.raises(ConfigurationError):
+            run_chain(FlatTarget(), jump_moves(), VarDimState(), 100, 1.5, rng)
+        assert rng.random() == rng_stream(15).random()
 
     def test_zero_density_init_rejected(self):
         with pytest.raises(ConfigurationError):

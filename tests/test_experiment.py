@@ -59,6 +59,13 @@ class TestValidation:
         {"lambda_prior": (1e-300, 1e300)},
         {"delta2_prior": (1e10, 1e-320)},
         {"delta2_prior": (1.0000000000000002, 1e300)},
+        # counts that are not integers, though they would pass the range checks
+        {"k_max": 2.5},
+        {"k_max": 2.5, "flat_likelihood": True, "y": None},
+        {"k_max": 8.0},
+        {"n_iter": 10.5},
+        {"n_iter": 10.0},
+        {"burn_in": 1.5},
     ])
     def test_settings_the_cli_rejects_are_config_errors(self, change):
         """The library rejects these settings itself, before any sweep or draw."""

@@ -7,13 +7,13 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
+from transjump.birthdeath import SortedRestriction
 from transjump.core import BrokenKernelError, ConfigurationError, VarDimState, rng_stream
 from transjump.oracle import _frequency_partition
 from transjump.sinusoid import (
     POSTERIOR_CACHE_SIZE,
     FrequencyGrid,
     PriorOnlyTarget,
-    SingularDesignError,
     SinusoidPosterior,
     _projection_norm2,
     accelerated_poisson_pmf,
@@ -103,29 +103,28 @@ class TestQuadForm:
             omega = np.sort(rng.uniform(0.1, math.pi - 0.1, size=k))
             y = rng.standard_normal(32)
             delta2 = float(np.exp(rng.uniform(math.log(0.01), math.log(1e4))))
-            try:
-                q = quad_form(y, omega, delta2)
-            except SingularDesignError:
+            q = quad_form(y, omega, delta2)
+            if q == math.inf:
                 continue
             assert q >= float(y @ y) / (1 + delta2) * (1 - 1e-9)
 
     def test_duplicate_frequencies_signal_singular(self):
         y = rng_stream(64).standard_normal(16)
         for omega in ((0.8, 0.8), CHOLESKY_FAILS):
-            with pytest.raises(SingularDesignError):
-                quad_form(y, omega, 10.0)
+            assert quad_form(y, omega, 10.0) == math.inf
 
 
 def _reference_projection_norm2(y, omega) -> float:
-    """The projection norm through scipy's checked solve_triangular wrapper."""
+    """The projection norm through scipy's checked solve_triangular wrapper;
+    inf on near-duplicate frequencies or a failed Cholesky."""
     omega = np.asarray(omega, dtype=float)
     if omega.size > 1 and float(np.diff(np.sort(omega)).min()) < 1e-8:
-        raise SingularDesignError("near-duplicate frequencies")
+        return math.inf
     d = design_matrix(omega, y.size)
     try:
         chol = np.linalg.cholesky(d.T @ d)
     except np.linalg.LinAlgError:
-        raise SingularDesignError("singular design")
+        return math.inf
     w = solve_triangular(chol, d.T @ y, lower=True)
     return float(w @ w)
 
@@ -167,9 +166,9 @@ class TestProjectionNorm:
         for omega in states:
             expect = _outcome(_reference_projection_norm2, y, omega)
             assert _outcome(_projection_norm2, y, omega) == expect
-        assert _outcome(_projection_norm2, y, (1.0, 1.0 + 5e-9)) is SingularDesignError
-        assert _outcome(_projection_norm2, y, CHOLESKY_FAILS) is SingularDesignError
-        assert isinstance(_outcome(_projection_norm2, y, INACCURATE_PROJECTION), float)
+        assert _projection_norm2(y, (1.0, 1.0 + 5e-9)) == math.inf
+        assert _projection_norm2(y, CHOLESKY_FAILS) == math.inf
+        assert math.isfinite(_projection_norm2(y, INACCURATE_PROJECTION))
 
     @pytest.mark.parametrize("omega", NON_FINITE_OMEGAS)
     def test_non_finite_frequency_raises(self, omega):
@@ -188,14 +187,6 @@ class TestProjectionNorm:
                 _projection_norm2(y, omega)
             with pytest.raises(ValueError):
                 quad_form(y, omega, 100.0)
-
-
-def _scalar_norm_or_inf(y, omega) -> float:
-    """_projection_norm2, with inf where it raises SingularDesignError."""
-    try:
-        return _projection_norm2(y, omega)
-    except SingularDesignError:
-        return math.inf
 
 
 def grid_norms(y, omegas) -> np.ndarray:
@@ -227,7 +218,7 @@ class TestProjectionNorms:
         least 1e-3 apart.  Closer rows get no value bound: neither path
         resolves s there (a 2e-8 gap moves it by up to 1.5e-3 |y|^2)."""
         got = grid_norms(y, omegas)
-        want = np.array([_scalar_norm_or_inf(y, tuple(row)) for row in omegas])
+        want = np.array([_projection_norm2(y, tuple(row)) for row in omegas])
         assert np.array_equal(np.isinf(got), np.isinf(want))
         gaps = np.diff(np.sort(np.asarray(omegas, dtype=float), axis=1), axis=1)
         resolved = np.isfinite(want) & (gaps >= 1e-3).all(axis=1)
@@ -312,11 +303,11 @@ class TestLogTargets:
         points = points.tolist()
         assert len(points) == 195
         singles = [(w,) for w in points]
-        self.assert_cells_match(y, singles, [_scalar_norm_or_inf(y, o) for o in singles],
+        self.assert_cells_match(y, singles, [_projection_norm2(y, o) for o in singles],
                                 1.0, 100.0, 2)
         for w1 in points:
             row = [(w1, w2) for w2 in points]
-            s = [_scalar_norm_or_inf(y, o) for o in row]
+            s = [_projection_norm2(y, o) for o in row]
             self.assert_cells_match(y, row, s, 1.0, 100.0, 2)
 
     def test_edge_rows(self):
@@ -367,8 +358,8 @@ class TestLogTarget:
         projection exceeds |y|^2; that design counts as singular, not as a
         negative quadratic form."""
         y = synthesize((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64, rng_stream(5))
-        with pytest.raises(SingularDesignError):
-            quad_form(y, INACCURATE_PROJECTION, 100.0)
+        assert _projection_norm2(y, INACCURATE_PROJECTION) > float(y @ y)
+        assert quad_form(y, INACCURATE_PROJECTION, 100.0) == math.inf
         assert sinusoid_log_target(y, INACCURATE_PROJECTION, 1.0, 100.0, 32) == NEG_INF
 
     def test_order_ratio_reduces_to_quad_ratio(self):
@@ -445,6 +436,11 @@ class TestLogTarget:
                 singular = model.log_density(VarDimState(omega)) == NEG_INF
                 assert singular == (delta2 != 0.0)
 
+    @pytest.mark.parametrize("k_max", [2.5, 8.0, -1])
+    def test_order_cap_must_be_a_nonnegative_integer(self, k_max):
+        with pytest.raises(ConfigurationError):
+            SinusoidPosterior(np.ones(8), 2.0, 25.0, k_max=k_max)
+
     def test_memos_stay_bounded(self):
         model = SinusoidPosterior(rng_stream(68).standard_normal(16), 2.0, 25.0, k_max=4)
         for w in np.linspace(0.1, 3.0, 3 * POSTERIOR_CACHE_SIZE):
@@ -490,6 +486,29 @@ class TestFrequencyUpdateMove:
                 for _ in range(200)]
         assert any(o.log_ratio == NEG_INF for o in outs)
         assert all(o.log_ratio == NEG_INF or o.proposed.k == 1 for o in outs)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_zero_density_proposal_carries_target_value(self, sort):
+        """A proposal outside (0, pi)^k, or an unsorted one under a sorted
+        restriction, has log ratio -inf, and the outcome holds the target's
+        own value at the proposal, as for any other proposal."""
+        model = SinusoidPosterior(rng_stream(70).standard_normal(24), 2.0, 40.0, k_max=4)
+        target = SortedRestriction(model) if sort else model
+        x = VarDimState((0.8, 0.8005)) if sort else VarDimState((1e-9, 1.9))
+        rng = rng_stream(84)
+        outs = [frequency_update_move(x, target, rng, walk_sd=0.01) for _ in range(200)]
+        if sort:
+            zero = [o for o in outs if not o.proposed.is_sorted()]
+        else:
+            zero = [o for o in outs if not 0.0 < o.proposed.components[0] < math.pi]
+        assert len(zero) > 20
+        for out in outs:
+            lt_new = target.log_density(out.proposed)
+            assert out.proposed_log_density == lt_new
+            assert out.log_ratio == lt_new - target.log_density(x)
+        assert all(o.log_ratio == NEG_INF and o.proposed_log_density == NEG_INF
+                   for o in zero)
+        assert any(o.log_ratio > NEG_INF for o in outs)
 
     def test_walk_branch_ratio_is_target_difference(self):
         rng = rng_stream(70)
