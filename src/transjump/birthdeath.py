@@ -23,6 +23,7 @@ from .core import (
     Rng,
     TargetDensity,
     VarDimState,
+    check_order_prior,
 )
 
 REPRESENTATIONS = ("unsorted", "sorted")
@@ -81,7 +82,8 @@ class BirthDeathSchedule:
     Uses the c*min{1, prior ratio} schedule against a truncated Poisson(lam)
     prior on k, which guarantees p_d(k+1)/p_b(k) = (k+1)/lam for all k < k_max
     while leaving 1 - p_b - p_d mass for within-model moves.  p_d(0) = 0 and
-    p_b(k_max) = 0 are forced.
+    p_b(k_max) = 0 are forced.  Construction is the one check of c in (0, 0.5],
+    the representation and the ratio mode; lam and k_max obey check_order_prior.
     """
 
     lam: float
@@ -94,8 +96,7 @@ class BirthDeathSchedule:
     def __post_init__(self):
         if not 0.0 < self.c <= 0.5:
             raise ConfigurationError(f"schedule constant c={self.c} outside (0, 0.5]")
-        if not 0.0 < self.lam < math.inf:
-            raise ConfigurationError(f"schedule mean lam={self.lam} must be finite and positive")
+        check_order_prior(self.lam, self.k_max)
         if self.representation not in REPRESENTATIONS:
             raise ConfigurationError(f"unknown representation {self.representation!r}")
         if self.ratio_mode not in RATIO_MODES:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BrokenKernelError, ConfigurationError, check_iteration_counts, rng_stream
+from .core import BrokenKernelError, ConfigurationError, rng_stream
 from .experiment import check_sweep_settings, run_joint_chain
 from .sinusoid import (
     OMEGA_HIGH,
@@ -107,6 +107,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _read_text(path: str | os.PathLike) -> str:
+    """The UTF-8 text of a config or signal file; undecodable bytes are a ConfigurationError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def parse_config(path: str | os.PathLike | None = None,
                  text: str | None = None) -> RunConfig:
     """Parse a flat key=value config; unknown keys are rejected, defaults filled.
@@ -116,7 +124,7 @@ def parse_config(path: str | os.PathLike | None = None,
     if (path is None) == (text is None):
         raise ConfigurationError("give exactly one of path / text")
     if path is not None:
-        text = Path(path).read_text()
+        text = _read_text(path)
     cfg = RunConfig()
     given: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -166,10 +174,9 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.seed < 0:
         raise ConfigurationError(
             f"seed={cfg.seed} (sampler.seed or {SEED_ENV_VAR}) must be nonnegative")
-    check_iteration_counts(cfg.n_iter, cfg.burn_in)
-    check_sweep_settings(k_max=cfg.k_max, c=cfg.c, ratio_mode=cfg.ratio_mode,
-                         representation=cfg.representation, lam=cfg.lam,
-                         lambda_prior=cfg.lambda_prior, delta2=cfg.delta2,
+    check_sweep_settings(n_iter=cfg.n_iter, burn_in=cfg.burn_in, k_max=cfg.k_max, c=cfg.c,
+                         ratio_mode=cfg.ratio_mode, representation=cfg.representation,
+                         lam=cfg.lam, lambda_prior=cfg.lambda_prior, delta2=cfg.delta2,
                          delta2_prior=cfg.delta2_prior)
     check_truth_settings(cfg.omega_true, cfg.amp2_true, cfg.n_obs)
     if cfg.replications < 1:
@@ -185,7 +192,7 @@ def _validate_config(cfg: RunConfig) -> None:
 def read_signal(path: str | os.PathLike) -> np.ndarray:
     """Plain-text signal, one finite observation per line, not all zero; N is the line count."""
     values = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -323,15 +330,13 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
 
 
 def priors_plot(lam: float, k_max: int, out_dir: str | os.PathLike) -> dict:
-    """Emit the plain and accelerated order laws side by side (CSV + SVG)."""
-    if not 0.0 < lam < math.inf:
-        raise ConfigurationError("lambda must be finite and positive")
-    if k_max < 0:
-        raise ConfigurationError("kmax must be nonnegative")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Emit the plain and accelerated order laws side by side (CSV + SVG).
+
+    The pmfs check lam and k_max before out_dir is made, so a rejected call makes none."""
     poisson = truncated_poisson_pmf(lam, k_max)
     accelerated = accelerated_poisson_pmf(lam, k_max)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "priors.csv"
     _write_lines(csv_path, "k,poisson,accelerated", (
         f"{k},{_fmt(poisson[k])},{_fmt(accelerated[k])}" for k in range(k_max + 1)))

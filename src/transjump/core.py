@@ -157,6 +157,14 @@ def mhg_accept(log_ratio: float, rng: Rng) -> bool:
     return math.log(u) < log_ratio
 
 
+def check_order_prior(lam: float, k_max: int) -> None:
+    """The one rule for a Poisson(lam) order law truncated to {0, ..., k_max}, which the
+    schedule, both targets and the order pmfs check: lam finite and > 0, k_max an int >= 0."""
+    if not (0.0 < lam < math.inf and isinstance(k_max, numbers.Integral) and k_max >= 0):
+        raise ConfigurationError(f"order prior needs lam finite and > 0 and k_max an "
+                                 f"integer >= 0, got lam={lam!r}, k_max={k_max!r}")
+
+
 def check_iteration_counts(n_iter: int, burn_in: int) -> None:
     """Require integers 0 <= burn_in < n_iter, or an empty run with no burn-in."""
     if not (isinstance(n_iter, numbers.Integral) and isinstance(burn_in, numbers.Integral)

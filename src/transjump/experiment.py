@@ -9,13 +9,10 @@ Each sweep produces one record, so iteration counts refer to sweeps.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .birthdeath import (
-    RATIO_MODES,
-    REPRESENTATIONS,
     BirthDeathSchedule,
     SortedRestriction,
     bod_move_set,
@@ -41,30 +38,23 @@ from .sinusoid import (
 )
 
 
-def check_sweep_settings(*, k_max: int, c: float, ratio_mode: str, representation: str,
-                         lam: float | None, lambda_prior: tuple[float, float] | None,
-                         delta2: float | None,
+def check_sweep_settings(*, n_iter: int, burn_in: int, k_max: int, c: float, ratio_mode: str,
+                         representation: str, lam: float | None,
+                         lambda_prior: tuple[float, float] | None, delta2: float | None,
                          delta2_prior: tuple[float, float] | None) -> tuple[float, float]:
     """The starting (lambda, delta2) of run_joint_chain, or ConfigurationError.
 
-    A sampled lambda starts at a/(b+1), a sampled delta2 at scale/(shape-1)
-    or, for shape <= 1, at scale.  parse_config checks a config with it too,
-    so the library and the CLI reject the same settings, before any draw.
+    It checks the counts, the exactly-one rules, the prior entries, a fixed delta2
+    and the start values: a sampled lambda starts at a/(b+1), a sampled delta2 at
+    scale/(shape-1) or, for shape <= 1, at scale.  The start schedule it builds
+    checks lambda, k_max, c, ratio mode and representation; a sweep needs k_max >= 1
+    on top.  parse_config calls it too, so both reject a setting before any draw.
     """
-    if ratio_mode not in RATIO_MODES:
-        raise ConfigurationError(f"unknown ratio mode {ratio_mode!r}")
-    if representation not in REPRESENTATIONS:
-        raise ConfigurationError(f"unknown representation {representation!r}")
-    if not 0.0 < c <= 0.5:
-        raise ConfigurationError(f"c={c} outside (0, 0.5]")
-    if not (isinstance(k_max, numbers.Integral) and k_max >= 1):
-        raise ConfigurationError(f"k_max={k_max!r} must be an integer of at least 1")
+    check_iteration_counts(n_iter, burn_in)
     if (lam is None) == (lambda_prior is None):
         raise ConfigurationError("give exactly one of lambda / lambda_prior")
     if (delta2 is None) == (delta2_prior is None):
         raise ConfigurationError("give exactly one of delta2 / delta2_prior")
-    if lam is not None and not 0.0 < lam < math.inf:
-        raise ConfigurationError(f"lambda={lam} must be finite and positive")
     if delta2 is not None and not 0.0 <= delta2 < math.inf:
         raise ConfigurationError(f"delta2={delta2} must be finite and nonnegative")
     for name, prior in (("lambda_prior", lambda_prior), ("delta2_prior", delta2_prior)):
@@ -80,6 +70,9 @@ def check_sweep_settings(*, k_max: int, c: float, ratio_mode: str, representatio
         if prior is not None and not 0.0 < start < math.inf:
             raise ConfigurationError(
                 f"{name}={prior} gives the start value {start!r}, not finite and positive")
+    BirthDeathSchedule.green(lam, k_max, c, representation=representation, ratio_mode=ratio_mode)
+    if k_max < 1:
+        raise ConfigurationError(f"k_max={k_max!r} must be an integer of at least 1")
     return lam, delta2
 
 
@@ -107,9 +100,9 @@ def run_joint_chain(
     moves are skipped, and ``y`` may be omitted.
     """
     lam_val, delta2_val = check_sweep_settings(
-        k_max=k_max, c=c, ratio_mode=ratio_mode, representation=representation, lam=lam,
-        lambda_prior=lambda_prior, delta2=delta2, delta2_prior=delta2_prior)
-    check_iteration_counts(n_iter, burn_in)
+        n_iter=n_iter, burn_in=burn_in, k_max=k_max, c=c, ratio_mode=ratio_mode,
+        representation=representation, lam=lam, lambda_prior=lambda_prior,
+        delta2=delta2, delta2_prior=delta2_prior)
     if not flat_likelihood:
         if y is None:
             raise ConfigurationError("observations are required unless flat_likelihood is set")

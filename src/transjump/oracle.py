@@ -37,6 +37,8 @@ class DiscreteToySpec:
     ``weights`` maps component tuples (including the empty tuple) to
     nonnegative target weights; tuples with repeated entries implicitly get
     weight zero, mirroring the null diagonal of an atomless component space.
+    Construction builds the schedule once, so lam, k_max, c, q and the
+    representation are checked by their owners before any state is listed.
     """
 
     points: tuple[float, ...]
@@ -50,10 +52,9 @@ class DiscreteToySpec:
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
             raise ConfigurationError("toy points must be distinct")
-        if len(self.q) != len(self.points):
-            raise ConfigurationError("q must have one probability per point")
         if not any(w > 0 for w in self.weights.values()):
             raise ConfigurationError("target weights must not all vanish")
+        self.schedule()
 
     def schedule(self, ratio_mode: str = "corrected") -> BirthDeathSchedule:
         return BirthDeathSchedule.green(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .core import (
     Rng,
     TargetDensity,
     VarDimState,
+    check_order_prior,
     mhg_accept,
 )
 
@@ -243,8 +243,8 @@ def _remember(memo: dict, key: tuple, value: float) -> None:
 def check_posterior_settings(y, lam: float, delta2: float, k_max: int) -> np.ndarray:
     """y as a float vector; ConfigurationError on settings no posterior can evaluate.
 
-    y must be a nonempty, finite, not all-zero vector, lam finite and
-    positive, delta2 finite and nonnegative, and k_max a nonnegative integer.
+    y must be a nonempty, finite, not all-zero vector and delta2 finite and
+    nonnegative; lam and k_max go through core.check_order_prior.
     SinusoidPosterior and the quadrature oracle both check with it.
     """
     y = np.asarray(y, dtype=float)
@@ -252,10 +252,9 @@ def check_posterior_settings(y, lam: float, delta2: float, k_max: int) -> np.nda
         raise ConfigurationError("y must be a nonempty vector")
     if not (np.all(np.isfinite(y)) and np.any(y)):
         raise ConfigurationError("y must be finite and not all zero")
-    if not (0.0 < lam < math.inf and 0.0 <= delta2 < math.inf
-            and isinstance(k_max, numbers.Integral) and k_max >= 0):
-        raise ConfigurationError("lam must be finite and positive; delta2 finite and "
-                                 "nonnegative; k_max a nonnegative integer")
+    if not 0.0 <= delta2 < math.inf:
+        raise ConfigurationError(f"delta2={delta2!r} must be finite and nonnegative")
+    check_order_prior(lam, k_max)
     return y
 
 
@@ -316,16 +315,15 @@ class SinusoidPosterior:
 class PriorOnlyTarget:
     """The (k, omega) prior alone: truncated-Poisson order, i.i.d. uniform components.
 
-    Used by the flat-likelihood switch; its exact k-marginal is the truncated
-    Poisson law, which makes it the reference target for ratio diagnostics.
+    Used by the flat-likelihood switch; its exact k-marginal is the truncated Poisson
+    law, the reference for ratio diagnostics.  lam and k_max obey check_order_prior.
     """
 
     lam: float
     k_max: int
 
     def __post_init__(self):
-        if not (0.0 < self.lam < math.inf and self.k_max >= 0):
-            raise ConfigurationError("lam must be finite and positive; k_max nonnegative")
+        check_order_prior(self.lam, self.k_max)
 
     def log_density(self, x: VarDimState) -> float:
         k = x.k
@@ -516,7 +514,8 @@ def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:
 
 
 def _order_pmf(lam: float, k_max: int, power: int) -> np.ndarray:
-    """pmf proportional to lam^j / (j!)^power on {0, ..., k_max}."""
+    """pmf proportional to lam^j / (j!)^power on {0, ..., k_max}; check_order_prior first."""
+    check_order_prior(lam, k_max)
     j, log_fact = _order_terms(k_max)
     log_w = j * math.log(lam) - power * log_fact
     return np.exp(log_w - logsumexp(log_w))

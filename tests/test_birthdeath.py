@@ -88,6 +88,12 @@ class TestScheduleProbabilities:
             BirthDeathSchedule.green(3.0, 8, 0.75)
         with pytest.raises(ConfigurationError):
             BirthDeathSchedule.green(-1.0, 8, 0.25)
+        # k_max must be a nonnegative integer: 2.5 would truncate at 2, and -3
+        # would give a schedule whose p_b and p_d are 0 everywhere.
+        with pytest.raises(ConfigurationError):
+            BirthDeathSchedule.green(5.0, 2.5)
+        with pytest.raises(ConfigurationError):
+            BirthDeathSchedule.green(5.0, -3)
 
 
 class TestBirthProposeUnsorted:

@@ -321,6 +321,12 @@ class TestPriorsPlot:
         assert res["accelerated"].argmax() == 2
         assert res["poisson"].argmax() in (4, 5)
 
+    @pytest.mark.parametrize("lam, k_max", [(5.0, 2.5), (5.0, -1), (0.0, 8)])
+    def test_rejected_settings_make_no_directory(self, tmp_path, lam, k_max):
+        with pytest.raises(ConfigurationError):
+            priors_plot(lam, k_max, tmp_path / "p")
+        assert not (tmp_path / "p").exists()
+
     def test_svg_emitted(self, tmp_path):
         res = priors_plot(5.0, 16, tmp_path)
         content = res["svg"].read_text()
@@ -426,6 +432,18 @@ class TestMain:
         assert main(["run", "--config", str(config)]) == 2
         assert "must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("undecodable", ["config", "signal"])
+    def test_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys, undecodable):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe\x00bad")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"io.signal = {binary}\nio.out = {tmp_path / 'out'}\n"
+                          "sampler.n_iter = 30\nsampler.burn_in = 5\n")
+        path = binary if undecodable == "config" else config
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(binary) in err
 
     def test_non_finite_signal_is_config_error(self, tmp_path, capsys):
         signal = tmp_path / "signal.txt"

@@ -134,6 +134,14 @@ def test_every_public_definition_is_referenced():
             + unread_fields(public_fields(p.read_text()), references)] == []
 
 
+def test_schedule_settings_are_read_in_birthdeath_only():
+    """The ratio modes and representations have one owner: BirthDeathSchedule checks
+    them, and every other module reaches the rule by building a schedule."""
+    readers = sorted(p.name for p in (ROOT / "src" / "transjump").glob("*.py")
+                     if {"RATIO_MODES", "REPRESENTATIONS"} & referenced_names(p.read_text())[0])
+    assert readers == ["birthdeath.py"]
+
+
 # One fresh interpreter: the prior-only work and the quadrature oracle first,
 # then one factorisation.
 PRIOR_ONLY_THEN_FACTORISE = """\

@@ -471,7 +471,7 @@ class TestPriorOnlyTarget:
         assert t.log_density(VarDimState((0.1, 0.2, 0.3, 0.4))) == NEG_INF
 
     @pytest.mark.parametrize("lam, k_max", [
-        (0.0, 8), (-1.0, 8), (math.nan, 8), (math.inf, 8), (5.0, -1)])
+        (0.0, 8), (-1.0, 8), (math.nan, 8), (math.inf, 8), (5.0, -1), (5.0, 2.5)])
     def test_unusable_settings_rejected_at_construction(self, lam, k_max):
         with pytest.raises(ConfigurationError):
             PriorOnlyTarget(lam, k_max)
@@ -797,6 +797,13 @@ class TestOrderPmfs:
         pmf = truncated_poisson_pmf(5.0, 32)
         assert pmf[4] == pytest.approx(pmf[5], rel=1e-12)
         assert pmf[4] >= pmf.max() * (1 - 1e-12)
+
+    @pytest.mark.parametrize("pmf", [truncated_poisson_pmf, accelerated_poisson_pmf])
+    @pytest.mark.parametrize("lam, k_max", [(5.0, 2.5), (5.0, -1), (0.0, 8), (math.nan, 8)])
+    def test_unusable_order_prior_rejected(self, pmf, lam, k_max):
+        """A k_max of 2.5 would give a 4-entry law; the pmfs check as the schedule does."""
+        with pytest.raises(ConfigurationError):
+            pmf(lam, k_max)
 
     def test_accelerated_mode_at_two(self):
         """Ratios 5/1, 5/4 exceed one and 5/9 falls below: the mode sits at 2."""
