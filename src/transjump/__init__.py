@@ -9,7 +9,7 @@ from .core import (
     ProposalOutcome,
     VarDimState,
     mhg_accept,
-    mhg_step,
+    mixture_step,
     rng_stream,
     run_chain,
     select_move,

@@ -251,15 +251,16 @@ def _chain_kwargs(cfg: RunConfig) -> dict:
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
-    """Single chain run; writes trace.csv, components.csv and summary.csv."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Single chain run; writes trace.csv, components.csv and summary.csv into a
+    directory made after the signal is read, so a rejected signal leaves none."""
     if cfg.signal_path is not None:
         y = read_signal(cfg.signal_path)
     elif cfg.flat_likelihood:
         y = None
     else:
         raise ConfigurationError("missing required key io.signal (signal input path)")
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     result = run_joint_chain(
         y, n_iter=cfg.n_iter, burn_in=cfg.burn_in,

@@ -262,35 +262,38 @@ class ChainOutput:
         return counts / total if total else np.zeros(counts.size)
 
 
-def mhg_step(moves: tuple[Move, ...], x: VarDimState, rng: Rng,
-             out: ChainOutput) -> tuple[str, ProposalOutcome, bool]:
-    """One MHG transition of the mixture kernel, tallied into ``out``.
+def mixture_step(target: TargetDensity, moves: tuple[Move, ...], rng: Rng) -> Callable:
+    """The sweep that makes one MHG transition of the mixture ``moves``, tallied into ``out``.
 
-    Selects a move, proposes and accepts with probability min{1, r}; the
-    caller moves to ``outcome.proposed`` when ``accepted`` is true.
+    It returns the row (x', log f(x'), move label, accepted, None, None).  An
+    accepted proposal's log f is its ``proposed_log_density``, else
+    ``target.log_density(x')``; a rejection keeps x and the log f(x) it was given.
     """
-    move = select_move(moves, x, rng)
-    outcome = move.propose(x, rng)
-    # A move that keeps x proposes nothing new to scan.
-    if outcome.proposed is not x and any(math.isnan(c) for c in outcome.proposed.components):
-        raise BrokenKernelError(f"move {move.label!r} proposed a state with NaN components")
-    accepted = mhg_accept(outcome.log_ratio, rng)
-    out.tally(move.label, accepted)
-    return move.label, outcome, accepted
+    def step(x: VarDimState, log_t: float, out: ChainOutput) -> tuple:
+        move = select_move(moves, x, rng)
+        outcome = move.propose(x, rng)
+        # A move that keeps x proposes nothing new to scan.
+        if outcome.proposed is not x and any(math.isnan(c) for c in outcome.proposed.components):
+            raise BrokenKernelError(f"move {move.label!r} proposed a state with NaN components")
+        accepted = mhg_accept(outcome.log_ratio, rng)
+        out.tally(move.label, accepted)
+        if accepted and outcome.proposed is not x:
+            x = outcome.proposed
+            log_t = outcome.proposed_log_density
+            if log_t is None:
+                log_t = target.log_density(x)
+        return x, log_t, move.label, accepted, None, None
+    return step
 
 
-def run_chain(
-    target: TargetDensity,
-    moves: tuple[Move, ...],
-    init: VarDimState,
-    n_iter: int,
-    burn_in: int,
-    rng: Rng,
-) -> ChainOutput:
-    """Run the Metropolis-Hastings-Green chain for ``n_iter`` iterations.
+def run_sweeps(sweep: Callable, target: TargetDensity, init: VarDimState, n_iter: int,
+               burn_in: int, config: dict | None = None) -> ChainOutput:
+    """The one chain loop: ``n_iter`` sweeps from ``init``, one row each.
 
-    Each iteration is one :func:`mhg_step`; a rejection keeps the current
-    state.  The run is fully reproducible given the generator state.
+    ``sweep(x, log_t, out)`` tallies its moves into ``out`` and returns the row (x,
+    log_t, move, accepted, lam, delta2); plain chains give None for lam and delta2.
+    ``init`` needs a finite log target under ``target``, and a NaN on any row is a
+    BrokenKernelError.  ``config`` adds keys beside n_iter and burn_in.
     """
     check_iteration_counts(n_iter, burn_in)
     log_t = target.log_density(init)
@@ -298,16 +301,18 @@ def run_chain(
         raise BrokenKernelError("target returned NaN at the initial state")
     if log_t == NEG_INF:
         raise ConfigurationError("initial state has zero target density")
-
     x = init
-    out = ChainOutput(config={"n_iter": n_iter, "burn_in": burn_in})
-    for _ in range(n_iter):
-        label, outcome, accepted = mhg_step(moves, x, rng, out)
-        if accepted and outcome.proposed is not x:
-            x = outcome.proposed
-            if outcome.proposed_log_density is not None:
-                log_t = outcome.proposed_log_density
-            else:
-                log_t = target.log_density(x)
-        out.append(x.components, log_t, label, accepted)
+    out = ChainOutput(config={"n_iter": n_iter, "burn_in": burn_in, **(config or {})})
+    for i in range(n_iter):
+        x, log_t, move, accepted, lam, delta2 = sweep(x, log_t, out)
+        if math.isnan(log_t):
+            raise BrokenKernelError(f"target returned NaN at iteration {i}, k={x.k}")
+        out.append(x.components, log_t, move, accepted, lam, delta2)
     return out
+
+
+def run_chain(target: TargetDensity, moves: tuple[Move, ...], init: VarDimState, n_iter: int,
+              burn_in: int, rng: Rng) -> ChainOutput:
+    """Run the MHG chain of the mixture ``moves``: :func:`run_sweeps` over one
+    :func:`mixture_step` per iteration, reproducible given the generator state."""
+    return run_sweeps(mixture_step(target, moves, rng), target, init, n_iter, burn_in)

@@ -1,16 +1,15 @@
-"""Chain driver for the full sinusoid model, with hyperparameter sampling.
+"""The sweep of the full sinusoid model, with hyperparameter sampling, run by core's loop.
 
 One sweep composes invariant kernels: optional hyperparameter updates for the
 component-count mean and the g-prior scale, one step of the birth-or-death
-mixture (``core.mhg_step`` over ``bod_move_set``, whose remaining mass is the
-reject-surely identity move "none"), and one within-model frequency update.
-Each sweep produces one record, so iteration counts refer to sweeps.
+mixture (``core.mixture_step`` over ``bod_move_set``, whose remaining mass is
+the reject-surely identity move "none"), and one within-model frequency update.
+``core.run_sweeps`` runs the sweeps and checks each row, so iteration counts
+refer to sweeps.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .birthdeath import (
     BirthDeathSchedule,
@@ -19,14 +18,14 @@ from .birthdeath import (
     uniform_component_proposal,
 )
 from .core import (
-    BrokenKernelError,
     ChainOutput,
     ConfigurationError,
     Rng,
     VarDimState,
     check_iteration_counts,
     mhg_accept,
-    mhg_step,
+    mixture_step,
+    run_sweeps,
 )
 from .sinusoid import (
     PriorOnlyTarget,
@@ -103,22 +102,16 @@ def run_joint_chain(
         n_iter=n_iter, burn_in=burn_in, k_max=k_max, c=c, ratio_mode=ratio_mode,
         representation=representation, lam=lam, lambda_prior=lambda_prior,
         delta2=delta2, delta2_prior=delta2_prior)
-    if not flat_likelihood:
-        if y is None:
-            raise ConfigurationError("observations are required unless flat_likelihood is set")
-        y = np.asarray(y, dtype=float)
-        walk_sd = 0.25 / y.size
-    else:
-        walk_sd = 0.0
-
-    proposal = uniform_component_proposal()
-    sorted_rep = representation == "sorted"
-    x = VarDimState()
-    out = ChainOutput(config={"n_iter": n_iter, "burn_in": burn_in, "k_max": k_max})
     posterior = None if flat_likelihood else SinusoidPosterior(y, lam_val, delta2_val, k_max)
     log_z = None if lambda_prior is None else log_truncated_poisson_normalizer(lam_val, k_max)
+    proposal = uniform_component_proposal()
 
-    for i in range(n_iter):
+    def current_target():
+        base = posterior if posterior is not None else PriorOnlyTarget(lam_val, k_max)
+        return SortedRestriction(base) if representation == "sorted" else base
+
+    def sweep(x, log_t, out):
+        nonlocal lam_val, log_z, delta2_val
         if lambda_prior is not None:
             lam_val, log_z, acc = sample_lambda(lam_val, log_z, x.k, lambda_prior[0],
                                                 lambda_prior[1], k_max, rng)
@@ -130,24 +123,21 @@ def run_joint_chain(
                 out.tally("delta2", acc)
             posterior.set_hyperparameters(lam_val, delta2_val)
 
-        base = posterior if posterior is not None else PriorOnlyTarget(lam_val, k_max)
-        target = SortedRestriction(base) if sorted_rep else base
+        target = current_target()
         sched = BirthDeathSchedule.green(lam_val, k_max, c, proposal=proposal,
                                          representation=representation,
                                          ratio_mode=ratio_mode)
-        move, outcome, move_accepted = mhg_step(bod_move_set(target, sched), x, rng, out)
-        if move_accepted:
-            x = outcome.proposed
+        # log_t is stale after a hyperparameter move; the row's value is recomputed below.
+        x, _, move, move_accepted, _, _ = mixture_step(
+            target, bod_move_set(target, sched), rng)(x, log_t, out)
 
         if posterior is not None and x.k >= 1:
-            outcome = frequency_update_move(x, target, rng, walk_sd)
+            outcome = frequency_update_move(x, target, rng, 0.25 / posterior.n_obs)
             acc = mhg_accept(outcome.log_ratio, rng)
             out.tally("update", acc)
             if acc:
                 x = outcome.proposed
+        return x, target.log_density(x), move, move_accepted, lam_val, delta2_val
 
-        log_t = target.log_density(x)
-        if math.isnan(log_t):
-            raise BrokenKernelError(f"target returned NaN at sweep {i}, k={x.k}")
-        out.append(x.components, log_t, move, move_accepted, lam_val, delta2_val)
-    return out
+    return run_sweeps(sweep, current_target(), VarDimState(), n_iter, burn_in,
+                      {"k_max": k_max})

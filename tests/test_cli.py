@@ -445,6 +445,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and str(binary) in err
 
+    @pytest.mark.parametrize("signal, code", [("binary", 2), ("missing", 4), (None, 2)])
+    def test_rejected_signal_leaves_no_output_directory(self, tmp_path, capsys, signal, code):
+        """A signal that is not UTF-8 (exit 2), a missing signal file (exit 4) and an
+        unset io.signal (exit 2) are rejected before the output directory is made."""
+        (tmp_path / "binary").write_bytes(b"\xff\xfe\x00bad")
+        config = tmp_path / "run.cfg"
+        config.write_text(("" if signal is None else f"io.signal = {tmp_path / signal}\n")
+                          + f"io.out = {tmp_path / 'out'}\n"
+                          "sampler.n_iter = 30\nsampler.burn_in = 5\n")
+        assert main(["run", "--config", str(config)]) == code
+        assert capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_signal_is_config_error(self, tmp_path, capsys):
         signal = tmp_path / "signal.txt"
         signal.write_text("0.5\nnan\n-0.5\n")

@@ -15,7 +15,7 @@ from transjump.core import (
     VarDimState,
     check_iteration_counts,
     mhg_accept,
-    mhg_step,
+    mixture_step,
     rng_stream,
     run_chain,
     select_move,
@@ -232,6 +232,22 @@ class TestRunChain:
         with pytest.raises(BrokenKernelError):
             run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
 
+    def test_nan_log_target_on_a_row_is_hard_error(self):
+        """An accepted move without proposed_log_density reaches a state where the
+        target is NaN: the row's log target is checked, not recorded as NaN."""
+        class NanAtOne:
+            def log_density(self, x):
+                return math.nan if x.k == 1 else 0.0
+
+        moves = (
+            Move("birth", lambda x: 1.0 if x.k == 0 else 0.0,
+                 lambda x, rng: ProposalOutcome(x.insert(0, 0.5), 0.0)),
+            Move("death", lambda x: 1.0 if x.k == 1 else 0.0,
+                 lambda x, rng: ProposalOutcome(x.remove(0), 0.0)),
+        )
+        with pytest.raises(BrokenKernelError, match="k=1"):
+            run_chain(NanAtOne(), moves, VarDimState(), 4, 0, rng_stream(26))
+
     def test_k_frequencies_sum_to_one(self):
         out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 4000, 400,
                         rng_stream(18))
@@ -239,13 +255,15 @@ class TestRunChain:
         assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestMhgStep:
+class TestMixtureStep:
     def test_tallies_the_selected_move(self):
         out = ChainOutput()
-        label, outcome, accepted = mhg_step(jump_moves(), VarDimState(), rng_stream(22), out)
+        step = mixture_step(FlatTarget(), jump_moves(), rng_stream(22))
+        x, log_t, label, accepted, lam, delta2 = step(VarDimState(), 0.0, out)
         assert label in ("birth", "hold")
-        assert outcome.proposed.k == (1 if label == "birth" else 0)
+        assert x.k == (1 if label == "birth" else 0)
         assert accepted
+        assert (log_t, lam, delta2) == (0.0, None, None)
         assert out.proposals == {label: 1}
         assert out.acceptances == {label: 1}
 
@@ -253,9 +271,9 @@ class TestMhgStep:
         init = VarDimState()
         target = PointTarget(init)
         out = ChainOutput()
-        rng = rng_stream(23)
+        step = mixture_step(target, jump_moves(target), rng_stream(23))
         while "birth" not in out.proposals:
-            mhg_step(jump_moves(target), init, rng, out)
+            assert step(init, 0.0, out)[:2] == (init, 0.0)
         assert out.acceptances.get("birth", 0) == 0
 
 
