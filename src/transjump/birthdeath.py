@@ -55,11 +55,15 @@ def uniform_component_proposal() -> ComponentProposal:
 
 
 def pmf_component_proposal(points, probabilities) -> ComponentProposal:
-    """Proposal over finitely many labelled points (discrete surrogate of q)."""
+    """Proposal over finitely many finite, distinct points with finite nonnegative
+    weights (discrete surrogate of q); a repeated point would be sampled with
+    more mass than its log_density reads."""
     pts = tuple(float(p) for p in points)
     probs = [float(p) for p in probabilities]
-    if len(pts) != len(probs) or any(p < 0 for p in probs):
-        raise ConfigurationError("pmf proposal needs one nonnegative weight per point")
+    if len(pts) != len(probs) or not all(0.0 <= p < math.inf for p in probs):
+        raise ConfigurationError("pmf proposal needs one finite nonnegative weight per point")
+    if len(set(pts)) != len(pts) or not all(map(math.isfinite, pts)):
+        raise ConfigurationError("pmf proposal points must be finite and distinct")
     total = sum(probs)
     if total <= 0:
         raise ConfigurationError("pmf proposal weights sum to zero")
@@ -129,14 +133,7 @@ class BirthDeathSchedule:
                    representation, ratio_mode)
 
 
-def _checked_log_density(target: TargetDensity, x: VarDimState) -> float:
-    lt = target.log_density(x)
-    if math.isnan(lt):
-        raise BrokenKernelError(f"target returned NaN at k={x.k}")
-    return lt
-
-
-def _log_ratio(x, x_new, log_q, sched, target) -> tuple[float, float]:
+def _log_ratio(x, log_fx, x_new, log_q, sched, target) -> tuple[float, float]:
     """(log MHG ratio, log f(x')) of a birth or death; see move_log_ratio.
 
     A birth is chosen with probability p_b(x) and undone by a death chosen
@@ -144,6 +141,8 @@ def _log_ratio(x, x_new, log_q, sched, target) -> tuple[float, float]:
     negated reverse-birth call: that would add the terms in another order and
     round differently.
     """
+    if math.isnan(log_fx):
+        raise BrokenKernelError(f"log f(x) is NaN at k={x.k}")
     if x_new.k == x.k + 1:
         if log_q == NEG_INF:
             raise BrokenKernelError(
@@ -160,23 +159,25 @@ def _log_ratio(x, x_new, log_q, sched, target) -> tuple[float, float]:
     go = p_go(x)
     if go <= 0.0:
         raise BrokenKernelError(f"{kind} proposed at k={x.k} where p_{kind} = 0")
-    lt_new = _checked_log_density(target, x_new)
+    lt_new = target.log_density(x_new)
+    if math.isnan(lt_new):
+        raise BrokenKernelError(f"target returned NaN at k={x_new.k}")
     if lt_new == NEG_INF:
         return NEG_INF, lt_new
     back = p_back(x_new)
     if back <= 0.0 or log_q == NEG_INF:
         return NEG_INF, lt_new
-    lt_cur = _checked_log_density(target, x)
     n_fix = (sched.representation == "sorted") + (sched.ratio_mode == "legacy")
-    ratio = (lt_new - lt_cur + math.log(back) - math.log(go)
+    ratio = (lt_new - log_fx + math.log(back) - math.log(go)
              - sign * log_q + n_fix * fix)
     return ratio, lt_new
 
 
-def move_log_ratio(x: VarDimState, x_new: VarDimState, log_q: float,
+def move_log_ratio(x: VarDimState, log_fx: float, x_new: VarDimState, log_q: float,
                    sched: BirthDeathSchedule, target: TargetDensity) -> float:
     """Log MHG ratio of a birth or death x -> x' under the schedule's representation and mode.
 
+    ``log_fx`` is log f(x), which the caller holds; only f(x') is evaluated.
     Order k' = k + 1 is a birth of s*, k' = k - 1 a death of s*, and any other
     pair a broken kernel; ``log_q`` is log q(s*).  For a birth this is
     log f(x') - log f(x) + log p_d(x') - log p_b(x) - log q(s*); a death is
@@ -184,7 +185,7 @@ def move_log_ratio(x: VarDimState, x_new: VarDimState, log_q: float,
     location-selection terms 1/(k+1) cancel.  The sorted representation
     (target f~ = k! f for an exchangeable f, insertion slot probabilities
     cancelling) and the legacy mode each add -log(k+1) to a birth and +log(k)
-    to a death; a legacy chain targets f_k / k!.
+    to a death; a legacy chain targets f_k / k!.  A NaN log f(x) or f(x') raises.
 
     This is the single code path the proposal functions use; exact
     transition-matrix oracles call it so they exercise the implemented ratio,
@@ -192,7 +193,7 @@ def move_log_ratio(x: VarDimState, x_new: VarDimState, log_q: float,
     """
     if sched.representation == "sorted" and not (x.is_sorted() and x_new.is_sorted()):
         raise BrokenKernelError("sorted ratio evaluated on an unsorted state")
-    return _log_ratio(x, x_new, log_q, sched, target)[0]
+    return _log_ratio(x, log_fx, x_new, log_q, sched, target)[0]
 
 
 def _draw_component(proposal: ComponentProposal, rng: Rng) -> tuple[float, float]:
@@ -207,23 +208,23 @@ def _draw_component(proposal: ComponentProposal, rng: Rng) -> tuple[float, float
     return s_star, log_q
 
 
-def birth_propose_unsorted(x: VarDimState, sched: BirthDeathSchedule,
+def birth_propose_unsorted(x: VarDimState, log_fx: float, sched: BirthDeathSchedule,
                            target: TargetDensity, rng: Rng) -> ProposalOutcome:
     """Draw s* ~ q and insert it at a uniformly chosen slot of x."""
     s_star, log_q = _draw_component(sched.proposal, rng)
     index = int(rng.integers(0, x.k + 1))
     proposed = x.insert(index, s_star)
-    log_ratio, lt_new = _log_ratio(x, proposed, log_q, sched, target)
+    log_ratio, lt_new = _log_ratio(x, log_fx, proposed, log_q, sched, target)
     return ProposalOutcome(proposed, log_ratio, lt_new)
 
 
-def birth_propose_sorted(x: VarDimState, sched: BirthDeathSchedule,
+def birth_propose_sorted(x: VarDimState, log_fx: float, sched: BirthDeathSchedule,
                          target: TargetDensity, rng: Rng) -> ProposalOutcome:
     """Draw s* ~ q and insert it at the unique slot keeping x nondecreasing.
 
     An exact tie with an existing component is a null event for an atomless
     proposal; in floating point it is still possible and yields a
-    reject-surely outcome.
+    reject-surely outcome, with log f(x') = -inf left unevaluated.
     """
     if not x.is_sorted():
         raise BrokenKernelError("sorted birth proposed from an unsorted state")
@@ -231,12 +232,12 @@ def birth_propose_sorted(x: VarDimState, sched: BirthDeathSchedule,
     index = bisect.bisect_left(x.components, s_star)
     proposed = x.insert(index, s_star)
     if s_star in x.components:
-        return ProposalOutcome(proposed, NEG_INF)
-    log_ratio, lt_new = _log_ratio(x, proposed, log_q, sched, target)
+        return ProposalOutcome(proposed, NEG_INF, NEG_INF)
+    log_ratio, lt_new = _log_ratio(x, log_fx, proposed, log_q, sched, target)
     return ProposalOutcome(proposed, log_ratio, lt_new)
 
 
-def death_propose(x: VarDimState, sched: BirthDeathSchedule,
+def death_propose(x: VarDimState, log_fx: float, sched: BirthDeathSchedule,
                   target: TargetDensity, rng: Rng) -> ProposalOutcome:
     """Remove a uniformly chosen component (both representations)."""
     if x.k == 0:
@@ -244,7 +245,7 @@ def death_propose(x: VarDimState, sched: BirthDeathSchedule,
     index = int(rng.integers(0, x.k))
     proposed = x.remove(index)
     log_q = sched.proposal.log_density(x.components[index])
-    log_ratio, lt_new = _log_ratio(x, proposed, log_q, sched, target)
+    log_ratio, lt_new = _log_ratio(x, log_fx, proposed, log_q, sched, target)
     return ProposalOutcome(proposed, log_ratio, lt_new)
 
 
@@ -271,12 +272,12 @@ def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> tuple[Move
     the identity move "none": it rejects surely and so keeps the chain in place.
     """
     if sched.representation == "sorted":
-        birth = lambda x, rng: birth_propose_sorted(x, sched, target, rng)
+        birth = lambda x, log_fx, rng: birth_propose_sorted(x, log_fx, sched, target, rng)
     else:
-        birth = lambda x, rng: birth_propose_unsorted(x, sched, target, rng)
+        birth = lambda x, log_fx, rng: birth_propose_unsorted(x, log_fx, sched, target, rng)
 
-    def death(x, rng):
-        return death_propose(x, sched, target, rng)
+    def death(x, log_fx, rng):
+        return death_propose(x, log_fx, sched, target, rng)
 
     def rest_weight(x):
         return max(0.0, 1.0 - sched.p_birth(x) - sched.p_death(x))
@@ -284,5 +285,5 @@ def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> tuple[Move
     return (
         Move("birth", sched.p_birth, birth),
         Move("death", sched.p_death, death),
-        Move("none", rest_weight, lambda x, rng: ProposalOutcome(x, NEG_INF)),
+        Move("none", rest_weight, lambda x, log_fx, rng: ProposalOutcome(x, NEG_INF, log_fx)),
     )

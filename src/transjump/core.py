@@ -89,16 +89,16 @@ class TargetDensity(Protocol):
 
 @dataclass(frozen=True)
 class ProposalOutcome:
-    """A proposed state together with its fully assembled log acceptance ratio.
+    """What ``Move.propose(x, log f(x), rng)`` returns: x', its log MHG ratio and log f(x').
 
-    ``proposed_log_density`` caches the target evaluation made while
-    assembling the ratio so the chain driver does not have to recompute it on
-    acceptance.
+    The chain carries log f(x), so no move evaluates the target at x; it carries
+    ``proposed_log_density`` on acceptance.  A reject-surely outcome that never
+    evaluates the target gives -inf, the identity move x's own value.
     """
 
     proposed: VarDimState
     log_ratio: float
-    proposed_log_density: float | None = None
+    proposed_log_density: float
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class Move:
 
     label: str
     weight: Callable[[VarDimState], float]
-    propose: Callable[[VarDimState, Rng], ProposalOutcome]
+    propose: Callable[[VarDimState, float, Rng], ProposalOutcome]
 
 
 def select_move(moves: tuple[Move, ...], x: VarDimState, rng: Rng) -> Move:
@@ -262,26 +262,23 @@ class ChainOutput:
         return counts / total if total else np.zeros(counts.size)
 
 
-def mixture_step(target: TargetDensity, moves: tuple[Move, ...], rng: Rng) -> Callable:
+def mixture_step(moves: tuple[Move, ...], rng: Rng) -> Callable:
     """The sweep that makes one MHG transition of the mixture ``moves``, tallied into ``out``.
 
     It returns the row (x', log f(x'), move label, accepted, None, None).  An
-    accepted proposal's log f is its ``proposed_log_density``, else
-    ``target.log_density(x')``; a rejection keeps x and the log f(x) it was given.
+    accepted proposal's log f is its ``proposed_log_density``; a rejection keeps
+    x and the log f(x) it was given.
     """
     def step(x: VarDimState, log_t: float, out: ChainOutput) -> tuple:
         move = select_move(moves, x, rng)
-        outcome = move.propose(x, rng)
+        outcome = move.propose(x, log_t, rng)
         # A move that keeps x proposes nothing new to scan.
         if outcome.proposed is not x and any(math.isnan(c) for c in outcome.proposed.components):
             raise BrokenKernelError(f"move {move.label!r} proposed a state with NaN components")
         accepted = mhg_accept(outcome.log_ratio, rng)
         out.tally(move.label, accepted)
-        if accepted and outcome.proposed is not x:
-            x = outcome.proposed
-            log_t = outcome.proposed_log_density
-            if log_t is None:
-                log_t = target.log_density(x)
+        if accepted:
+            x, log_t = outcome.proposed, outcome.proposed_log_density
         return x, log_t, move.label, accepted, None, None
     return step
 
@@ -315,4 +312,4 @@ def run_chain(target: TargetDensity, moves: tuple[Move, ...], init: VarDimState,
               burn_in: int, rng: Rng) -> ChainOutput:
     """Run the MHG chain of the mixture ``moves``: :func:`run_sweeps` over one
     :func:`mixture_step` per iteration, reproducible given the generator state."""
-    return run_sweeps(mixture_step(target, moves, rng), target, init, n_iter, burn_in)
+    return run_sweeps(mixture_step(moves, rng), target, init, n_iter, burn_in)

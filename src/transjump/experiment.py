@@ -5,7 +5,9 @@ component-count mean and the g-prior scale, one step of the birth-or-death
 mixture (``core.mixture_step`` over ``bod_move_set``, whose remaining mass is
 the reject-surely identity move "none"), and one within-model frequency update.
 ``core.run_sweeps`` runs the sweeps and checks each row, so iteration counts
-refer to sweeps.
+refer to sweeps.  The sweep carries log f(x) through every kernel: it is
+evaluated at x once per sweep, after the hyperparameter moves and only when
+lambda or delta2 is sampled, and otherwise only at proposals.
 """
 from __future__ import annotations
 
@@ -105,6 +107,7 @@ def run_joint_chain(
     posterior = None if flat_likelihood else SinusoidPosterior(y, lam_val, delta2_val, k_max)
     log_z = None if lambda_prior is None else log_truncated_poisson_normalizer(lam_val, k_max)
     proposal = uniform_component_proposal()
+    resample = lambda_prior is not None or (posterior is not None and delta2_prior is not None)
 
     def current_target():
         base = posterior if posterior is not None else PriorOnlyTarget(lam_val, k_max)
@@ -121,23 +124,24 @@ def run_joint_chain(
                 delta2_val, acc = sample_delta2(delta2_val, x, posterior, delta2_prior[0],
                                                 delta2_prior[1], rng)
                 out.tally("delta2", acc)
-            posterior.set_hyperparameters(lam_val, delta2_val)
+            posterior.lam, posterior.delta2 = lam_val, delta2_val
 
         target = current_target()
+        if resample:  # f moved with lambda or delta2: evaluate it at x once
+            log_t = target.log_density(x)
         sched = BirthDeathSchedule.green(lam_val, k_max, c, proposal=proposal,
                                          representation=representation,
                                          ratio_mode=ratio_mode)
-        # log_t is stale after a hyperparameter move; the row's value is recomputed below.
-        x, _, move, move_accepted, _, _ = mixture_step(
-            target, bod_move_set(target, sched), rng)(x, log_t, out)
+        x, log_t, move, move_accepted, _, _ = mixture_step(
+            bod_move_set(target, sched), rng)(x, log_t, out)
 
         if posterior is not None and x.k >= 1:
-            outcome = frequency_update_move(x, target, rng, 0.25 / posterior.n_obs)
+            outcome = frequency_update_move(x, log_t, target, rng, 0.25 / posterior.n_obs)
             acc = mhg_accept(outcome.log_ratio, rng)
             out.tally("update", acc)
             if acc:
-                x = outcome.proposed
-        return x, target.log_density(x), move, move_accepted, lam_val, delta2_val
+                x, log_t = outcome.proposed, outcome.proposed_log_density
+        return x, log_t, move, move_accepted, lam_val, delta2_val
 
     return run_sweeps(sweep, current_target(), VarDimState(), n_iter, burn_in,
                       {"k_max": k_max})

@@ -37,8 +37,9 @@ class DiscreteToySpec:
     ``weights`` maps component tuples (including the empty tuple) to
     nonnegative target weights; tuples with repeated entries implicitly get
     weight zero, mirroring the null diagonal of an atomless component space.
-    Construction builds the schedule once, so lam, k_max, c, q and the
-    representation are checked by their owners before any state is listed.
+    Construction builds the schedule once, so lam, k_max, c, the points and
+    q and the representation are checked by their owners before any state is
+    listed.
     """
 
     points: tuple[float, ...]
@@ -50,8 +51,6 @@ class DiscreteToySpec:
     representation: str = "unsorted"
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise ConfigurationError("toy points must be distinct")
         if not any(w > 0 for w in self.weights.values()):
             raise ConfigurationError("target weights must not all vanish")
         self.schedule()
@@ -117,7 +116,8 @@ def build_transition_matrix(spec: DiscreteToySpec,
 
     Every elementary proposal's probability is multiplied by its acceptance
     probability (computed through the implemented ratio code path) and summed
-    into the row; all rejection mass lands on the diagonal.  Rows must sum to
+    into the row; all rejection mass lands on the diagonal.  The target is
+    evaluated once at each state, as the chain carries it.  Rows must sum to
     one to 1e-12, otherwise the kernel accounting is broken.
     """
     states = enumerate_states(spec)
@@ -127,6 +127,7 @@ def build_transition_matrix(spec: DiscreteToySpec,
     matrix = np.zeros((n, n))
 
     for xi, x in enumerate(states):
+        log_fx = spec.log_density(x)
         p_b = sched.p_birth(x)
         p_d = sched.p_death(x)
         matrix[xi, xi] += max(0.0, 1.0 - p_b - p_d)
@@ -147,14 +148,14 @@ def build_transition_matrix(spec: DiscreteToySpec,
                         alpha = 0.0
                     else:
                         alpha = math.exp(min(0.0, move_log_ratio(
-                            x, proposed, log_q, sched, spec)))
+                            x, log_fx, proposed, log_q, sched, spec)))
                     _accumulate(matrix, index, xi, proposed, slot_prob, alpha)
         if p_d > 0.0:
             for i in range(x.k):
                 proposed = x.remove(i)
                 log_q = sched.proposal.log_density(x.components[i])
                 alpha = math.exp(min(0.0, move_log_ratio(
-                    x, proposed, log_q, sched, spec)))
+                    x, log_fx, proposed, log_q, sched, spec)))
                 _accumulate(matrix, index, xi, proposed, p_d / x.k, alpha)
 
     row_err = np.abs(matrix.sum(axis=1) - 1.0).max()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -233,13 +234,6 @@ def sinusoid_log_targets(y, omegas, s, lam: float, delta2: float, k_max: int) ->
 POSTERIOR_CACHE_SIZE = 64
 
 
-def _remember(memo: dict, key: tuple, value: float) -> None:
-    """Store into a FIFO memo bounded by POSTERIOR_CACHE_SIZE."""
-    if len(memo) >= POSTERIOR_CACHE_SIZE:
-        memo.pop(next(iter(memo)))
-    memo[key] = value
-
-
 def check_posterior_settings(y, lam: float, delta2: float, k_max: int) -> np.ndarray:
     """y as a float vector; ConfigurationError on settings no posterior can evaluate.
 
@@ -263,12 +257,11 @@ class SinusoidPosterior:
 
     Holds the observations y and |y|^2, the truncation k_max, and the current
     component-count mean lam and g-prior scale delta2, which a chain may
-    change between sweeps through ``set_hyperparameters``.  Two memos, both
-    keyed on the component tuple, save factorisations: the projection norm
-    s(omega), which depends on neither hyperparameter and so lives as long as
-    the posterior, and the log density at the current (lam, delta2), which
-    is cleared when either changes.  Both store exactly what a fresh
-    evaluation returns, so memoisation never changes a value.
+    assign between sweeps.  The projection norm s(omega), which depends on
+    neither hyperparameter, is memoised per component tuple for the
+    posterior's lifetime; it stores exactly what a fresh evaluation returns,
+    so memoisation never changes a value.  log_density itself is not
+    memoised: a chain carries log f(x) from kernel to kernel instead.
     """
 
     def __init__(self, y, lam: float, delta2: float, k_max: int = 32):
@@ -279,36 +272,27 @@ class SinusoidPosterior:
         self.delta2 = float(delta2)
         self.k_max = int(k_max)
         self._norms: dict[tuple, float] = {}
-        self._densities: dict[tuple, float] = {}
-
-    def set_hyperparameters(self, lam: float, delta2: float) -> None:
-        """Move to new (lam, delta2); the density memo is dropped if either changed."""
-        if lam != self.lam or delta2 != self.delta2:
-            self.lam = float(lam)
-            self.delta2 = float(delta2)
-            self._densities.clear()
 
     def projection_norm(self, omega: tuple) -> float:
         """s(omega) = _projection_norm2(y, omega), memoised: 0 at k = 0, inf on a
         singular design, each kept as any other value."""
-        s = self._norms.get(omega)
+        norms = self._norms
+        s = norms.get(omega)
         if s is None:
             s = _projection_norm2(self.y, omega)
-            _remember(self._norms, omega, s)
+            if len(norms) >= POSTERIOR_CACHE_SIZE:
+                norms.pop(next(iter(norms)))
+            norms[omega] = s
         return s
 
     def log_density(self, x: VarDimState) -> float:
         omega = x.components
-        val = self._densities.get(omega)
-        if val is None:
-            # s is factorised only where quad_form reads it: inside the support
-            # and at delta2 != 0.
-            s = None
-            if self.delta2 != 0.0 and _in_support(omega, self.k_max):
-                s = self.projection_norm(omega)
-            val = sinusoid_log_target(self.y, omega, self.lam, self.delta2, self.k_max, s=s)
-            _remember(self._densities, omega, val)
-        return val
+        # s is factorised only where quad_form reads it: inside the support
+        # and at delta2 != 0.
+        s = None
+        if self.delta2 != 0.0 and _in_support(omega, self.k_max):
+            s = self.projection_norm(omega)
+        return sinusoid_log_target(self.y, omega, self.lam, self.delta2, self.k_max, s=s)
 
 
 @dataclass(frozen=True)
@@ -333,14 +317,15 @@ class PriorOnlyTarget:
                 - math.lgamma(k + 1))
 
 
-def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
+def frequency_update_move(x: VarDimState, log_fx: float, target: TargetDensity, rng: Rng,
                           walk_sd: float) -> ProposalOutcome:
     """Within-model update of one frequency; never changes k.
 
     One index is picked uniformly; with probability 0.8 the proposal is a
     Gaussian random-walk step of std ``walk_sd``, otherwise an independent
     uniform draw on (0, pi).  Both branches have symmetric proposal ratio,
-    so the log ratio is the log target difference.  A target is -inf outside
+    so the log ratio is the log target difference, from the given log f(x)
+    and one evaluation at the proposal.  A target is -inf outside
     its support (TargetDensity), here outside (0, pi)^k, on an unsorted state
     of a sorted restriction and on a singular design, so such a proposal has
     log ratio -inf and is rejected surely.
@@ -358,8 +343,7 @@ def frequency_update_move(x: VarDimState, target: TargetDensity, rng: Rng,
     comps[index] = float(new)
     proposed = VarDimState(tuple(comps))
     lt_new = target.log_density(proposed)
-    log_ratio = lt_new - target.log_density(x)
-    return ProposalOutcome(proposed, log_ratio, proposed_log_density=lt_new)
+    return ProposalOutcome(proposed, lt_new - log_fx, lt_new)
 
 
 @functools.lru_cache(maxsize=8)
@@ -483,8 +467,8 @@ def check_truth_settings(omega, amp2, n_obs: int) -> None:
     if not (all(0.0 <= a < math.inf for a in amp2) and any(a > 0.0 for a in amp2)):
         raise ConfigurationError("amp2 entries must be finite and nonnegative, "
                                  "with at least one positive entry")
-    if n_obs < 1:
-        raise ConfigurationError("n_obs must be at least 1")
+    if not (isinstance(n_obs, numbers.Integral) and n_obs >= 1):
+        raise ConfigurationError(f"n_obs={n_obs!r} must be an integer of at least 1")
 
 
 def synthesize(omega, amp2, snr_db: float, n_obs: int, rng: Rng) -> np.ndarray:

@@ -101,7 +101,8 @@ def ratio_cancellation() -> list[CheckResult]:
         lam = float(rng.uniform(0.5, 10.0))
         model = SinusoidPosterior(y, lam, delta2, k_max=8)
         sched = BirthDeathSchedule.green(lam, 8, 0.25)
-        outcome = birth_propose_unsorted(VarDimState(omega), sched, model, rng)
+        x = VarDimState(omega)
+        outcome = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
         if outcome.log_ratio == float("-inf"):
             continue  # numerically singular draw; resample
         lhs = math.exp(outcome.log_ratio)

@@ -96,12 +96,29 @@ class TestScheduleProbabilities:
             BirthDeathSchedule.green(5.0, -3)
 
 
+class TestPmfComponentProposal:
+    @pytest.mark.parametrize("points, weights", [
+        pytest.param((1.0, 1.0, 2.0), (0.25, 0.25, 0.5), id="duplicate-point"),
+        pytest.param((math.nan, 1.0), (0.5, 0.5), id="nan-point"),
+        pytest.param((1.0, 2.0), (math.nan, 0.5), id="nan-weight"),
+        pytest.param((1.0, 2.0), (math.inf, 0.5), id="inf-weight"),
+        pytest.param((1.0, 2.0), (-0.5, 1.5), id="negative-weight"),
+        pytest.param((1.0, 2.0), (0.0, 0.0), id="zero-total"),
+        pytest.param((1.0, 2.0), (1.0,), id="length-mismatch"),
+    ])
+    def test_unusable_inputs_rejected_at_construction(self, points, weights):
+        """A duplicate point would be sampled with its summed mass while log_density
+        reads one entry's; a NaN point, or a NaN or inf weight, would fail only at a draw."""
+        with pytest.raises(ConfigurationError):
+            pmf_component_proposal(points, weights)
+
+
 class TestBirthProposeUnsorted:
     def test_from_empty_state_single_slot(self):
         rng = rng_stream(30)
         target = PriorOnlyTarget(2.0, 8)
         sched = BirthDeathSchedule.green(2.0, 8)
-        out = birth_propose_unsorted(VarDimState(), sched, target, rng)
+        out = birth_propose_unsorted(VarDimState(), 0.0, sched, target, rng)
         assert out.proposed.k == 1
         assert slot(VarDimState(), out.proposed) == 0
         # s* is the stream's first draw from q, uniform on (0, pi)
@@ -114,7 +131,7 @@ class TestBirthProposeUnsorted:
         x = VarDimState((1.0, 2.0))
         twin = rng_stream(31)  # replays the draws: s* ~ q, then the slot
         for _ in range(50):
-            out = birth_propose_unsorted(x, sched, target, rng)
+            out = birth_propose_unsorted(x, target.log_density(x), sched, target, rng)
             s_star, index = twin.uniform(0.0, math.pi), int(twin.integers(0, x.k + 1))
             assert slot(x, out.proposed) == index
             rest = list(out.proposed.components)
@@ -130,7 +147,8 @@ class TestBirthProposeUnsorted:
         n = 100_000
         counts = np.zeros(3)
         for _ in range(n):
-            counts[slot(x, birth_propose_unsorted(x, sched, target, rng).proposed)] += 1
+            out = birth_propose_unsorted(x, target.log_density(x), sched, target, rng)
+            counts[slot(x, out.proposed)] += 1
         band = 3.0 * math.sqrt((1 / 3) * (2 / 3) / n)
         assert np.all(np.abs(counts / n - 1 / 3) < band)
 
@@ -139,7 +157,7 @@ class TestBirthProposeUnsorted:
         bad = type(bad)(sample=lambda rng: 4.0, log_density=bad.log_density)
         sched = BirthDeathSchedule.green(2.0, 8, 0.5, proposal=bad)
         with pytest.raises(BrokenKernelError):
-            birth_propose_unsorted(VarDimState(), sched, PriorOnlyTarget(2.0, 8),
+            birth_propose_unsorted(VarDimState(), 0.0, sched, PriorOnlyTarget(2.0, 8),
                                    rng_stream(33))
 
 
@@ -149,7 +167,7 @@ class TestDeathPropose:
         target = PriorOnlyTarget(2.0, 8)
         sched = BirthDeathSchedule.green(2.0, 8)
         x = VarDimState((0.7,))
-        out = death_propose(x, sched, target, rng)
+        out = death_propose(x, target.log_density(x), sched, target, rng)
         assert out.proposed == VarDimState()
         assert x.components[slot(x, out.proposed)] == 0.7
 
@@ -161,7 +179,7 @@ class TestDeathPropose:
         seen = set()
         twin = rng_stream(35)  # replays the draw of the removal index
         for _ in range(200):
-            out = death_propose(x, sched, target, rng)
+            out = death_propose(x, target.log_density(x), sched, target, rng)
             index = int(twin.integers(0, x.k))
             assert slot(x, out.proposed) == index
             seen.add(index)
@@ -178,14 +196,15 @@ class TestDeathPropose:
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
-            counts[slot(x, death_propose(x, sched, target, rng).proposed)] += 1
+            out = death_propose(x, target.log_density(x), sched, target, rng)
+            counts[slot(x, out.proposed)] += 1
         band = 3.0 * math.sqrt(0.25 * 0.75 / n)
         assert np.all(np.abs(counts / n - 0.25) < band)
 
     def test_death_at_empty_state_is_hard_error(self):
         sched = BirthDeathSchedule.green(2.0, 8)
         with pytest.raises(BrokenKernelError):
-            death_propose(VarDimState(), sched, PriorOnlyTarget(2.0, 8), rng_stream(37))
+            death_propose(VarDimState(), 0.0, sched, PriorOnlyTarget(2.0, 8), rng_stream(37))
 
 
 class TestBodLogRatio:
@@ -201,7 +220,7 @@ class TestBodLogRatio:
         sched = BirthDeathSchedule.green(2.0, 8, 0.3)
         x = VarDimState((0.5,))
         x_new = x.insert(1, 0.25)
-        assert move_log_ratio(x, x_new, 0.0, sched, Flat()) == pytest.approx(0.0, abs=1e-15)
+        assert move_log_ratio(x, 0.0, x_new, 0.0, sched, Flat()) == pytest.approx(0.0, abs=1e-15)
 
     def test_antisymmetry_with_reverse_death(self):
         """Reverse-move log ratio is the exact negation, across random setups."""
@@ -210,11 +229,11 @@ class TestBodLogRatio:
             model = random_model(rng)
             sched = BirthDeathSchedule.green(model.lam, model.k_max)
             x = random_state(rng, int(rng.integers(0, 5)))
-            out = birth_propose_unsorted(x, sched, model, rng)
+            out = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
             if out.log_ratio == NEG_INF:
                 continue
-            reverse = move_log_ratio(out.proposed, x, log_q(sched, x, out.proposed),
-                                     sched, model)
+            reverse = move_log_ratio(out.proposed, out.proposed_log_density, x,
+                                     log_q(sched, x, out.proposed), sched, model)
             assert reverse == pytest.approx(-out.log_ratio, abs=1e-12)
 
     def test_location_terms_cancel_against_naive_form(self):
@@ -225,7 +244,7 @@ class TestBodLogRatio:
             sched = BirthDeathSchedule.green(model.lam, model.k_max)
             k = int(rng.integers(0, 5))
             x = random_state(rng, k)
-            out = birth_propose_unsorted(x, sched, model, rng)
+            out = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
             if out.log_ratio == NEG_INF:
                 continue
             naive = (model.log_density(out.proposed) - model.log_density(x)
@@ -238,7 +257,26 @@ class TestBodLogRatio:
         sched = BirthDeathSchedule.green(2.0, 8)
         x = VarDimState((0.5,))
         with pytest.raises(BrokenKernelError):
-            move_log_ratio(x, x.insert(0, 0.2), NEG_INF, sched, PriorOnlyTarget(2.0, 8))
+            target = PriorOnlyTarget(2.0, 8)
+            move_log_ratio(x, target.log_density(x), x.insert(0, 0.2), NEG_INF, sched, target)
+
+    def test_nan_log_density_is_hard_error(self):
+        """A NaN log f(x) handed to the ratio, or a NaN f(x'), raises; neither
+        becomes a rejection."""
+        class NanAtTwo:
+            def log_density(self, x):
+                return math.nan if x.k == 2 else 0.0
+
+        sched = BirthDeathSchedule.green(2.0, 8)
+        target = PriorOnlyTarget(2.0, 8)
+        x = VarDimState((0.5,))
+        for x_new in (x.insert(0, 0.2), VarDimState()):
+            with pytest.raises(BrokenKernelError, match="NaN"):
+                move_log_ratio(x, math.nan, x_new, 0.0, sched, target)
+        with pytest.raises(BrokenKernelError, match="NaN"):
+            birth_propose_unsorted(x, math.nan, sched, target, rng_stream(54))
+        with pytest.raises(BrokenKernelError, match="NaN"):
+            move_log_ratio(x, 0.0, x.insert(0, 0.2), 0.0, sched, NanAtTwo())
 
     def test_orders_neither_birth_nor_death_are_hard_errors(self):
         """Only k' = k + 1 (birth) and k' = k - 1 (death) have a ratio."""
@@ -246,11 +284,12 @@ class TestBodLogRatio:
         target = PriorOnlyTarget(2.0, 8)
         x = VarDimState((0.5, 1.0))
         with pytest.raises(BrokenKernelError):
-            move_log_ratio(x, x, 0.0, sched, target)
+            move_log_ratio(x, target.log_density(x), x, 0.0, sched, target)
         with pytest.raises(BrokenKernelError):
-            move_log_ratio(x, x.insert(0, 0.2).insert(0, 0.1), 0.0, sched, target)
+            move_log_ratio(x, target.log_density(x), x.insert(0, 0.2).insert(0, 0.1), 0.0,
+                           sched, target)
         with pytest.raises(BrokenKernelError):
-            move_log_ratio(x, VarDimState(), 0.0, sched, target)
+            move_log_ratio(x, target.log_density(x), VarDimState(), 0.0, sched, target)
 
 
 class TestLegacyLogRatio:
@@ -262,9 +301,9 @@ class TestLegacyLogRatio:
         sched = BirthDeathSchedule.green(model.lam, model.k_max)
         legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
         x = VarDimState()
-        out = birth_propose_unsorted(x, sched, model, rng)
-        legacy = move_log_ratio(x, out.proposed, log_q(sched, x, out.proposed),
-                                legacy_sched, model)
+        out = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
+        legacy = move_log_ratio(x, model.log_density(x), out.proposed,
+                                log_q(sched, x, out.proposed), legacy_sched, model)
         assert legacy == pytest.approx(out.log_ratio, abs=1e-12)
 
     def test_birth_offset_is_log_k_plus_one(self):
@@ -274,9 +313,9 @@ class TestLegacyLogRatio:
             sched = BirthDeathSchedule.green(model.lam, model.k_max)
             legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
             x = random_state(rng, k)
-            out = birth_propose_unsorted(x, sched, model, rng)
-            legacy = move_log_ratio(x, out.proposed, log_q(sched, x, out.proposed),
-                                    legacy_sched, model)
+            out = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
+            legacy = move_log_ratio(x, model.log_density(x), out.proposed,
+                                    log_q(sched, x, out.proposed), legacy_sched, model)
             assert legacy - out.log_ratio == pytest.approx(-math.log(k + 1), abs=1e-12)
 
     def test_death_offset_is_plus_log_k(self):
@@ -286,9 +325,9 @@ class TestLegacyLogRatio:
             sched = BirthDeathSchedule.green(model.lam, model.k_max)
             legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
             x = random_state(rng, k)
-            out = death_propose(x, sched, model, rng)
-            legacy = move_log_ratio(x, out.proposed, log_q(sched, x, out.proposed),
-                                    legacy_sched, model)
+            out = death_propose(x, model.log_density(x), sched, model, rng)
+            legacy = move_log_ratio(x, model.log_density(x), out.proposed,
+                                    log_q(sched, x, out.proposed), legacy_sched, model)
             assert legacy - out.log_ratio == pytest.approx(math.log(k), abs=1e-12)
 
 
@@ -300,7 +339,7 @@ class TestSortedKernel:
         x = VarDimState((0.3, 0.9))
         twin = rng_stream(43)  # replays the draw of s* ~ q
         for _ in range(100):
-            out = birth_propose_sorted(x, sched, target, rng)
+            out = birth_propose_sorted(x, target.log_density(x), sched, target, rng)
             s_star = twin.uniform(0.0, math.pi)
             assert out.proposed.is_sorted()
             assert out.proposed.components[slot(x, out.proposed)] == s_star
@@ -309,7 +348,7 @@ class TestSortedKernel:
         rng = rng_stream(44)
         target = SortedRestriction(PriorOnlyTarget(2.0, 8))
         sched = BirthDeathSchedule.green(2.0, 8, representation="sorted")
-        out = birth_propose_sorted(VarDimState(), sched, target, rng)
+        out = birth_propose_sorted(VarDimState(), 0.0, sched, target, rng)
         assert out.proposed.k == 1
         assert slot(VarDimState(), out.proposed) == 0
 
@@ -319,16 +358,17 @@ class TestSortedKernel:
         target = SortedRestriction(PriorOnlyTarget(2.0, 8))
         x = VarDimState((0.5, 1.5))
         rng = rng_stream(45)
-        outs = [birth_propose_sorted(x, sched, target, rng) for _ in range(20)]
+        log_fx = target.log_density(x)
+        outs = [birth_propose_sorted(x, log_fx, sched, target, rng) for _ in range(20)]
         assert all(o.log_ratio == NEG_INF for o in outs)
 
     def test_unsorted_input_is_hard_error(self):
         sched = BirthDeathSchedule.green(2.0, 8, representation="sorted")
         target = SortedRestriction(PriorOnlyTarget(2.0, 8))
         with pytest.raises(BrokenKernelError):
-            birth_propose_sorted(VarDimState((1.0, 0.5)), sched, target, rng_stream(46))
+            birth_propose_sorted(VarDimState((1.0, 0.5)), NEG_INF, sched, target, rng_stream(46))
         with pytest.raises(BrokenKernelError):
-            move_log_ratio(VarDimState((1.0, 0.5)), VarDimState((0.1, 1.0, 0.5)),
+            move_log_ratio(VarDimState((1.0, 0.5)), NEG_INF, VarDimState((0.1, 1.0, 0.5)),
                            0.0, sched, target)
 
     def test_insertion_slot_probability_matches_gap(self):
@@ -339,7 +379,8 @@ class TestSortedKernel:
         x = VarDimState((0.3, 0.9))
         p_gap = (0.9 - 0.3) / math.pi
         n = 100_000
-        hits = sum(slot(x, birth_propose_sorted(x, sched, target, rng).proposed) == 1
+        log_fx = target.log_density(x)
+        hits = sum(slot(x, birth_propose_sorted(x, log_fx, sched, target, rng).proposed) == 1
                    for _ in range(n))
         band = 3.0 * math.sqrt(p_gap * (1 - p_gap) / n)
         assert abs(hits / n - p_gap) < band
@@ -353,11 +394,12 @@ class TestSortedKernel:
             ssched = BirthDeathSchedule.green(model.lam, model.k_max,
                                               representation="sorted")
             x = random_state(rng, int(rng.integers(0, 5)))
-            out = birth_propose_sorted(x, ssched, SortedRestriction(model), rng)
+            target = SortedRestriction(model)
+            out = birth_propose_sorted(x, target.log_density(x), ssched, target, rng)
             if out.log_ratio == NEG_INF:
                 continue
-            unsorted_ratio = move_log_ratio(
-                x, out.proposed, log_q(ssched, x, out.proposed), usched, model)
+            unsorted_ratio = move_log_ratio(x, model.log_density(x), out.proposed,
+                                            log_q(ssched, x, out.proposed), usched, model)
             assert out.log_ratio == pytest.approx(unsorted_ratio, abs=1e-12)
 
     def test_flat_sorted_target_birth_ratio_closed_form(self):
@@ -369,7 +411,7 @@ class TestSortedKernel:
         # p_b(0) = p_d(1) = 0.3
         sched = BirthDeathSchedule.green(1.0, 8, 0.3, representation="sorted")
         rng = rng_stream(49)
-        out = birth_propose_sorted(VarDimState(), sched, FlatSorted(), rng)
+        out = birth_propose_sorted(VarDimState(), 0.0, sched, FlatSorted(), rng)
         # -log q(s*) - log(0+1) with q = 1/pi
         assert out.log_ratio == pytest.approx(math.log(math.pi), abs=1e-12)
 
@@ -380,8 +422,9 @@ class TestSortedKernel:
         sched = BirthDeathSchedule.green(model.lam, model.k_max,
                                          representation="sorted")
         x = random_state(rng, 3)
-        out = death_propose(x, sched, target, rng)
-        reverse = move_log_ratio(out.proposed, x, log_q(sched, x, out.proposed), sched, target)
+        out = death_propose(x, target.log_density(x), sched, target, rng)
+        reverse = move_log_ratio(out.proposed, out.proposed_log_density, x,
+                                 log_q(sched, x, out.proposed), sched, target)
         assert reverse == pytest.approx(-out.log_ratio, abs=1e-12)
 
 
@@ -401,9 +444,10 @@ class TestMoveSetFactory:
         rng = rng_stream(52)
         before = rng.bit_generator.state
         x = VarDimState((0.4, 1.2))
-        out = none.propose(x, rng)
+        out = none.propose(x, target.log_density(x), rng)
         assert out.proposed is x
         assert out.log_ratio == NEG_INF
+        assert out.proposed_log_density == target.log_density(x)
         assert rng.bit_generator.state == before
 
     def test_schedule_validation(self):

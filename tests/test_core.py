@@ -24,7 +24,8 @@ from transjump.core import (
 
 def constant_moves(weights: dict[str, float]) -> tuple[Move, ...]:
     """Moves that propose the unchanged state with ratio 0 (always accept)."""
-    return tuple(Move(label, lambda x, w=w: w, lambda x, rng: ProposalOutcome(x, 0.0))
+    return tuple(Move(label, lambda x, w=w: w,
+                      lambda x, log_fx, rng: ProposalOutcome(x, 0.0, log_fx))
                  for label, w in weights.items())
 
 
@@ -146,21 +147,21 @@ def jump_moves(target=None) -> tuple[Move, ...]:
     """
     target = target if target is not None else FlatTarget()
 
-    def ratio(x, proposed):
-        return target.log_density(proposed) - target.log_density(x)
+    def outcome(proposed, log_fx):
+        lt_new = target.log_density(proposed)
+        return ProposalOutcome(proposed, lt_new - log_fx, lt_new)
 
-    def birth(x, rng):
-        proposed = x.insert(x.k, 0.5 + x.k)
-        return ProposalOutcome(proposed, ratio(x, proposed))
+    def birth(x, log_fx, rng):
+        return outcome(x.insert(x.k, 0.5 + x.k), log_fx)
 
-    def death(x, rng):
-        proposed = x.remove(x.k - 1)
-        return ProposalOutcome(proposed, ratio(x, proposed))
+    def death(x, log_fx, rng):
+        return outcome(x.remove(x.k - 1), log_fx)
 
     return (
         Move("birth", lambda x: 0.5, birth),
         Move("death", lambda x: 0.5 if x.k else 0.0, death),
-        Move("hold", lambda x: 0.0 if x.k else 0.5, lambda x, rng: ProposalOutcome(x, 0.0)),
+        Move("hold", lambda x: 0.0 if x.k else 0.5,
+             lambda x, log_fx, rng: ProposalOutcome(x, 0.0, log_fx)),
     )
 
 
@@ -221,32 +222,37 @@ class TestRunChain:
 
     def test_nan_components_hard_error(self):
         bad = (Move("bad", lambda x: 1.0,
-                    lambda x, rng: ProposalOutcome(VarDimState((float("nan"),)), 0.0)),)
+                    lambda x, log_fx, rng: ProposalOutcome(VarDimState((float("nan"),)), 0.0,
+                                                           0.0)),)
         with pytest.raises(BrokenKernelError):
             run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
 
     def test_nan_components_hard_error_when_rejected(self):
         """A surely rejected proposal is still scanned; only proposing x itself skips it."""
         bad = (Move("bad", lambda x: 1.0,
-                    lambda x, rng: ProposalOutcome(VarDimState((float("nan"),)), NEG_INF)),)
+                    lambda x, log_fx, rng: ProposalOutcome(VarDimState((float("nan"),)),
+                                                           NEG_INF, NEG_INF)),)
         with pytest.raises(BrokenKernelError):
             run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
 
     def test_nan_log_target_on_a_row_is_hard_error(self):
-        """An accepted move without proposed_log_density reaches a state where the
-        target is NaN: the row's log target is checked, not recorded as NaN."""
+        """An accepted move reaches a state where the target is NaN and returns
+        that density: the row's log target is checked, not recorded as NaN."""
         class NanAtOne:
             def log_density(self, x):
                 return math.nan if x.k == 1 else 0.0
 
+        target = NanAtOne()
         moves = (
             Move("birth", lambda x: 1.0 if x.k == 0 else 0.0,
-                 lambda x, rng: ProposalOutcome(x.insert(0, 0.5), 0.0)),
+                 lambda x, log_fx, rng: ProposalOutcome(
+                     x.insert(0, 0.5), 0.0, target.log_density(x.insert(0, 0.5)))),
             Move("death", lambda x: 1.0 if x.k == 1 else 0.0,
-                 lambda x, rng: ProposalOutcome(x.remove(0), 0.0)),
+                 lambda x, log_fx, rng: ProposalOutcome(
+                     x.remove(0), 0.0, target.log_density(x.remove(0)))),
         )
         with pytest.raises(BrokenKernelError, match="k=1"):
-            run_chain(NanAtOne(), moves, VarDimState(), 4, 0, rng_stream(26))
+            run_chain(target, moves, VarDimState(), 4, 0, rng_stream(26))
 
     def test_k_frequencies_sum_to_one(self):
         out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 4000, 400,
@@ -258,7 +264,7 @@ class TestRunChain:
 class TestMixtureStep:
     def test_tallies_the_selected_move(self):
         out = ChainOutput()
-        step = mixture_step(FlatTarget(), jump_moves(), rng_stream(22))
+        step = mixture_step(jump_moves(), rng_stream(22))
         x, log_t, label, accepted, lam, delta2 = step(VarDimState(), 0.0, out)
         assert label in ("birth", "hold")
         assert x.k == (1 if label == "birth" else 0)
@@ -271,7 +277,7 @@ class TestMixtureStep:
         init = VarDimState()
         target = PointTarget(init)
         out = ChainOutput()
-        step = mixture_step(target, jump_moves(target), rng_stream(23))
+        step = mixture_step(jump_moves(target), rng_stream(23))
         while "birth" not in out.proposals:
             assert step(init, 0.0, out)[:2] == (init, 0.0)
         assert out.acceptances.get("birth", 0) == 0

@@ -6,11 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from transjump.birthdeath import BirthDeathSchedule, bod_move_set
+from transjump.birthdeath import BirthDeathSchedule, SortedRestriction, bod_move_set
 from transjump.core import ConfigurationError, VarDimState, rng_stream, run_chain
 from transjump.experiment import run_joint_chain
 from transjump.oracle import tv_distance
-from transjump.sinusoid import PriorOnlyTarget, synthesize, truncated_poisson_pmf
+from transjump.sinusoid import (
+    PriorOnlyTarget,
+    SinusoidPosterior,
+    synthesize,
+    truncated_poisson_pmf,
+)
 
 
 class TestValidation:
@@ -214,6 +219,60 @@ class TestJointRuns:
         run_joint_chain(y, n_iter=1500, burn_in=300, lambda_prior=(1.0, 1e-3),
                         delta2_prior=(2.0, 100.0), rng=rng_stream(17))
         assert 0 < len(calls) <= 5056 // 2
+
+
+REFERENCE = ((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64)
+
+
+class TestCarriedLogTarget:
+    """The sweep carries log f(x) through its kernels instead of evaluating f(x) again."""
+
+    @pytest.mark.parametrize("variant", ["unsorted", "sorted", "flat_likelihood"])
+    def test_every_row_holds_a_fresh_evaluation(self, variant):
+        """Each row's log_target is a fresh target's value at that row's components,
+        lambda and delta2, with both hyperparameters sampled."""
+        y = synthesize(*REFERENCE, rng_stream(5))
+        flat = variant == "flat_likelihood"
+        representation = "sorted" if variant == "sorted" else "unsorted"
+        res = run_joint_chain(None if flat else y, n_iter=600, burn_in=0, k_max=8,
+                              lambda_prior=(1.0, 1e-3), delta2_prior=(2.0, 100.0),
+                              representation=representation, flat_likelihood=flat,
+                              rng=rng_stream(18))
+        for r in res.records:
+            base = (PriorOnlyTarget(r.lam, 8) if flat
+                    else SinusoidPosterior(y, r.lam, r.delta2, 8))
+            target = SortedRestriction(base) if representation == "sorted" else base
+            assert r.log_target == target.log_density(VarDimState(r.components))
+        assert len({r.k for r in res.records}) > 1
+        assert len({r.lam for r in res.records}) > 10
+        assert res.acceptances["birth"] > 0 and res.acceptances["death"] > 0
+        if not flat:
+            assert res.acceptances["update"] > 0 and res.acceptances["delta2"] > 0
+
+    @pytest.mark.parametrize("lambda_prior, delta2_prior", [
+        ((1.0, 1e-3), (2.0, 100.0)), ((1.0, 1e-3), None), (None, (2.0, 100.0)), (None, None)],
+        ids=["both-sampled", "lambda-sampled", "delta2-sampled", "fixed"])
+    def test_target_evaluated_once_per_state(self, monkeypatch, lambda_prior, delta2_prior):
+        """log_density runs once at the start, once per sweep when lambda or delta2 is
+        sampled, and once per birth, death and frequency-update proposal."""
+        y = synthesize(*REFERENCE, rng_stream(5))
+        calls = []
+        log_density = SinusoidPosterior.log_density
+
+        def counting(self, x):
+            calls.append(1)
+            return log_density(self, x)
+
+        monkeypatch.setattr(SinusoidPosterior, "log_density", counting)
+        n_iter = 800
+        res = run_joint_chain(y, n_iter=n_iter, burn_in=0,
+                              lam=None if lambda_prior else 3.0, lambda_prior=lambda_prior,
+                              delta2=None if delta2_prior else 100.0,
+                              delta2_prior=delta2_prior, rng=rng_stream(19))
+        sampled = lambda_prior is not None or delta2_prior is not None
+        proposals = sum(res.proposals.get(m, 0) for m in ("birth", "death", "update"))
+        assert proposals > n_iter
+        assert len(calls) == 1 + sampled * n_iter + proposals
 
 
 class TestRetainedMemory:

@@ -355,10 +355,12 @@ class TestToySpecValidation:
                             q=(0.5, 0.5))
 
     @pytest.mark.parametrize("change", [{"k_max": 2.5}, {"k_max": -1}, {"lam": 0.0},
-                                        {"c": 0.75}, {"representation": "diagonal"}])
+                                        {"c": 0.75}, {"representation": "diagonal"},
+                                        {"points": (1.0, 1.0)}, {"q": (math.nan, 0.5)}])
     def test_schedule_settings_checked_at_construction(self, change):
         """A toy reaches the schedule's own checks before any state is listed;
-        unchecked, k_max = 2.5 fails in enumerate_states and -1 builds a 1 x 1 matrix."""
+        unchecked, k_max = 2.5 fails in enumerate_states and -1 builds a 1 x 1 matrix.
+        The points and q are checked by the pmf proposal the schedule builds."""
         settings = dict(points=(1.0, 2.0), k_max=1, weights={(): 1.0}, q=(0.5, 0.5))
         with pytest.raises(ConfigurationError):
             DiscreteToySpec(**{**settings, **change})

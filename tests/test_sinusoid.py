@@ -427,7 +427,7 @@ class TestLogTarget:
         model = SinusoidPosterior(y, 2.0, 25.0, k_max=8)
         for lam, delta2 in ((2.0, 25.0), (2.0, 0.0), (0.7, 0.0), (0.7, 140.0),
                             (3.1, 140.0), (2.0, 25.0), (2.0, 1e-3)):
-            model.set_hyperparameters(lam, delta2)
+            model.lam, model.delta2 = lam, delta2
             for order in (states, states[::-1]):
                 for omega in order:
                     fresh = sinusoid_log_target(y, omega, lam, delta2, 8)
@@ -446,7 +446,6 @@ class TestLogTarget:
         for w in np.linspace(0.1, 3.0, 3 * POSTERIOR_CACHE_SIZE):
             model.log_density(VarDimState((float(w),)))
         assert len(model._norms) == POSTERIOR_CACHE_SIZE
-        assert len(model._densities) == POSTERIOR_CACHE_SIZE
 
     def test_states_outside_support_are_not_factorised(self, monkeypatch):
         calls = []
@@ -482,7 +481,7 @@ class TestFrequencyUpdateMove:
         target = PriorOnlyTarget(1.0, 4)
         x = VarDimState((1e-9,))
         rng = rng_stream(69)
-        outs = [frequency_update_move(x, target, rng, walk_sd=1.0)
+        outs = [frequency_update_move(x, target.log_density(x), target, rng, walk_sd=1.0)
                 for _ in range(200)]
         assert any(o.log_ratio == NEG_INF for o in outs)
         assert all(o.log_ratio == NEG_INF or o.proposed.k == 1 for o in outs)
@@ -496,7 +495,8 @@ class TestFrequencyUpdateMove:
         target = SortedRestriction(model) if sort else model
         x = VarDimState((0.8, 0.8005)) if sort else VarDimState((1e-9, 1.9))
         rng = rng_stream(84)
-        outs = [frequency_update_move(x, target, rng, walk_sd=0.01) for _ in range(200)]
+        log_fx = target.log_density(x)
+        outs = [frequency_update_move(x, log_fx, target, rng, walk_sd=0.01) for _ in range(200)]
         if sort:
             zero = [o for o in outs if not o.proposed.is_sorted()]
         else:
@@ -515,7 +515,7 @@ class TestFrequencyUpdateMove:
         model = SinusoidPosterior(rng.standard_normal(24), 2.0, 40.0, k_max=4)
         x = VarDimState((0.8, 1.9))
         for _ in range(50):
-            out = frequency_update_move(x, model, rng, walk_sd=0.05)
+            out = frequency_update_move(x, model.log_density(x), model, rng, walk_sd=0.05)
             if out.log_ratio == NEG_INF:
                 continue
             expect = model.log_density(out.proposed) - model.log_density(x)
@@ -526,11 +526,12 @@ class TestFrequencyUpdateMove:
         target = PriorOnlyTarget(1.0, 4)
         x = VarDimState((0.5, 1.5, 2.5))
         for _ in range(100):
-            assert frequency_update_move(x, target, rng, 0.1).proposed.k == 3
+            out = frequency_update_move(x, target.log_density(x), target, rng, 0.1)
+            assert out.proposed.k == 3
 
     def test_requires_components(self):
         with pytest.raises(BrokenKernelError):
-            frequency_update_move(VarDimState(), PriorOnlyTarget(1.0, 4),
+            frequency_update_move(VarDimState(), 0.0, PriorOnlyTarget(1.0, 4),
                                   rng_stream(72), 0.1)
 
     def test_nan_proposal_is_broken_kernel(self):
@@ -541,7 +542,8 @@ class TestFrequencyUpdateMove:
         raised = 0
         for _ in range(50):
             try:
-                out = frequency_update_move(x, model, rng, walk_sd=math.nan)
+                out = frequency_update_move(x, model.log_density(x), model, rng,
+                                            walk_sd=math.nan)
             except BrokenKernelError:
                 raised += 1
             else:
@@ -560,11 +562,12 @@ class TestFrequencyUpdateMove:
 
         x = VarDimState((peak + 0.3,))
         from transjump.core import mhg_accept
+        log_fx = model.log_density(x)
         samples = []
         for i in range(6000):
-            out = frequency_update_move(x, model, rng, walk_sd=0.25 / n)
+            out = frequency_update_move(x, log_fx, model, rng, walk_sd=0.25 / n)
             if mhg_accept(out.log_ratio, rng):
-                x = out.proposed
+                x, log_fx = out.proposed, out.proposed_log_density
             if i >= 1000:
                 samples.append(x.components[0])
         samples = np.array(samples)
@@ -762,6 +765,8 @@ class TestSynthesize:
         ((20.0, math.nan), 7.0, 32),
         ((20.0, 6.32), 7.0, 0),
         ((20.0, 6.32), 7.0, -3),
+        ((20.0, 6.32), 7.0, 64.0),
+        ((20.0, 6.32), 7.0, 2.5),
         pytest.param((), 7.0, 4, id="no-tone"),
         pytest.param((0.0,), 7.0, 4, id="silent-tone"),
         pytest.param((0.0, 0.0), math.inf, 32, id="silent-tones-clean"),
