@@ -79,7 +79,7 @@ def pmf_component_proposal(points, probabilities) -> ComponentProposal:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class BirthDeathSchedule:
     """Birth/death selection probabilities plus the component proposal q.
 
@@ -133,14 +133,31 @@ class BirthDeathSchedule:
                    representation, ratio_mode)
 
 
-def _log_ratio(x, log_fx, x_new, log_q, sched, target) -> tuple[float, float]:
-    """(log MHG ratio, log f(x')) of a birth or death; see move_log_ratio.
+def move_log_ratio(x: VarDimState, log_fx: float, x_new: VarDimState, log_q: float,
+                   sched: BirthDeathSchedule, target: TargetDensity) -> tuple[float, float]:
+    """(log MHG ratio, log f(x')) of a birth or death x -> x' under the schedule's
+    representation and mode.
 
-    A birth is chosen with probability p_b(x) and undone by a death chosen
-    with p_d(x'); a death the other way round.  A death is not computed as a
+    ``log_fx`` is log f(x), which the caller holds; only f(x') is evaluated.
+    Order k' = k + 1 is a birth of s*, k' = k - 1 a death of s*, and any other
+    pair a broken kernel; ``log_q`` is log q(s*).  A birth is chosen with
+    probability p_b(x) and undone by a death chosen with p_d(x'), so its ratio
+    is log f(x') - log f(x) + log p_d(x') - log p_b(x) - log q(s*); a death is
+    the exact negation with the roles swapped, and the uniform
+    location-selection terms 1/(k+1) cancel.  A death is not computed as a
     negated reverse-birth call: that would add the terms in another order and
-    round differently.
+    round differently.  The sorted representation (target f~ = k! f for an
+    exchangeable f, insertion slot probabilities cancelling) and the legacy
+    mode each add -log(k+1) to a birth and +log(k) to a death; a legacy chain
+    targets f_k / k!.  A NaN log f(x) or f(x'), and a sorted schedule on an
+    unsorted state, raise.
+
+    This is the single code path: the proposal kernels call it, and the exact
+    transition-matrix oracles call it, so they exercise the implemented ratio,
+    not a reimplementation.
     """
+    if sched.representation == "sorted" and not (x.is_sorted() and x_new.is_sorted()):
+        raise BrokenKernelError("sorted ratio evaluated on an unsorted state")
     if math.isnan(log_fx):
         raise BrokenKernelError(f"log f(x) is NaN at k={x.k}")
     if x_new.k == x.k + 1:
@@ -173,29 +190,6 @@ def _log_ratio(x, log_fx, x_new, log_q, sched, target) -> tuple[float, float]:
     return ratio, lt_new
 
 
-def move_log_ratio(x: VarDimState, log_fx: float, x_new: VarDimState, log_q: float,
-                   sched: BirthDeathSchedule, target: TargetDensity) -> float:
-    """Log MHG ratio of a birth or death x -> x' under the schedule's representation and mode.
-
-    ``log_fx`` is log f(x), which the caller holds; only f(x') is evaluated.
-    Order k' = k + 1 is a birth of s*, k' = k - 1 a death of s*, and any other
-    pair a broken kernel; ``log_q`` is log q(s*).  For a birth this is
-    log f(x') - log f(x) + log p_d(x') - log p_b(x) - log q(s*); a death is
-    the exact negation with the roles swapped, and the uniform
-    location-selection terms 1/(k+1) cancel.  The sorted representation
-    (target f~ = k! f for an exchangeable f, insertion slot probabilities
-    cancelling) and the legacy mode each add -log(k+1) to a birth and +log(k)
-    to a death; a legacy chain targets f_k / k!.  A NaN log f(x) or f(x') raises.
-
-    This is the single code path the proposal functions use; exact
-    transition-matrix oracles call it so they exercise the implemented ratio,
-    not a reimplementation.
-    """
-    if sched.representation == "sorted" and not (x.is_sorted() and x_new.is_sorted()):
-        raise BrokenKernelError("sorted ratio evaluated on an unsorted state")
-    return _log_ratio(x, log_fx, x_new, log_q, sched, target)[0]
-
-
 def _draw_component(proposal: ComponentProposal, rng: Rng) -> tuple[float, float]:
     """s* ~ q and log q(s*); a NaN draw or one outside q's support is a broken sampler."""
     s_star = float(proposal.sample(rng))
@@ -214,7 +208,7 @@ def birth_propose_unsorted(x: VarDimState, log_fx: float, sched: BirthDeathSched
     s_star, log_q = _draw_component(sched.proposal, rng)
     index = int(rng.integers(0, x.k + 1))
     proposed = x.insert(index, s_star)
-    log_ratio, lt_new = _log_ratio(x, log_fx, proposed, log_q, sched, target)
+    log_ratio, lt_new = move_log_ratio(x, log_fx, proposed, log_q, sched, target)
     return ProposalOutcome(proposed, log_ratio, lt_new)
 
 
@@ -233,7 +227,7 @@ def birth_propose_sorted(x: VarDimState, log_fx: float, sched: BirthDeathSchedul
     proposed = x.insert(index, s_star)
     if s_star in x.components:
         return ProposalOutcome(proposed, NEG_INF, NEG_INF)
-    log_ratio, lt_new = _log_ratio(x, log_fx, proposed, log_q, sched, target)
+    log_ratio, lt_new = move_log_ratio(x, log_fx, proposed, log_q, sched, target)
     return ProposalOutcome(proposed, log_ratio, lt_new)
 
 
@@ -245,7 +239,7 @@ def death_propose(x: VarDimState, log_fx: float, sched: BirthDeathSchedule,
     index = int(rng.integers(0, x.k))
     proposed = x.remove(index)
     log_q = sched.proposal.log_density(x.components[index])
-    log_ratio, lt_new = _log_ratio(x, log_fx, proposed, log_q, sched, target)
+    log_ratio, lt_new = move_log_ratio(x, log_fx, proposed, log_q, sched, target)
     return ProposalOutcome(proposed, log_ratio, lt_new)
 
 

@@ -252,7 +252,9 @@ def _chain_kwargs(cfg: RunConfig) -> dict:
 
 def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
     """Single chain run; writes trace.csv, components.csv and summary.csv into a
-    directory made after the signal is read, so a rejected signal leaves none."""
+    directory made after the config is checked and the signal is read, so a
+    rejected config or signal leaves none."""
+    _validate_config(cfg)
     if cfg.signal_path is not None:
         y = read_signal(cfg.signal_path)
     elif cfg.flat_likelihood:
@@ -293,8 +295,10 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
 
     Both modes run on the identical signal; per-replication summaries and the
     aggregate model-selection frequency table (mean posterior frequency per
-    order) are written alongside a grouped bar chart.
+    order) are written alongside a grouped bar chart.  The config is checked
+    before the output directory is made, so a rejected config leaves none.
     """
+    _validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ks = np.arange(cfg.k_max + 1)

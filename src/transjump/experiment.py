@@ -4,21 +4,18 @@ One sweep composes invariant kernels: optional hyperparameter updates for the
 component-count mean and the g-prior scale, one step of the birth-or-death
 mixture (``core.mixture_step`` over ``bod_move_set``, whose remaining mass is
 the reject-surely identity move "none"), and one within-model frequency update.
-``core.run_sweeps`` runs the sweeps and checks each row, so iteration counts
-refer to sweeps.  The sweep carries log f(x) through every kernel: it is
-evaluated at x once per sweep, after the hyperparameter moves and only when
-lambda or delta2 is sampled, and otherwise only at proposals.
+The target, the schedule and that step are built once per run; the sweep
+assigns a new lambda to the schedule and the base target, and a new delta2 to
+the posterior, in place.  ``core.run_sweeps`` runs the sweeps and checks each
+row, so iteration counts refer to sweeps.  The sweep carries log f(x) through
+every kernel: it is evaluated at x once per sweep, after the hyperparameter
+moves and only when lambda or delta2 is sampled, and otherwise only at proposals.
 """
 from __future__ import annotations
 
 import math
 
-from .birthdeath import (
-    BirthDeathSchedule,
-    SortedRestriction,
-    bod_move_set,
-    uniform_component_proposal,
-)
+from .birthdeath import BirthDeathSchedule, SortedRestriction, bod_move_set
 from .core import (
     ChainOutput,
     ConfigurationError,
@@ -42,12 +39,14 @@ from .sinusoid import (
 def check_sweep_settings(*, n_iter: int, burn_in: int, k_max: int, c: float, ratio_mode: str,
                          representation: str, lam: float | None,
                          lambda_prior: tuple[float, float] | None, delta2: float | None,
-                         delta2_prior: tuple[float, float] | None) -> tuple[float, float]:
-    """The starting (lambda, delta2) of run_joint_chain, or ConfigurationError.
+                         delta2_prior: tuple[float, float] | None
+                         ) -> tuple[BirthDeathSchedule, float]:
+    """The start schedule (holding the starting lambda) and starting delta2 of
+    run_joint_chain, or ConfigurationError.
 
     It checks the counts, the exactly-one rules, the prior entries, a fixed delta2
     and the start values: a sampled lambda starts at a/(b+1), a sampled delta2 at
-    scale/(shape-1) or, for shape <= 1, at scale.  The start schedule it builds
+    scale/(shape-1) or, for shape <= 1, at scale.  Building the start schedule
     checks lambda, k_max, c, ratio mode and representation; a sweep needs k_max >= 1
     on top.  parse_config calls it too, so both reject a setting before any draw.
     """
@@ -71,10 +70,11 @@ def check_sweep_settings(*, n_iter: int, burn_in: int, k_max: int, c: float, rat
         if prior is not None and not 0.0 < start < math.inf:
             raise ConfigurationError(
                 f"{name}={prior} gives the start value {start!r}, not finite and positive")
-    BirthDeathSchedule.green(lam, k_max, c, representation=representation, ratio_mode=ratio_mode)
+    sched = BirthDeathSchedule.green(lam, k_max, c, representation=representation,
+                                     ratio_mode=ratio_mode)
     if k_max < 1:
         raise ConfigurationError(f"k_max={k_max!r} must be an integer of at least 1")
-    return lam, delta2
+    return sched, delta2
 
 
 def run_joint_chain(
@@ -100,40 +100,33 @@ def run_joint_chain(
     target is the (k, omega) prior alone, the frequency-update and g-prior
     moves are skipped, and ``y`` may be omitted.
     """
-    lam_val, delta2_val = check_sweep_settings(
+    sched, delta2_val = check_sweep_settings(
         n_iter=n_iter, burn_in=burn_in, k_max=k_max, c=c, ratio_mode=ratio_mode,
         representation=representation, lam=lam, lambda_prior=lambda_prior,
         delta2=delta2, delta2_prior=delta2_prior)
-    posterior = None if flat_likelihood else SinusoidPosterior(y, lam_val, delta2_val, k_max)
-    log_z = None if lambda_prior is None else log_truncated_poisson_normalizer(lam_val, k_max)
-    proposal = uniform_component_proposal()
+    posterior = None if flat_likelihood else SinusoidPosterior(y, sched.lam, delta2_val, k_max)
+    base = posterior if posterior is not None else PriorOnlyTarget(sched.lam, k_max)
+    target = SortedRestriction(base) if representation == "sorted" else base
+    bod_step = mixture_step(bod_move_set(target, sched), rng)
+    log_z = None if lambda_prior is None else log_truncated_poisson_normalizer(sched.lam, k_max)
     resample = lambda_prior is not None or (posterior is not None and delta2_prior is not None)
 
-    def current_target():
-        base = posterior if posterior is not None else PriorOnlyTarget(lam_val, k_max)
-        return SortedRestriction(base) if representation == "sorted" else base
-
     def sweep(x, log_t, out):
-        nonlocal lam_val, log_z, delta2_val
+        nonlocal log_z, delta2_val
         if lambda_prior is not None:
-            lam_val, log_z, acc = sample_lambda(lam_val, log_z, x.k, lambda_prior[0],
+            lam_val, log_z, acc = sample_lambda(sched.lam, log_z, x.k, lambda_prior[0],
                                                 lambda_prior[1], k_max, rng)
+            sched.lam = base.lam = lam_val
             out.tally("lambda", acc)
-        if posterior is not None:
-            if delta2_prior is not None:
-                delta2_val, acc = sample_delta2(delta2_val, x, posterior, delta2_prior[0],
-                                                delta2_prior[1], rng)
-                out.tally("delta2", acc)
-            posterior.lam, posterior.delta2 = lam_val, delta2_val
+        if posterior is not None and delta2_prior is not None:
+            delta2_val, acc = sample_delta2(delta2_val, x, posterior, delta2_prior[0],
+                                            delta2_prior[1], rng)
+            posterior.delta2 = delta2_val
+            out.tally("delta2", acc)
 
-        target = current_target()
         if resample:  # f moved with lambda or delta2: evaluate it at x once
             log_t = target.log_density(x)
-        sched = BirthDeathSchedule.green(lam_val, k_max, c, proposal=proposal,
-                                         representation=representation,
-                                         ratio_mode=ratio_mode)
-        x, log_t, move, move_accepted, _, _ = mixture_step(
-            bod_move_set(target, sched), rng)(x, log_t, out)
+        x, log_t, move, move_accepted, _, _ = bod_step(x, log_t, out)
 
         if posterior is not None and x.k >= 1:
             outcome = frequency_update_move(x, log_t, target, rng, 0.25 / posterior.n_obs)
@@ -141,7 +134,6 @@ def run_joint_chain(
             out.tally("update", acc)
             if acc:
                 x, log_t = outcome.proposed, outcome.proposed_log_density
-        return x, log_t, move, move_accepted, lam_val, delta2_val
+        return x, log_t, move, move_accepted, sched.lam, delta2_val
 
-    return run_sweeps(sweep, current_target(), VarDimState(), n_iter, burn_in,
-                      {"k_max": k_max})
+    return run_sweeps(sweep, target, VarDimState(), n_iter, burn_in, {"k_max": k_max})

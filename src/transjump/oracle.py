@@ -148,14 +148,14 @@ def build_transition_matrix(spec: DiscreteToySpec,
                         alpha = 0.0
                     else:
                         alpha = math.exp(min(0.0, move_log_ratio(
-                            x, log_fx, proposed, log_q, sched, spec)))
+                            x, log_fx, proposed, log_q, sched, spec)[0]))
                     _accumulate(matrix, index, xi, proposed, slot_prob, alpha)
         if p_d > 0.0:
             for i in range(x.k):
                 proposed = x.remove(i)
                 log_q = sched.proposal.log_density(x.components[i])
                 alpha = math.exp(min(0.0, move_log_ratio(
-                    x, log_fx, proposed, log_q, sched, spec)))
+                    x, log_fx, proposed, log_q, sched, spec)[0]))
                 _accumulate(matrix, index, xi, proposed, p_d / x.k, alpha)
 
     row_err = np.abs(matrix.sum(axis=1) - 1.0).max()

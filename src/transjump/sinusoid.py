@@ -295,7 +295,7 @@ class SinusoidPosterior:
         return sinusoid_log_target(self.y, omega, self.lam, self.delta2, self.k_max, s=s)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PriorOnlyTarget:
     """The (k, omega) prior alone: truncated-Poisson order, i.i.d. uniform components.
 

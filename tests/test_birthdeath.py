@@ -220,7 +220,10 @@ class TestBodLogRatio:
         sched = BirthDeathSchedule.green(2.0, 8, 0.3)
         x = VarDimState((0.5,))
         x_new = x.insert(1, 0.25)
-        assert move_log_ratio(x, 0.0, x_new, 0.0, sched, Flat()) == pytest.approx(0.0, abs=1e-15)
+        target = Flat()
+        ratio, lt_new = move_log_ratio(x, 0.0, x_new, 0.0, sched, target)
+        assert ratio == pytest.approx(0.0, abs=1e-15)
+        assert lt_new == target.log_density(x_new)
 
     def test_antisymmetry_with_reverse_death(self):
         """Reverse-move log ratio is the exact negation, across random setups."""
@@ -232,9 +235,10 @@ class TestBodLogRatio:
             out = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
             if out.log_ratio == NEG_INF:
                 continue
-            reverse = move_log_ratio(out.proposed, out.proposed_log_density, x,
-                                     log_q(sched, x, out.proposed), sched, model)
+            reverse, lt_back = move_log_ratio(out.proposed, out.proposed_log_density, x,
+                                              log_q(sched, x, out.proposed), sched, model)
             assert reverse == pytest.approx(-out.log_ratio, abs=1e-12)
+            assert lt_back == model.log_density(x)
 
     def test_location_terms_cancel_against_naive_form(self):
         """Matches a deliberately naive ratio carrying both 1/(k+1) location terms."""
@@ -302,9 +306,10 @@ class TestLegacyLogRatio:
         legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
         x = VarDimState()
         out = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
-        legacy = move_log_ratio(x, model.log_density(x), out.proposed,
-                                log_q(sched, x, out.proposed), legacy_sched, model)
+        legacy, lt_new = move_log_ratio(x, model.log_density(x), out.proposed,
+                                        log_q(sched, x, out.proposed), legacy_sched, model)
         assert legacy == pytest.approx(out.log_ratio, abs=1e-12)
+        assert lt_new == model.log_density(out.proposed)
 
     def test_birth_offset_is_log_k_plus_one(self):
         rng = rng_stream(41)
@@ -314,9 +319,10 @@ class TestLegacyLogRatio:
             legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
             x = random_state(rng, k)
             out = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
-            legacy = move_log_ratio(x, model.log_density(x), out.proposed,
-                                    log_q(sched, x, out.proposed), legacy_sched, model)
+            legacy, lt_new = move_log_ratio(x, model.log_density(x), out.proposed,
+                                            log_q(sched, x, out.proposed), legacy_sched, model)
             assert legacy - out.log_ratio == pytest.approx(-math.log(k + 1), abs=1e-12)
+            assert lt_new == model.log_density(out.proposed)
 
     def test_death_offset_is_plus_log_k(self):
         rng = rng_stream(42)
@@ -326,9 +332,10 @@ class TestLegacyLogRatio:
             legacy_sched = BirthDeathSchedule.green(model.lam, model.k_max, ratio_mode="legacy")
             x = random_state(rng, k)
             out = death_propose(x, model.log_density(x), sched, model, rng)
-            legacy = move_log_ratio(x, model.log_density(x), out.proposed,
-                                    log_q(sched, x, out.proposed), legacy_sched, model)
+            legacy, lt_new = move_log_ratio(x, model.log_density(x), out.proposed,
+                                            log_q(sched, x, out.proposed), legacy_sched, model)
             assert legacy - out.log_ratio == pytest.approx(math.log(k), abs=1e-12)
+            assert lt_new == model.log_density(out.proposed)
 
 
 class TestSortedKernel:
@@ -371,6 +378,21 @@ class TestSortedKernel:
             move_log_ratio(VarDimState((1.0, 0.5)), NEG_INF, VarDimState((0.1, 1.0, 0.5)),
                            0.0, sched, target)
 
+    def test_kernels_share_the_ratio_guard(self):
+        """Under a sorted schedule, a death from an unsorted state and an
+        unsorted-slot birth reach move_log_ratio's sorted-state check and raise;
+        every state they propose is unsorted, so neither may pass as a rejection."""
+        sched = BirthDeathSchedule.green(2.0, 8, representation="sorted")
+        target = SortedRestriction(PriorOnlyTarget(2.0, 8))
+        for seed in range(10):
+            x = VarDimState((1.0, 0.5, 0.2))
+            with pytest.raises(BrokenKernelError, match="unsorted state"):
+                death_propose(x, target.log_density(x), sched, target, rng_stream(seed))
+            x = VarDimState((1.0, 0.5))
+            with pytest.raises(BrokenKernelError, match="unsorted state"):
+                birth_propose_unsorted(x, target.log_density(x), sched, target,
+                                       rng_stream(seed))
+
     def test_insertion_slot_probability_matches_gap(self):
         """Middle-slot hits over 1e5 draws match (0.9-0.3)/pi within 3 sigma."""
         rng = rng_stream(47)
@@ -398,9 +420,11 @@ class TestSortedKernel:
             out = birth_propose_sorted(x, target.log_density(x), ssched, target, rng)
             if out.log_ratio == NEG_INF:
                 continue
-            unsorted_ratio = move_log_ratio(x, model.log_density(x), out.proposed,
-                                            log_q(ssched, x, out.proposed), usched, model)
+            unsorted_ratio, lt_new = move_log_ratio(x, model.log_density(x), out.proposed,
+                                                    log_q(ssched, x, out.proposed), usched,
+                                                    model)
             assert out.log_ratio == pytest.approx(unsorted_ratio, abs=1e-12)
+            assert lt_new == model.log_density(out.proposed)
 
     def test_flat_sorted_target_birth_ratio_closed_form(self):
         """Constant density, matched p_b/p_d, uniform q, k=0 birth: ratio = log(pi)."""
@@ -423,9 +447,10 @@ class TestSortedKernel:
                                          representation="sorted")
         x = random_state(rng, 3)
         out = death_propose(x, target.log_density(x), sched, target, rng)
-        reverse = move_log_ratio(out.proposed, out.proposed_log_density, x,
-                                 log_q(sched, x, out.proposed), sched, target)
+        reverse, lt_back = move_log_ratio(out.proposed, out.proposed_log_density, x,
+                                          log_q(sched, x, out.proposed), sched, target)
         assert reverse == pytest.approx(-out.log_ratio, abs=1e-12)
+        assert lt_back == target.log_density(x)
 
 
 class TestMoveSetFactory:

@@ -307,6 +307,23 @@ class TestReplicate:
                 assert (res["out_dir"] / f"summary_rep{rep:03d}_{mode}.csv").exists()
 
 
+@pytest.mark.parametrize("entry, changes", [
+    (replicate, {"replications": 0}),
+    (replicate, {"seed": -1}),
+    (replicate, {"k_max": 0}),
+    (run_experiment, {"seed": -1, "flat_likelihood": True}),
+    (run_experiment, {"n_iter": -1, "flat_likelihood": True}),
+], ids=["replicate-no-replications", "replicate-negative-seed", "replicate-k_max-0",
+        "run-negative-seed", "run-negative-n_iter"])
+def test_rejected_library_config_makes_no_directory(tmp_path, entry, changes):
+    """A RunConfig that never went through parse_config is checked before any
+    directory is made."""
+    cfg = replace(RunConfig(n_iter=10, burn_in=0, out_dir=str(tmp_path / "out")), **changes)
+    with pytest.raises(ConfigurationError):
+        entry(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 class TestPriorsPlot:
     def test_csv_format_and_normalization(self, tmp_path):
         res = priors_plot(5.0, 32, tmp_path)

@@ -227,13 +227,15 @@ REFERENCE = ((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64)
 class TestCarriedLogTarget:
     """The sweep carries log f(x) through its kernels instead of evaluating f(x) again."""
 
-    @pytest.mark.parametrize("variant", ["unsorted", "sorted", "flat_likelihood"])
+    @pytest.mark.parametrize("variant", ["unsorted", "sorted", "flat_likelihood",
+                                         "sorted-flat"])
     def test_every_row_holds_a_fresh_evaluation(self, variant):
         """Each row's log_target is a fresh target's value at that row's components,
-        lambda and delta2, with both hyperparameters sampled."""
+        lambda and delta2, with both hyperparameters sampled, though the chain
+        assigns them to one target in place."""
         y = synthesize(*REFERENCE, rng_stream(5))
-        flat = variant == "flat_likelihood"
-        representation = "sorted" if variant == "sorted" else "unsorted"
+        flat = variant in ("flat_likelihood", "sorted-flat")
+        representation = "sorted" if variant.startswith("sorted") else "unsorted"
         res = run_joint_chain(None if flat else y, n_iter=600, burn_in=0, k_max=8,
                               lambda_prior=(1.0, 1e-3), delta2_prior=(2.0, 100.0),
                               representation=representation, flat_likelihood=flat,
@@ -273,6 +275,34 @@ class TestCarriedLogTarget:
         proposals = sum(res.proposals.get(m, 0) for m in ("birth", "death", "update"))
         assert proposals > n_iter
         assert len(calls) == 1 + sampled * n_iter + proposals
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("n_iter", [10, 200])
+    @pytest.mark.parametrize("variant", ["sampled", "fixed", "sorted", "flat"])
+    def test_one_schedule_per_run(self, monkeypatch, variant, n_iter):
+        """run_joint_chain constructs one BirthDeathSchedule, the start schedule,
+        whatever n_iter is: lambda moves are assigned to it in place."""
+        y = synthesize(*REFERENCE, rng_stream(5))
+        built = []
+        post_init = BirthDeathSchedule.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(BirthDeathSchedule, "__post_init__", counting)
+        settings = {
+            "sampled": dict(lambda_prior=(1.0, 1e-3), delta2_prior=(2.0, 100.0)),
+            "fixed": dict(lam=3.0, delta2=100.0),
+            "sorted": dict(lambda_prior=(1.0, 1e-3), delta2_prior=(2.0, 100.0),
+                           representation="sorted"),
+            "flat": dict(lambda_prior=(1.0, 1e-3), delta2=100.0, flat_likelihood=True),
+        }[variant]
+        res = run_joint_chain(y, n_iter=n_iter, burn_in=0, k_max=8, rng=rng_stream(20),
+                              **settings)
+        assert len(res.k) == n_iter
+        assert len(built) == 1
 
 
 class TestRetainedMemory:
