@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -66,8 +67,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
+    """Comma-separated floats; an empty value is (), an empty field inside a list is an error."""
+    if text.strip() == "":
+        return ()
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ConfigurationError(f"expected comma-separated floats, got {text!r}")
 
@@ -170,23 +174,32 @@ def parse_config(path: str | os.PathLike | None = None,
     return cfg
 
 
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.seed < 0:
+def _sweep_settings(cfg: RunConfig) -> dict:
+    """The settings that check_sweep_settings takes and run_joint_chain runs, read from cfg."""
+    return dict(n_iter=cfg.n_iter, burn_in=cfg.burn_in, k_max=cfg.k_max, c=cfg.c,
+                ratio_mode=cfg.ratio_mode, representation=cfg.representation, lam=cfg.lam,
+                lambda_prior=cfg.lambda_prior, delta2=cfg.delta2, delta2_prior=cfg.delta2_prior)
+
+
+def _validate_config(cfg: RunConfig) -> dict:
+    """Raise ConfigurationError on an unusable cfg; return its checked sweep settings."""
+    if not (isinstance(cfg.seed, numbers.Integral) and cfg.seed >= 0):
         raise ConfigurationError(
-            f"seed={cfg.seed} (sampler.seed or {SEED_ENV_VAR}) must be nonnegative")
-    check_sweep_settings(n_iter=cfg.n_iter, burn_in=cfg.burn_in, k_max=cfg.k_max, c=cfg.c,
-                         ratio_mode=cfg.ratio_mode, representation=cfg.representation,
-                         lam=cfg.lam, lambda_prior=cfg.lambda_prior, delta2=cfg.delta2,
-                         delta2_prior=cfg.delta2_prior)
+            f"seed={cfg.seed!r} (sampler.seed or {SEED_ENV_VAR}) must be nonnegative "
+            "and an integer")
+    settings = _sweep_settings(cfg)
+    check_sweep_settings(**settings)
     check_truth_settings(cfg.omega_true, cfg.amp2_true, cfg.n_obs)
-    if cfg.replications < 1:
-        raise ConfigurationError("experiment.replications must be at least 1")
+    if not (isinstance(cfg.replications, numbers.Integral) and cfg.replications >= 1):
+        raise ConfigurationError(
+            f"experiment.replications={cfg.replications!r} must be an integer of at least 1")
     if any(not OMEGA_LOW < w < OMEGA_HIGH for w in cfg.omega_true):
         raise ConfigurationError("experiment.omega_true frequencies must lie in (0, pi)")
     if len(set(cfg.omega_true)) != len(cfg.omega_true):
         raise ConfigurationError("experiment.omega_true frequencies must be distinct")
     if not math.isfinite(cfg.snr_db):
         raise ConfigurationError("experiment.snr_db must be finite")
+    return settings
 
 
 def read_signal(path: str | os.PathLike) -> np.ndarray:
@@ -241,20 +254,11 @@ def _component_rows(result, k_max: int):
             yield f"{i}," + ",".join(map(repr, comps[start:end])) + "," * (k_max - k)
 
 
-def _chain_kwargs(cfg: RunConfig) -> dict:
-    return dict(
-        k_max=cfg.k_max, c=cfg.c, representation=cfg.representation,
-        lam=cfg.lam, lambda_prior=cfg.lambda_prior,
-        delta2=cfg.delta2, delta2_prior=cfg.delta2_prior,
-        flat_likelihood=cfg.flat_likelihood,
-    )
-
-
 def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
     """Single chain run; writes trace.csv, components.csv and summary.csv into a
     directory made after the config is checked and the signal is read, so a
     rejected config or signal leaves none."""
-    _validate_config(cfg)
+    settings = _validate_config(cfg)
     if cfg.signal_path is not None:
         y = read_signal(cfg.signal_path)
     elif cfg.flat_likelihood:
@@ -264,10 +268,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = run_joint_chain(
-        y, n_iter=cfg.n_iter, burn_in=cfg.burn_in,
-        ratio_mode=cfg.ratio_mode, rng=rng_stream(cfg.seed),
-        **_chain_kwargs(cfg))
+    result = run_joint_chain(y, flat_likelihood=cfg.flat_likelihood, rng=rng_stream(cfg.seed),
+                             **settings)
 
     trace_path = out / "trace.csv"
     _write_lines(trace_path, "iter,k,logtarget,move,accepted,lambda,delta2", (
@@ -298,20 +300,18 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
     order) are written alongside a grouped bar chart.  The config is checked
     before the output directory is made, so a rejected config leaves none.
     """
-    _validate_config(cfg)
+    settings = _validate_config(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ks = np.arange(cfg.k_max + 1)
     freqs: dict[str, list[np.ndarray]] = {"corrected": [], "legacy": []}
-    kwargs = _chain_kwargs(cfg)
     for rep in range(cfg.replications):
         y = synthesize(cfg.omega_true, cfg.amp2_true, cfg.snr_db, cfg.n_obs,
                        rng_stream(cfg.seed, rep, 0))
         for stream, mode in enumerate(("corrected", "legacy")):
-            result = run_joint_chain(
-                y, n_iter=cfg.n_iter, burn_in=cfg.burn_in, ratio_mode=mode,
-                rng=rng_stream(cfg.seed, rep, 1 + stream),
-                **kwargs)
+            settings["ratio_mode"] = mode
+            result = run_joint_chain(y, flat_likelihood=cfg.flat_likelihood,
+                                     rng=rng_stream(cfg.seed, rep, 1 + stream), **settings)
             _write_summary(out / f"summary_rep{rep:03d}_{mode}.csv", result.k_counts())
             freqs[mode].append(result.k_frequencies())
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .birthdeath import (
     BirthDeathSchedule,
+    bod_move_set,
     move_log_ratio,
     pmf_component_proposal,
 )
@@ -114,6 +115,7 @@ def build_transition_matrix(spec: DiscreteToySpec,
                             ratio_mode: str = "corrected") -> np.ndarray:
     """Exact one-step transition matrix of the birth-or-death sampler.
 
+    The move weights are read from ``bod_move_set``, the mixture the chain runs.
     Every elementary proposal's probability is multiplied by its acceptance
     probability (computed through the implemented ratio code path) and summed
     into the row; all rejection mass lands on the diagonal.  The target is
@@ -123,14 +125,15 @@ def build_transition_matrix(spec: DiscreteToySpec,
     states = enumerate_states(spec)
     index = {s.components: i for i, s in enumerate(states)}
     sched = spec.schedule(ratio_mode)
+    birth, death, identity = bod_move_set(spec, sched)
     n = len(states)
     matrix = np.zeros((n, n))
 
     for xi, x in enumerate(states):
         log_fx = spec.log_density(x)
-        p_b = sched.p_birth(x)
-        p_d = sched.p_death(x)
-        matrix[xi, xi] += max(0.0, 1.0 - p_b - p_d)
+        p_b = birth.weight(x)
+        p_d = death.weight(x)
+        matrix[xi, xi] += identity.weight(x)
         if p_b > 0.0:
             for s_star, q_s in zip(spec.points, spec.q):
                 if q_s <= 0.0:

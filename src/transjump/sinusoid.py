@@ -460,10 +460,13 @@ def check_truth_settings(omega, amp2, n_obs: int) -> None:
     """Raise ConfigurationError on a truth that synthesize cannot scale to an SNR.
 
     The noise variance is a share of the clean signal's power, so the truth
-    must not be silent.  parse_config checks a config's truth with it too.
+    must not be silent and its frequencies must be finite.  parse_config
+    checks a config's truth with it too.
     """
     if len(omega) != len(amp2):
         raise ConfigurationError("omega and amp2 must have matching lengths")
+    if not all(math.isfinite(w) for w in omega):
+        raise ConfigurationError("omega entries must be finite")
     if not (all(0.0 <= a < math.inf for a in amp2) and any(a > 0.0 for a in amp2)):
         raise ConfigurationError("amp2 entries must be finite and nonnegative, "
                                  "with at least one positive entry")

@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .birthdeath import (
-    BirthDeathSchedule,
-    SortedRestriction,
-    birth_propose_unsorted,
-    bod_move_set,
-)
-from .core import VarDimState, rng_stream, run_chain
+from .birthdeath import BirthDeathSchedule, birth_propose_unsorted
+from .core import VarDimState, rng_stream
 from .experiment import run_joint_chain
 from .oracle import (
     build_transition_matrix,
@@ -29,7 +24,6 @@ from .oracle import (
     tv_distance,
 )
 from .sinusoid import (
-    PriorOnlyTarget,
     SinusoidPosterior,
     accelerated_poisson_pmf,
     quad_form,
@@ -120,19 +114,18 @@ def ratio_cancellation() -> list[CheckResult]:
 def prior_only() -> list[CheckResult]:
     """Model-order law of prior-only chains: corrected vs legacy ratio mode.
 
-    The corrected chain must reproduce the truncated Poisson prior; the legacy
-    chain lands on the sparser law proportional to lam^k/(k!)^2 instead, far
-    from the Poisson it was meant to target.
+    The chains are flat-likelihood run_joint_chain runs (delta2 is then never
+    read).  The corrected chain must reproduce the truncated Poisson prior; the
+    legacy chain lands on the sparser law proportional to lam^k/(k!)^2 instead,
+    far from the Poisson it was meant to target.
     """
     lam, k_max = 5.0, 32
-    target = PriorOnlyTarget(lam, k_max)
     freqs = {}
     for stream, mode in enumerate(("corrected", "legacy")):
-        sched = BirthDeathSchedule.green(lam, k_max, ratio_mode=mode)
-        out = run_chain(target, bod_move_set(target, sched), VarDimState(),
-                        n_iter=20_000 + 200_000, burn_in=20_000,
-                        rng=rng_stream(DEFAULT_SEED, 3, stream))
-        freqs[mode] = out.k_frequencies(k_max)
+        out = run_joint_chain(None, n_iter=20_000 + 200_000, burn_in=20_000, k_max=k_max,
+                              lam=lam, delta2=1.0, flat_likelihood=True, ratio_mode=mode,
+                              rng=rng_stream(DEFAULT_SEED, 3, stream))
+        freqs[mode] = out.k_frequencies()
     poisson = truncated_poisson_pmf(lam, k_max)
     accelerated = accelerated_poisson_pmf(lam, k_max)
     return [
@@ -166,18 +159,17 @@ def quadrature() -> list[CheckResult]:
 def sorted_equivalence() -> list[CheckResult]:
     """Sorted and unsorted representations of one exchangeable target agree.
 
-    Runs the prior-only target under both kernels; the k-marginals must match
-    because the two acceptance ratios coincide for exchangeable densities.
+    Runs flat-likelihood run_joint_chain chains under both kernels; the
+    k-marginals must match because the two acceptance ratios coincide for
+    exchangeable densities.
     """
-    base = PriorOnlyTarget(3.0, 32)
     freqs = {}
     for stream, representation in enumerate(("unsorted", "sorted")):
-        target = SortedRestriction(base) if representation == "sorted" else base
-        sched = BirthDeathSchedule.green(3.0, 32, representation=representation)
-        out = run_chain(target, bod_move_set(target, sched), VarDimState(),
-                        n_iter=10_000 + 100_000, burn_in=10_000,
-                        rng=rng_stream(DEFAULT_SEED, 5, stream))
-        freqs[representation] = out.k_frequencies(32)
+        out = run_joint_chain(None, n_iter=10_000 + 100_000, burn_in=10_000, k_max=32,
+                              lam=3.0, delta2=1.0, flat_likelihood=True,
+                              representation=representation,
+                              rng=rng_stream(DEFAULT_SEED, 5, stream))
+        freqs[representation] = out.k_frequencies()
     return [
         _check("TV between sorted and unsorted k-marginals",
                tv_distance(freqs["unsorted"], freqs["sorted"]), 0.03),

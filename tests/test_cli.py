@@ -116,6 +116,8 @@ class TestParseConfig:
         "model.delta2_prior = 1e10,1e-320",
         "model.delta2_prior = 1.0000000000000002,1e300",
         "sampler.seed = -1",
+        "model.lambda_prior = 1,,0.001",
+        "experiment.amp2_true = 20,,6.32,20",
     ])
     def test_unusable_model_or_truth_rejected(self, text):
         with pytest.raises(ConfigurationError):
@@ -313,8 +315,11 @@ class TestReplicate:
     (replicate, {"k_max": 0}),
     (run_experiment, {"seed": -1, "flat_likelihood": True}),
     (run_experiment, {"n_iter": -1, "flat_likelihood": True}),
+    (replicate, {"replications": 2.5}),
+    (run_experiment, {"seed": 1.5, "flat_likelihood": True}),
 ], ids=["replicate-no-replications", "replicate-negative-seed", "replicate-k_max-0",
-        "run-negative-seed", "run-negative-n_iter"])
+        "run-negative-seed", "run-negative-n_iter", "replicate-fractional-replications",
+        "run-fractional-seed"])
 def test_rejected_library_config_makes_no_directory(tmp_path, entry, changes):
     """A RunConfig that never went through parse_config is checked before any
     directory is made."""
@@ -417,6 +422,15 @@ class TestMain:
         ("ratio-cancellation", [
             "PASS  birth ratio vs closed form, max relative error over 1000 configs: "
             "value=2.36986e-14 (required < 1e-09)",
+        ]),
+        ("prior-only", [
+            "PASS  corrected chain TV vs truncated Poisson: value=0.00979563 (required < 0.02)",
+            "PASS  legacy chain TV vs accelerated law: value=0.0045439 (required < 0.02)",
+            "PASS  legacy chain TV vs plain truncated Poisson: value=0.656244 "
+            "(required > 0.15)",
+        ]),
+        ("sorted-equivalence", [
+            "PASS  TV between sorted and unsorted k-marginals: value=0.01272 (required < 0.03)",
         ]),
     ])
     def test_validate_prints_suite_values(self, capsys, suite, lines):

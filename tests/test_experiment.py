@@ -116,15 +116,20 @@ class TestFlatRuns:
         assert tv_distance(res.k_frequencies(),
                            truncated_poisson_pmf(3.0, 16)) < 0.05
 
-    @pytest.mark.parametrize("ratio_mode", ["corrected", "legacy"])
-    def test_same_chain_as_core_run_chain(self, ratio_mode):
+    @pytest.mark.parametrize("ratio_mode, representation", [
+        ("corrected", "unsorted"), ("legacy", "unsorted"), ("corrected", "sorted"),
+    ], ids=["corrected", "legacy", "sorted"])
+    def test_same_chain_as_core_run_chain(self, ratio_mode, representation):
         """With the data and hyperparameter moves off, a sweep is one step of
         core's birth-or-death mixture: same stream, same records and tallies."""
         joint = run_joint_chain(None, n_iter=3000, burn_in=300, k_max=8, lam=4.0,
-                                delta2=100.0, flat_likelihood=True,
-                                ratio_mode=ratio_mode, rng=rng_stream(9))
+                                delta2=100.0, flat_likelihood=True, ratio_mode=ratio_mode,
+                                representation=representation, rng=rng_stream(9))
         target = PriorOnlyTarget(4.0, 8)
-        sched = BirthDeathSchedule.green(4.0, 8, 0.25, ratio_mode=ratio_mode)
+        if representation == "sorted":
+            target = SortedRestriction(target)
+        sched = BirthDeathSchedule.green(4.0, 8, 0.25, ratio_mode=ratio_mode,
+                                         representation=representation)
         plain = run_chain(target, bod_move_set(target, sched), VarDimState(),
                           3000, 300, rng_stream(9))
 

@@ -142,6 +142,17 @@ def test_schedule_settings_are_read_in_birthdeath_only():
     assert readers == ["birthdeath.py"]
 
 
+def test_chains_are_built_in_experiment_only():
+    """run_joint_chain builds every birth-or-death chain: outside birthdeath, only
+    experiment picks the sorted target, and only experiment and the toy oracle (for
+    its move weights) read the mixture."""
+    def readers(name):
+        return sorted(p.name for p in (ROOT / "src" / "transjump").glob("*.py")
+                      if p.name != "birthdeath.py" and name in referenced_names(p.read_text())[0])
+    assert readers("SortedRestriction") == ["experiment.py"]
+    assert readers("bod_move_set") == ["experiment.py", "oracle.py"]
+
+
 # One fresh interpreter: the prior-only work and the quadrature oracle first,
 # then one factorisation.
 PRIOR_ONLY_THEN_FACTORISE = """\

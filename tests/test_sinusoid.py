@@ -753,27 +753,32 @@ class TestSynthesize:
         with pytest.raises(ConfigurationError):
             synthesize((0.5, 1.0), (1.0,), 7.0, 32, rng_stream(81))
 
-    @pytest.mark.parametrize("amp2, snr_db, n_obs", [
-        ((20.0, 6.32), math.nan, 32),
-        ((20.0, 6.32), -math.inf, 32),
-        ((20.0, 6.32), -3200.0, 32),
-        ((20.0, 6.32), -3300.0, 32),
-        ((20.0, 6.32), 3100.0, 32),
-        ((20.0, -6.32), 7.0, 32),
-        ((20.0, -6.32), math.inf, 32),
-        ((20.0, math.inf), 7.0, 32),
-        ((20.0, math.nan), 7.0, 32),
-        ((20.0, 6.32), 7.0, 0),
-        ((20.0, 6.32), 7.0, -3),
-        ((20.0, 6.32), 7.0, 64.0),
-        ((20.0, 6.32), 7.0, 2.5),
-        pytest.param((), 7.0, 4, id="no-tone"),
-        pytest.param((0.0,), 7.0, 4, id="silent-tone"),
-        pytest.param((0.0, 0.0), math.inf, 32, id="silent-tones-clean"),
+    # Explicit ids keep each case's name stable: the one pytest derives from amp2-snr_db-n_obs.
+    @pytest.mark.parametrize("omega, amp2, snr_db, n_obs", [
+        pytest.param((0.63, 0.68), (20.0, 6.32), math.nan, 32, id="amp20-nan-32"),
+        pytest.param((0.63, 0.68), (20.0, 6.32), -math.inf, 32, id="amp21--inf-32"),
+        pytest.param((0.63, 0.68), (20.0, 6.32), -3200.0, 32, id="amp22--3200.0-32"),
+        pytest.param((0.63, 0.68), (20.0, 6.32), -3300.0, 32, id="amp23--3300.0-32"),
+        pytest.param((0.63, 0.68), (20.0, 6.32), 3100.0, 32, id="amp24-3100.0-32"),
+        pytest.param((0.63, 0.68), (20.0, -6.32), 7.0, 32, id="amp25-7.0-32"),
+        pytest.param((0.63, 0.68), (20.0, -6.32), math.inf, 32, id="amp26-inf-32"),
+        pytest.param((0.63, 0.68), (20.0, math.inf), 7.0, 32, id="amp27-7.0-32"),
+        pytest.param((0.63, 0.68), (20.0, math.nan), 7.0, 32, id="amp28-7.0-32"),
+        pytest.param((0.63, 0.68), (20.0, 6.32), 7.0, 0, id="amp29-7.0-0"),
+        pytest.param((0.63, 0.68), (20.0, 6.32), 7.0, -3, id="amp210-7.0--3"),
+        pytest.param((0.63, 0.68), (20.0, 6.32), 7.0, 64.0, id="amp211-7.0-64.0"),
+        pytest.param((0.63, 0.68), (20.0, 6.32), 7.0, 2.5, id="amp212-7.0-2.5"),
+        pytest.param((), (), 7.0, 4, id="no-tone"),
+        pytest.param((0.63,), (0.0,), 7.0, 4, id="silent-tone"),
+        pytest.param((0.63, 0.68), (0.0, 0.0), math.inf, 32, id="silent-tones-clean"),
+        pytest.param((math.nan,), (1.0,), math.inf, 4, id="nan-frequency-clean"),
+        pytest.param((math.nan,), (1.0,), 7.0, 4, id="nan-frequency"),
+        pytest.param((0.63, math.inf), (20.0, 6.32), 7.0, 32, id="inf-frequency"),
+        pytest.param((0.63, -math.inf), (20.0, 6.32), math.inf, 32, id="minus-inf-frequency"),
     ])
-    def test_unusable_settings_rejected_before_any_draw(self, amp2, snr_db, n_obs):
-        """A silent truth (no tone, or zero power) has no noise level to scale."""
-        omega = (0.63, 0.68)[:len(amp2)]
+    def test_unusable_settings_rejected_before_any_draw(self, omega, amp2, snr_db, n_obs):
+        """A silent truth (no tone, or zero power) has no noise level to scale, and a
+        non-finite frequency gives no signal."""
         rng = rng_stream(83)
         with pytest.raises(ConfigurationError):
             synthesize(omega, amp2, snr_db, n_obs, rng)
