@@ -6,7 +6,6 @@ from .core import (
     ConfigurationError,
     IterationRecord,
     Move,
-    ProposalOutcome,
     VarDimState,
     mhg_accept,
     mixture_step,

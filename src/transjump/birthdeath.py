@@ -19,7 +19,6 @@ from .core import (
     BrokenKernelError,
     ConfigurationError,
     Move,
-    ProposalOutcome,
     Rng,
     TargetDensity,
     VarDimState,
@@ -28,6 +27,11 @@ from .core import (
 
 REPRESENTATIONS = ("unsorted", "sorted")
 RATIO_MODES = ("corrected", "legacy")
+
+
+def is_sorted(x: VarDimState) -> bool:
+    """Whether the components of x are nondecreasing."""
+    return all(x[i] <= x[i + 1] for i in range(len(x) - 1))
 
 
 @dataclass(frozen=True)
@@ -109,14 +113,14 @@ class BirthDeathSchedule:
     # The conditional expressions below are min(1.0, r) without the call; the
     # probabilities are evaluated several times per iteration.
     def p_birth(self, x: VarDimState) -> float:
-        k = len(x.components)
+        k = len(x)
         if k >= self.k_max:
             return 0.0
         r = self.lam / (k + 1)
         return self.c * (r if r < 1.0 else 1.0)
 
     def p_death(self, x: VarDimState) -> float:
-        k = len(x.components)
+        k = len(x)
         if k == 0:
             return 0.0
         r = k / self.lam
@@ -156,29 +160,30 @@ def move_log_ratio(x: VarDimState, log_fx: float, x_new: VarDimState, log_q: flo
     transition-matrix oracles call it, so they exercise the implemented ratio,
     not a reimplementation.
     """
-    if sched.representation == "sorted" and not (x.is_sorted() and x_new.is_sorted()):
+    if sched.representation == "sorted" and not (is_sorted(x) and is_sorted(x_new)):
         raise BrokenKernelError("sorted ratio evaluated on an unsorted state")
+    k, k_new = len(x), len(x_new)
     if math.isnan(log_fx):
-        raise BrokenKernelError(f"log f(x) is NaN at k={x.k}")
-    if x_new.k == x.k + 1:
+        raise BrokenKernelError(f"log f(x) is NaN at k={k}")
+    if k_new == k + 1:
         if log_q == NEG_INF:
             raise BrokenKernelError(
                 "proposal density is zero at the sampled component; "
                 "sampler and density evaluator disagree")
         kind, p_go, p_back, sign, fix = (
-            "birth", sched.p_birth, sched.p_death, 1.0, -math.log(x.k + 1))
-    elif x_new.k == x.k - 1:
+            "birth", sched.p_birth, sched.p_death, 1.0, -math.log(k + 1))
+    elif k_new == k - 1:
         kind, p_go, p_back, sign, fix = (
-            "death", sched.p_death, sched.p_birth, -1.0, math.log(x.k))
+            "death", sched.p_death, sched.p_birth, -1.0, math.log(k))
     else:
         raise BrokenKernelError(
-            f"orders k={x.k} -> k'={x_new.k} are neither a birth nor a death")
+            f"orders k={k} -> k'={k_new} are neither a birth nor a death")
     go = p_go(x)
     if go <= 0.0:
-        raise BrokenKernelError(f"{kind} proposed at k={x.k} where p_{kind} = 0")
+        raise BrokenKernelError(f"{kind} proposed at k={k} where p_{kind} = 0")
     lt_new = target.log_density(x_new)
     if math.isnan(lt_new):
-        raise BrokenKernelError(f"target returned NaN at k={x_new.k}")
+        raise BrokenKernelError(f"target returned NaN at k={k_new}")
     if lt_new == NEG_INF:
         return NEG_INF, lt_new
     back = p_back(x_new)
@@ -203,44 +208,41 @@ def _draw_component(proposal: ComponentProposal, rng: Rng) -> tuple[float, float
 
 
 def birth_propose_unsorted(x: VarDimState, log_fx: float, sched: BirthDeathSchedule,
-                           target: TargetDensity, rng: Rng) -> ProposalOutcome:
+                           target: TargetDensity, rng: Rng) -> tuple[VarDimState, float, float]:
     """Draw s* ~ q and insert it at a uniformly chosen slot of x."""
     s_star, log_q = _draw_component(sched.proposal, rng)
-    index = int(rng.integers(0, x.k + 1))
-    proposed = x.insert(index, s_star)
-    log_ratio, lt_new = move_log_ratio(x, log_fx, proposed, log_q, sched, target)
-    return ProposalOutcome(proposed, log_ratio, lt_new)
+    i = int(rng.integers(0, len(x) + 1))
+    proposed = x[:i] + (s_star,) + x[i:]
+    return (proposed, *move_log_ratio(x, log_fx, proposed, log_q, sched, target))
 
 
 def birth_propose_sorted(x: VarDimState, log_fx: float, sched: BirthDeathSchedule,
-                         target: TargetDensity, rng: Rng) -> ProposalOutcome:
+                         target: TargetDensity, rng: Rng) -> tuple[VarDimState, float, float]:
     """Draw s* ~ q and insert it at the unique slot keeping x nondecreasing.
 
     An exact tie with an existing component is a null event for an atomless
     proposal; in floating point it is still possible and yields a
-    reject-surely outcome, with log f(x') = -inf left unevaluated.
+    reject-surely proposal, with log f(x') = -inf left unevaluated.
     """
-    if not x.is_sorted():
+    if not is_sorted(x):
         raise BrokenKernelError("sorted birth proposed from an unsorted state")
     s_star, log_q = _draw_component(sched.proposal, rng)
-    index = bisect.bisect_left(x.components, s_star)
-    proposed = x.insert(index, s_star)
-    if s_star in x.components:
-        return ProposalOutcome(proposed, NEG_INF, NEG_INF)
-    log_ratio, lt_new = move_log_ratio(x, log_fx, proposed, log_q, sched, target)
-    return ProposalOutcome(proposed, log_ratio, lt_new)
+    i = bisect.bisect_left(x, s_star)
+    proposed = x[:i] + (s_star,) + x[i:]
+    if s_star in x:
+        return proposed, NEG_INF, NEG_INF
+    return (proposed, *move_log_ratio(x, log_fx, proposed, log_q, sched, target))
 
 
 def death_propose(x: VarDimState, log_fx: float, sched: BirthDeathSchedule,
-                  target: TargetDensity, rng: Rng) -> ProposalOutcome:
+                  target: TargetDensity, rng: Rng) -> tuple[VarDimState, float, float]:
     """Remove a uniformly chosen component (both representations)."""
-    if x.k == 0:
+    if not x:
         raise BrokenKernelError("death proposed at k=0; schedule must prevent this")
-    index = int(rng.integers(0, x.k))
-    proposed = x.remove(index)
-    log_q = sched.proposal.log_density(x.components[index])
-    log_ratio, lt_new = move_log_ratio(x, log_fx, proposed, log_q, sched, target)
-    return ProposalOutcome(proposed, log_ratio, lt_new)
+    i = int(rng.integers(0, len(x)))
+    proposed = x[:i] + x[i + 1:]
+    log_q = sched.proposal.log_density(x[i])
+    return (proposed, *move_log_ratio(x, log_fx, proposed, log_q, sched, target))
 
 
 @dataclass(frozen=True)
@@ -254,9 +256,9 @@ class SortedRestriction:
     base: TargetDensity
 
     def log_density(self, x: VarDimState) -> float:
-        if not x.is_sorted():
+        if not is_sorted(x):
             return NEG_INF
-        return math.lgamma(x.k + 1) + self.base.log_density(x)
+        return math.lgamma(len(x) + 1) + self.base.log_density(x)
 
 
 def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> tuple[Move, ...]:
@@ -279,5 +281,5 @@ def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> tuple[Move
     return (
         Move("birth", sched.p_birth, birth),
         Move("death", sched.p_death, death),
-        Move("none", rest_weight, lambda x, log_fx, rng: ProposalOutcome(x, NEG_INF, log_fx)),
+        Move("none", rest_weight, lambda x, log_fx, rng: (x, NEG_INF, log_fx)),
     )

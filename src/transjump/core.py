@@ -19,6 +19,9 @@ import numpy as np
 
 Rng = np.random.Generator
 
+# A state x = (k, s) is the tuple s of its components, k = len(s); () is the empty state.
+VarDimState = tuple
+
 NEG_INF = float("-inf")
 
 
@@ -44,39 +47,6 @@ def rng_stream(base_seed: int, *path: int) -> Rng:
     return np.random.default_rng([int(base_seed), *(int(p) for p in path)])
 
 
-@dataclass(frozen=True)
-class VarDimState:
-    """A point x = (k, s) of the union over k of {k} x S^k.
-
-    The model order k is the length of ``components``; k = 0 is the empty
-    state.  Instances are immutable so they can be shared across chains.
-    """
-
-    components: tuple[float, ...] = ()
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    def insert(self, index: int, value: float) -> "VarDimState":
-        """Return a new state with ``value`` inserted at slot ``index`` (0-based)."""
-        if not 0 <= index <= self.k:
-            raise IndexError(f"insertion slot {index} out of range for k={self.k}")
-        s = self.components
-        return VarDimState(s[:index] + (value,) + s[index:])
-
-    def remove(self, index: int) -> "VarDimState":
-        """Return a new state with the component at ``index`` removed."""
-        if not 0 <= index < self.k:
-            raise IndexError(f"removal index {index} out of range for k={self.k}")
-        s = self.components
-        return VarDimState(s[:index] + s[index + 1:])
-
-    def is_sorted(self) -> bool:
-        s = self.components
-        return all(s[i] <= s[i + 1] for i in range(len(s) - 1))
-
-
 class TargetDensity(Protocol):
     """Contract for an unnormalised target density on the variable-dimensional space.
 
@@ -88,26 +58,18 @@ class TargetDensity(Protocol):
 
 
 @dataclass(frozen=True)
-class ProposalOutcome:
-    """What ``Move.propose(x, log f(x), rng)`` returns: x', its log MHG ratio and log f(x').
-
-    The chain carries log f(x), so no move evaluates the target at x; it carries
-    ``proposed_log_density`` on acceptance.  A reject-surely outcome that never
-    evaluates the target gives -inf, the identity move x's own value.
-    """
-
-    proposed: VarDimState
-    log_ratio: float
-    proposed_log_density: float
-
-
-@dataclass(frozen=True)
 class Move:
-    """An elementary move of a mixture: selection weight j(x, m) and proposal procedure."""
+    """An elementary move of a mixture: selection weight j(x, m) and proposal procedure.
+
+    ``propose(x, log f(x), rng)`` returns (x', log MHG ratio, log f(x')).  The chain
+    carries log f(x), so no move evaluates the target at x; it carries log f(x') on
+    acceptance.  A reject-surely proposal that never evaluates the target gives
+    -inf, the identity move x's own value.
+    """
 
     label: str
     weight: Callable[[VarDimState], float]
-    propose: Callable[[VarDimState, float, Rng], ProposalOutcome]
+    propose: Callable[[VarDimState, float, Rng], tuple[VarDimState, float, float]]
 
 
 def select_move(moves: tuple[Move, ...], x: VarDimState, rng: Rng) -> Move:
@@ -122,21 +84,20 @@ def select_move(moves: tuple[Move, ...], x: VarDimState, rng: Rng) -> Move:
     for m in moves:
         w = m.weight(x)
         if w < 0.0:
-            raise ConfigurationError(f"negative move selection probability at k={x.k}")
+            raise ConfigurationError(f"negative move selection probability at k={len(x)}")
         total += w
         thresholds.append(total)
         if w > 0.0:
             last = m
     if not abs(total - 1.0) <= 1e-12:  # a NaN weight makes the total NaN
         raise ConfigurationError(
-            f"move selection probabilities sum to {total!r} at k={x.k}, expected 1")
+            f"move selection probabilities sum to {total!r} at k={len(x)}, expected 1")
     u = rng.random()
     for move, threshold in zip(moves, thresholds):
         if u < threshold:
             return move
-    # u landed in the final rounding sliver; return the last selectable move.
-    if last is None:
-        raise ConfigurationError("no move has positive selection probability")
+    # u landed in the final rounding sliver; return the last selectable move.  The
+    # weights sum to 1, so one is positive and ``last`` is set.
     return last
 
 
@@ -266,19 +227,19 @@ def mixture_step(moves: tuple[Move, ...], rng: Rng) -> Callable:
     """The sweep that makes one MHG transition of the mixture ``moves``, tallied into ``out``.
 
     It returns the row (x', log f(x'), move label, accepted, None, None).  An
-    accepted proposal's log f is its ``proposed_log_density``; a rejection keeps
-    x and the log f(x) it was given.
+    accepted proposal's log f is the log f(x') its move returned; a rejection
+    keeps x and the log f(x) it was given.
     """
     def step(x: VarDimState, log_t: float, out: ChainOutput) -> tuple:
         move = select_move(moves, x, rng)
-        outcome = move.propose(x, log_t, rng)
+        proposed, log_ratio, lt_new = move.propose(x, log_t, rng)
         # A move that keeps x proposes nothing new to scan.
-        if outcome.proposed is not x and any(math.isnan(c) for c in outcome.proposed.components):
+        if proposed is not x and any(math.isnan(c) for c in proposed):
             raise BrokenKernelError(f"move {move.label!r} proposed a state with NaN components")
-        accepted = mhg_accept(outcome.log_ratio, rng)
+        accepted = mhg_accept(log_ratio, rng)
         out.tally(move.label, accepted)
         if accepted:
-            x, log_t = outcome.proposed, outcome.proposed_log_density
+            x, log_t = proposed, lt_new
         return x, log_t, move.label, accepted, None, None
     return step
 
@@ -303,8 +264,8 @@ def run_sweeps(sweep: Callable, target: TargetDensity, init: VarDimState, n_iter
     for i in range(n_iter):
         x, log_t, move, accepted, lam, delta2 = sweep(x, log_t, out)
         if math.isnan(log_t):
-            raise BrokenKernelError(f"target returned NaN at iteration {i}, k={x.k}")
-        out.append(x.components, log_t, move, accepted, lam, delta2)
+            raise BrokenKernelError(f"target returned NaN at iteration {i}, k={len(x)}")
+        out.append(x, log_t, move, accepted, lam, delta2)
     return out
 
 

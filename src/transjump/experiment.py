@@ -20,7 +20,6 @@ from .core import (
     ChainOutput,
     ConfigurationError,
     Rng,
-    VarDimState,
     check_iteration_counts,
     mhg_accept,
     mixture_step,
@@ -114,7 +113,7 @@ def run_joint_chain(
     def sweep(x, log_t, out):
         nonlocal log_z, delta2_val
         if lambda_prior is not None:
-            lam_val, log_z, acc = sample_lambda(sched.lam, log_z, x.k, lambda_prior[0],
+            lam_val, log_z, acc = sample_lambda(sched.lam, log_z, len(x), lambda_prior[0],
                                                 lambda_prior[1], k_max, rng)
             sched.lam = base.lam = lam_val
             out.tally("lambda", acc)
@@ -128,12 +127,13 @@ def run_joint_chain(
             log_t = target.log_density(x)
         x, log_t, move, move_accepted, _, _ = bod_step(x, log_t, out)
 
-        if posterior is not None and x.k >= 1:
-            outcome = frequency_update_move(x, log_t, target, rng, 0.25 / posterior.n_obs)
-            acc = mhg_accept(outcome.log_ratio, rng)
+        if posterior is not None and x:
+            proposed, log_ratio, lt_new = frequency_update_move(x, log_t, target, rng,
+                                                                0.25 / posterior.n_obs)
+            acc = mhg_accept(log_ratio, rng)
             out.tally("update", acc)
             if acc:
-                x, log_t = outcome.proposed, outcome.proposed_log_density
+                x, log_t = proposed, lt_new
         return x, log_t, move, move_accepted, sched.lam, delta2_val
 
-    return run_sweeps(sweep, target, VarDimState(), n_iter, burn_in, {"k_max": k_max})
+    return run_sweeps(sweep, target, (), n_iter, burn_in, {"k_max": k_max})

@@ -18,6 +18,7 @@ import numpy as np
 from .birthdeath import (
     BirthDeathSchedule,
     bod_move_set,
+    is_sorted,
     move_log_ratio,
     pmf_component_proposal,
 )
@@ -35,12 +36,12 @@ from .sinusoid import (
 class DiscreteToySpec:
     """A finite surrogate: M labelled points, truncated order, tabulated target.
 
-    ``weights`` maps component tuples (including the empty tuple) to
+    ``weights`` maps component tuples (including the empty tuple) to finite
     nonnegative target weights; tuples with repeated entries implicitly get
     weight zero, mirroring the null diagonal of an atomless component space.
-    Construction builds the schedule once, so lam, k_max, c, the points and
-    q and the representation are checked by their owners before any state is
-    listed.
+    Construction checks the weights and builds the schedule once, so lam,
+    k_max, c, the points and q and the representation are checked by their
+    owners before any state is listed.
     """
 
     points: tuple[float, ...]
@@ -52,6 +53,8 @@ class DiscreteToySpec:
     representation: str = "unsorted"
 
     def __post_init__(self):
+        if not all(0.0 <= w < math.inf for w in self.weights.values()):
+            raise ConfigurationError("target weights must be finite and nonnegative")
         if not any(w > 0 for w in self.weights.values()):
             raise ConfigurationError("target weights must not all vanish")
         self.schedule()
@@ -65,14 +68,13 @@ class DiscreteToySpec:
 
     def log_density(self, x: VarDimState) -> float:
         """Log of the tabulated target weight; the toy spec is its own target."""
-        comps = x.components
-        if len(comps) > self.k_max:
+        if len(x) > self.k_max:
             return NEG_INF
-        if len(set(comps)) != len(comps):
+        if len(set(x)) != len(x):
             return NEG_INF
-        if self.representation == "sorted" and not x.is_sorted():
+        if self.representation == "sorted" and not is_sorted(x):
             return NEG_INF
-        w = self.weights.get(comps, 0.0)
+        w = self.weights.get(x, 0.0)
         return math.log(w) if w > 0.0 else NEG_INF
 
 
@@ -89,9 +91,9 @@ def enumerate_states(spec: DiscreteToySpec) -> list[VarDimState]:
     pts = tuple(sorted(spec.points))
     arrange = (itertools.combinations if spec.representation == "sorted"
                else itertools.permutations)
-    states = [VarDimState()]
+    states = [()]
     for k in range(1, spec.k_max + 1):
-        states.extend(VarDimState(tup) for tup in arrange(pts, k))
+        states.extend(arrange(pts, k))
     return states
 
 
@@ -102,9 +104,9 @@ def normalized_target_vector(spec: DiscreteToySpec, legacy: bool = False) -> np.
     reweighted target f_k / k!, so its fixed point is known in closed form.
     """
     states = enumerate_states(spec)
-    w = np.array([spec.weights.get(s.components, 0.0) for s in states], dtype=float)
+    w = np.array([spec.weights.get(s, 0.0) for s in states], dtype=float)
     if legacy:
-        w = w / np.array([math.factorial(s.k) for s in states], dtype=float)
+        w = w / np.array([math.factorial(len(s)) for s in states], dtype=float)
     total = w.sum()
     if total <= 0:
         raise ConfigurationError("toy target has zero total mass")
@@ -123,7 +125,7 @@ def build_transition_matrix(spec: DiscreteToySpec,
     one to 1e-12, otherwise the kernel accounting is broken.
     """
     states = enumerate_states(spec)
-    index = {s.components: i for i, s in enumerate(states)}
+    index = {s: i for i, s in enumerate(states)}
     sched = spec.schedule(ratio_mode)
     birth, death, identity = bod_move_set(spec, sched)
     n = len(states)
@@ -140,26 +142,23 @@ def build_transition_matrix(spec: DiscreteToySpec,
                     continue
                 log_q = sched.proposal.log_density(s_star)
                 if spec.representation == "sorted":
-                    slots = [bisect.bisect_left(x.components, s_star)]
+                    slots = [bisect.bisect_left(x, s_star)]
                     slot_prob = p_b * q_s
                 else:
-                    slots = range(x.k + 1)
-                    slot_prob = p_b * q_s / (x.k + 1)
+                    slots = range(len(x) + 1)
+                    slot_prob = p_b * q_s / (len(x) + 1)
                 for i in slots:
-                    proposed = x.insert(i, s_star)
-                    if spec.representation == "sorted" and s_star in x.components:
-                        alpha = 0.0
-                    else:
-                        alpha = math.exp(min(0.0, move_log_ratio(
-                            x, log_fx, proposed, log_q, sched, spec)[0]))
+                    proposed = x[:i] + (s_star,) + x[i:]
+                    alpha = math.exp(min(0.0, move_log_ratio(
+                        x, log_fx, proposed, log_q, sched, spec)[0]))
                     _accumulate(matrix, index, xi, proposed, slot_prob, alpha)
         if p_d > 0.0:
-            for i in range(x.k):
-                proposed = x.remove(i)
-                log_q = sched.proposal.log_density(x.components[i])
+            for i in range(len(x)):
+                proposed = x[:i] + x[i + 1:]
+                log_q = sched.proposal.log_density(x[i])
                 alpha = math.exp(min(0.0, move_log_ratio(
                     x, log_fx, proposed, log_q, sched, spec)[0]))
-                _accumulate(matrix, index, xi, proposed, p_d / x.k, alpha)
+                _accumulate(matrix, index, xi, proposed, p_d / len(x), alpha)
 
     row_err = np.abs(matrix.sum(axis=1) - 1.0).max()
     if row_err > 1e-12:
@@ -168,13 +167,13 @@ def build_transition_matrix(spec: DiscreteToySpec,
 
 
 def _accumulate(matrix, index, xi, proposed, prob, alpha):
-    target_index = index.get(proposed.components)
+    target_index = index.get(proposed)
     if target_index is None:
         # Proposals landing outside the enumerated support (duplicates) must
         # have been auto-rejected through a zero-density target.
         if alpha != 0.0:
             raise BrokenKernelError(
-                f"accepting proposal into unenumerated state {proposed.components}")
+                f"accepting proposal into unenumerated state {proposed}")
         matrix[xi, xi] += prob
         return
     matrix[xi, target_index] += prob * alpha

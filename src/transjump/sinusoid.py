@@ -20,7 +20,6 @@ from .core import (
     NEG_INF,
     BrokenKernelError,
     ConfigurationError,
-    ProposalOutcome,
     Rng,
     TargetDensity,
     VarDimState,
@@ -286,13 +285,12 @@ class SinusoidPosterior:
         return s
 
     def log_density(self, x: VarDimState) -> float:
-        omega = x.components
         # s is factorised only where quad_form reads it: inside the support
         # and at delta2 != 0.
         s = None
-        if self.delta2 != 0.0 and _in_support(omega, self.k_max):
-            s = self.projection_norm(omega)
-        return sinusoid_log_target(self.y, omega, self.lam, self.delta2, self.k_max, s=s)
+        if self.delta2 != 0.0 and _in_support(x, self.k_max):
+            s = self.projection_norm(x)
+        return sinusoid_log_target(self.y, x, self.lam, self.delta2, self.k_max, s=s)
 
 
 @dataclass
@@ -310,15 +308,15 @@ class PriorOnlyTarget:
         check_order_prior(self.lam, self.k_max)
 
     def log_density(self, x: VarDimState) -> float:
-        k = x.k
-        if not _in_support(x.components, self.k_max):
+        k = len(x)
+        if not _in_support(x, self.k_max):
             return NEG_INF
         return (k * math.log(self.lam) - k * math.log(OMEGA_HIGH - OMEGA_LOW)
                 - math.lgamma(k + 1))
 
 
 def frequency_update_move(x: VarDimState, log_fx: float, target: TargetDensity, rng: Rng,
-                          walk_sd: float) -> ProposalOutcome:
+                          walk_sd: float) -> tuple[VarDimState, float, float]:
     """Within-model update of one frequency; never changes k.
 
     One index is picked uniformly; with probability 0.8 the proposal is a
@@ -330,20 +328,18 @@ def frequency_update_move(x: VarDimState, log_fx: float, target: TargetDensity, 
     of a sorted restriction and on a singular design, so such a proposal has
     log ratio -inf and is rejected surely.
     """
-    if x.k == 0:
+    if not x:
         raise BrokenKernelError("frequency update proposed at k=0")
-    index = int(rng.integers(0, x.k))
+    i = int(rng.integers(0, len(x)))
     if rng.random() < 0.8:
-        new = x.components[index] + walk_sd * rng.standard_normal()
+        new = x[i] + walk_sd * rng.standard_normal()
     else:
         new = rng.uniform(OMEGA_LOW, OMEGA_HIGH)
     if math.isnan(new):
         raise BrokenKernelError("frequency update proposed NaN")
-    comps = list(x.components)
-    comps[index] = float(new)
-    proposed = VarDimState(tuple(comps))
+    proposed = x[:i] + (float(new),) + x[i + 1:]
     lt_new = target.log_density(proposed)
-    return ProposalOutcome(proposed, lt_new - log_fx, lt_new)
+    return proposed, lt_new - log_fx, lt_new
 
 
 @functools.lru_cache(maxsize=8)
@@ -432,9 +428,9 @@ def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
     accepted flag).
     """
     n = posterior.n_obs
-    k = x.k
+    k = len(x)
     yty = posterior.yty
-    s = posterior.projection_norm(x.components)
+    s = posterior.projection_norm(x)
 
     def log_cond(d2: float) -> float:
         quad = yty - d2 / (1.0 + d2) * s

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .birthdeath import BirthDeathSchedule, birth_propose_unsorted
-from .core import VarDimState, rng_stream
+from .core import rng_stream
 from .experiment import run_joint_chain
 from .oracle import (
     build_transition_matrix,
@@ -95,13 +95,13 @@ def ratio_cancellation() -> list[CheckResult]:
         lam = float(rng.uniform(0.5, 10.0))
         model = SinusoidPosterior(y, lam, delta2, k_max=8)
         sched = BirthDeathSchedule.green(lam, 8, 0.25)
-        x = VarDimState(omega)
-        outcome = birth_propose_unsorted(x, model.log_density(x), sched, model, rng)
-        if outcome.log_ratio == float("-inf"):
+        proposed, log_ratio, _ = birth_propose_unsorted(omega, model.log_density(omega), sched,
+                                                        model, rng)
+        if log_ratio == float("-inf"):
             continue  # numerically singular draw; resample
-        lhs = math.exp(outcome.log_ratio)
+        lhs = math.exp(log_ratio)
         q_k = quad_form(y, omega, delta2)
-        q_k1 = quad_form(y, outcome.proposed.components, delta2)
+        q_k1 = quad_form(y, proposed, delta2)
         rhs = (q_k1 / q_k) ** (-n_obs / 2.0) / (1.0 + delta2)
         worst = max(worst, abs(lhs - rhs) / rhs)
         done += 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from transjump.birthdeath import is_sorted
 from transjump.core import (
     BrokenKernelError,
     ChainOutput,
@@ -11,7 +12,6 @@ from transjump.core import (
     IterationRecord,
     Move,
     NEG_INF,
-    ProposalOutcome,
     VarDimState,
     check_iteration_counts,
     mhg_accept,
@@ -25,40 +25,22 @@ from transjump.core import (
 def constant_moves(weights: dict[str, float]) -> tuple[Move, ...]:
     """Moves that propose the unchanged state with ratio 0 (always accept)."""
     return tuple(Move(label, lambda x, w=w: w,
-                      lambda x, log_fx, rng: ProposalOutcome(x, 0.0, log_fx))
+                      lambda x, log_fx, rng: (x, 0.0, log_fx))
                  for label, w in weights.items())
 
 
 class TestVarDimState:
     def test_empty_state(self):
+        """A state is the tuple of its components; the benchmark builds the empty
+        state as core.VarDimState()."""
         x = VarDimState()
-        assert x.k == 0
-        assert x.components == ()
-
-    def test_insert_into_empty_forces_single_slot(self):
-        x = VarDimState().insert(0, 0.7)
-        assert x.components == (0.7,)
-
-    def test_insert_middle_slot(self):
-        x = VarDimState((1.0, 2.0))
-        assert x.insert(1, 1.5).components == (1.0, 1.5, 2.0)
-
-    def test_remove_middle(self):
-        x = VarDimState((1.0, 2.0, 3.0))
-        assert x.remove(1).components == (1.0, 3.0)
-
-    def test_remove_last_gives_empty(self):
-        assert VarDimState((0.5,)).remove(0) == VarDimState()
-
-    def test_bounds_checked(self):
-        with pytest.raises(IndexError):
-            VarDimState((1.0,)).insert(3, 0.0)
-        with pytest.raises(IndexError):
-            VarDimState().remove(0)
+        assert VarDimState is tuple
+        assert x == () and len(x) == 0
 
     def test_is_sorted(self):
-        assert VarDimState((0.1, 0.2, 0.2)).is_sorted()
-        assert not VarDimState((0.2, 0.1)).is_sorted()
+        assert is_sorted((0.1, 0.2, 0.2))
+        assert not is_sorted((0.2, 0.1))
+        assert is_sorted(()) and is_sorted((0.3,))
 
 
 class TestSelectMove:
@@ -66,13 +48,13 @@ class TestSelectMove:
         """A move with zero selection probability at the state is never drawn."""
         moves = constant_moves({"birth": 0.5, "death": 0.0, "update": 0.5})
         rng = rng_stream(1)
-        labels = {select_move(moves, VarDimState(), rng).label for _ in range(5000)}
+        labels = {select_move(moves, (), rng).label for _ in range(5000)}
         assert "death" not in labels
 
     def test_degenerate_single_move(self):
         moves = constant_moves({"only": 1.0})
         rng = rng_stream(2)
-        assert all(select_move(moves, VarDimState(), rng) is moves[0] for _ in range(100))
+        assert all(select_move(moves, (), rng) is moves[0] for _ in range(100))
 
     def test_selection_frequencies_match_weights(self):
         """Empirical frequencies over 1e5 draws stay in 3-sigma binomial bands."""
@@ -82,7 +64,7 @@ class TestSelectMove:
         n = 100_000
         counts = {label: 0 for label in weights}
         for _ in range(n):
-            counts[select_move(moves, VarDimState(), rng).label] += 1
+            counts[select_move(moves, (), rng).label] += 1
         for label, p in weights.items():
             band = 3.0 * math.sqrt(p * (1 - p) / n)
             assert abs(counts[label] / n - p) < band
@@ -90,13 +72,13 @@ class TestSelectMove:
     def test_weights_must_sum_to_one(self):
         moves = constant_moves({"a": 0.6, "b": 0.6})
         with pytest.raises(ConfigurationError):
-            select_move(moves, VarDimState(), rng_stream(4))
+            select_move(moves, (), rng_stream(4))
 
     def test_nan_weight_is_config_error(self):
         """A NaN weight makes the total NaN, which must not pass the sum check."""
         moves = constant_moves({"a": math.nan, "b": 1.0})
         with pytest.raises(ConfigurationError):
-            select_move(moves, VarDimState(), rng_stream(4))
+            select_move(moves, (), rng_stream(4))
 
 
 class TestMhgAccept:
@@ -149,51 +131,50 @@ def jump_moves(target=None) -> tuple[Move, ...]:
 
     def outcome(proposed, log_fx):
         lt_new = target.log_density(proposed)
-        return ProposalOutcome(proposed, lt_new - log_fx, lt_new)
+        return proposed, lt_new - log_fx, lt_new
 
     def birth(x, log_fx, rng):
-        return outcome(x.insert(x.k, 0.5 + x.k), log_fx)
+        return outcome(x + (0.5 + len(x),), log_fx)
 
     def death(x, log_fx, rng):
-        return outcome(x.remove(x.k - 1), log_fx)
+        return outcome(x[:-1], log_fx)
 
     return (
         Move("birth", lambda x: 0.5, birth),
-        Move("death", lambda x: 0.5 if x.k else 0.0, death),
-        Move("hold", lambda x: 0.0 if x.k else 0.5,
-             lambda x, log_fx, rng: ProposalOutcome(x, 0.0, log_fx)),
+        Move("death", lambda x: 0.5 if x else 0.0, death),
+        Move("hold", lambda x: 0.0 if x else 0.5, lambda x, log_fx, rng: (x, 0.0, log_fx)),
     )
 
 
 class TestRunChain:
     def test_zero_iterations_gives_empty_records(self):
-        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 0, 0,
+        out = run_chain(FlatTarget(), jump_moves(), (), 0, 0,
                         rng_stream(10))
         assert out.records == []
         assert out.config == {"n_iter": 0, "burn_in": 0}
 
     def test_all_rejecting_target_keeps_chain_at_init(self):
-        init = VarDimState()
+        init = ()
         target = PointTarget(init)
         out = run_chain(target, jump_moves(target), init, 500, 0, rng_stream(11))
         assert all(r.components == () for r in out.records)
         assert sum(out.acceptances.values()) == out.proposals.get("hold", 0)
 
     def test_tallies_sum_to_iterations(self):
-        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 2000, 100,
+        out = run_chain(FlatTarget(), jump_moves(), (), 2000, 100,
                         rng_stream(12))
         assert sum(out.proposals.values()) == 2000
         for label, n in out.proposals.items():
             assert out.acceptances.get(label, 0) <= n
 
     def test_burn_in_flagged_not_dropped(self):
-        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 50, 20,
+        out = run_chain(FlatTarget(), jump_moves(), (), 50, 20,
                         rng_stream(13))
         assert sum(r.burn_in for r in out.records) == 20
         assert out.k_counts(8).sum() == 30
 
     def test_same_seed_bit_identical(self):
-        runs = [run_chain(FlatTarget(), jump_moves(), VarDimState(), 3000, 500,
+        runs = [run_chain(FlatTarget(), jump_moves(), (), 3000, 500,
                           rng_stream(14)) for _ in range(2)]
         assert runs[0].records == runs[1].records
         assert runs[0].proposals == runs[1].proposals
@@ -201,7 +182,7 @@ class TestRunChain:
 
     def test_invalid_burn_in_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_chain(FlatTarget(), jump_moves(), VarDimState(), 10, 10, rng_stream(15))
+            run_chain(FlatTarget(), jump_moves(), (), 10, 10, rng_stream(15))
 
     def test_iteration_count_bounds(self):
         for n_iter, burn_in in ((0, 0), (1, 0), (10, 9), (np.int64(10), np.int64(9))):
@@ -212,50 +193,46 @@ class TestRunChain:
                 check_iteration_counts(n_iter, burn_in)
         rng = rng_stream(15)
         with pytest.raises(ConfigurationError):
-            run_chain(FlatTarget(), jump_moves(), VarDimState(), 100, 1.5, rng)
+            run_chain(FlatTarget(), jump_moves(), (), 100, 1.5, rng)
         assert rng.random() == rng_stream(15).random()
 
     def test_zero_density_init_rejected(self):
         with pytest.raises(ConfigurationError):
-            target = PointTarget(VarDimState((1.0,)))
-            run_chain(target, jump_moves(target), VarDimState(), 10, 0, rng_stream(16))
+            target = PointTarget((1.0,))
+            run_chain(target, jump_moves(target), (), 10, 0, rng_stream(16))
 
     def test_nan_components_hard_error(self):
         bad = (Move("bad", lambda x: 1.0,
-                    lambda x, log_fx, rng: ProposalOutcome(VarDimState((float("nan"),)), 0.0,
-                                                           0.0)),)
+                    lambda x, log_fx, rng: ((float("nan"),), 0.0, 0.0)),)
         with pytest.raises(BrokenKernelError):
-            run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
+            run_chain(FlatTarget(), bad, (), 10, 0, rng_stream(17))
 
     def test_nan_components_hard_error_when_rejected(self):
         """A surely rejected proposal is still scanned; only proposing x itself skips it."""
         bad = (Move("bad", lambda x: 1.0,
-                    lambda x, log_fx, rng: ProposalOutcome(VarDimState((float("nan"),)),
-                                                           NEG_INF, NEG_INF)),)
+                    lambda x, log_fx, rng: ((float("nan"),), NEG_INF, NEG_INF)),)
         with pytest.raises(BrokenKernelError):
-            run_chain(FlatTarget(), bad, VarDimState(), 10, 0, rng_stream(17))
+            run_chain(FlatTarget(), bad, (), 10, 0, rng_stream(17))
 
     def test_nan_log_target_on_a_row_is_hard_error(self):
         """An accepted move reaches a state where the target is NaN and returns
         that density: the row's log target is checked, not recorded as NaN."""
         class NanAtOne:
             def log_density(self, x):
-                return math.nan if x.k == 1 else 0.0
+                return math.nan if len(x) == 1 else 0.0
 
         target = NanAtOne()
         moves = (
-            Move("birth", lambda x: 1.0 if x.k == 0 else 0.0,
-                 lambda x, log_fx, rng: ProposalOutcome(
-                     x.insert(0, 0.5), 0.0, target.log_density(x.insert(0, 0.5)))),
-            Move("death", lambda x: 1.0 if x.k == 1 else 0.0,
-                 lambda x, log_fx, rng: ProposalOutcome(
-                     x.remove(0), 0.0, target.log_density(x.remove(0)))),
+            Move("birth", lambda x: 1.0 if len(x) == 0 else 0.0,
+                 lambda x, log_fx, rng: ((0.5,) + x, 0.0, target.log_density((0.5,) + x))),
+            Move("death", lambda x: 1.0 if len(x) == 1 else 0.0,
+                 lambda x, log_fx, rng: (x[1:], 0.0, target.log_density(x[1:]))),
         )
         with pytest.raises(BrokenKernelError, match="k=1"):
-            run_chain(target, moves, VarDimState(), 4, 0, rng_stream(26))
+            run_chain(target, moves, (), 4, 0, rng_stream(26))
 
     def test_k_frequencies_sum_to_one(self):
-        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 4000, 400,
+        out = run_chain(FlatTarget(), jump_moves(), (), 4000, 400,
                         rng_stream(18))
         freqs = out.k_frequencies(k_max=max(r.k for r in out.records))
         assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -265,22 +242,31 @@ class TestMixtureStep:
     def test_tallies_the_selected_move(self):
         out = ChainOutput()
         step = mixture_step(jump_moves(), rng_stream(22))
-        x, log_t, label, accepted, lam, delta2 = step(VarDimState(), 0.0, out)
+        x, log_t, label, accepted, lam, delta2 = step((), 0.0, out)
         assert label in ("birth", "hold")
-        assert x.k == (1 if label == "birth" else 0)
+        assert len(x) == (1 if label == "birth" else 0)
         assert accepted
         assert (log_t, lam, delta2) == (0.0, None, None)
         assert out.proposals == {label: 1}
         assert out.acceptances == {label: 1}
 
     def test_rejection_tallied_without_acceptance(self):
-        init = VarDimState()
+        init = ()
         target = PointTarget(init)
         out = ChainOutput()
         step = mixture_step(jump_moves(target), rng_stream(23))
         while "birth" not in out.proposals:
             assert step(init, 0.0, out)[:2] == (init, 0.0)
         assert out.acceptances.get("birth", 0) == 0
+
+    def test_plain_tuple_proposal_is_accepted_and_carried(self):
+        """A proposal is the plain tuple (x', log r, log f(x')): an accepted one
+        becomes the row's state and log f."""
+        moves = (Move("jump", lambda x: 1.0, lambda x, log_fx, rng: ((0.25, 0.5), 0.0, -1.5)),)
+        out = ChainOutput()
+        row = mixture_step(moves, rng_stream(27))((), 0.0, out)
+        assert row == ((0.25, 0.5), -1.5, "jump", True, None, None)
+        assert out.proposals == out.acceptances == {"jump": 1}
 
 
 class TestChainOutput:
@@ -304,14 +290,14 @@ class TestChainOutput:
         np.testing.assert_array_equal(out.k_counts(3), [0, 1, 0, 1])
 
     def test_empty_columns(self):
-        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 0, 0, rng_stream(24))
+        out = run_chain(FlatTarget(), jump_moves(), (), 0, 0, rng_stream(24))
         assert len(out.k) == len(out.components) == len(out.move) == 0
         np.testing.assert_array_equal(out.k_counts(3), [0, 0, 0, 0])
         np.testing.assert_array_equal(out.k_frequencies(3), [0.0, 0.0, 0.0, 0.0])
 
     def test_burn_in_boundary(self):
         """Row burn_in - 1 is the last burn-in row, row burn_in the first kept one."""
-        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 40, 15, rng_stream(25))
+        out = run_chain(FlatTarget(), jump_moves(), (), 40, 15, rng_stream(25))
         records = out.records
         assert [r.burn_in for r in records] == [True] * 15 + [False] * 25
         k_max = max(out.k)
@@ -340,17 +326,17 @@ class TestChainOutput:
 
 class TestMoveStats:
     def test_empty_output_empty_table(self):
-        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 0, 0, rng_stream(19))
+        out = run_chain(FlatTarget(), jump_moves(), (), 0, 0, rng_stream(19))
         assert out.proposals == {} and out.acceptances == {}
 
     def test_all_accepted_rates_one(self):
-        out = run_chain(FlatTarget(), jump_moves(), VarDimState(), 300, 0,
+        out = run_chain(FlatTarget(), jump_moves(), (), 300, 0,
                         rng_stream(20))
         assert out.proposals and out.acceptances == out.proposals
 
     def test_rates_match_record_recount(self):
         """The per-move tallies agree exactly with a recount of the raw records."""
-        init = VarDimState()
+        init = ()
         target = PointTarget(init)
         out = run_chain(target, jump_moves(target), init, 2000, 0, rng_stream(21))
         proposed: dict[str, int] = {}

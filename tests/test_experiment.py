@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from transjump.birthdeath import BirthDeathSchedule, SortedRestriction, bod_move_set
-from transjump.core import ConfigurationError, VarDimState, rng_stream, run_chain
+from transjump.core import ConfigurationError, rng_stream, run_chain
 from transjump.experiment import run_joint_chain
 from transjump.oracle import tv_distance
 from transjump.sinusoid import (
@@ -130,8 +130,7 @@ class TestFlatRuns:
             target = SortedRestriction(target)
         sched = BirthDeathSchedule.green(4.0, 8, 0.25, ratio_mode=ratio_mode,
                                          representation=representation)
-        plain = run_chain(target, bod_move_set(target, sched), VarDimState(),
-                          3000, 300, rng_stream(9))
+        plain = run_chain(target, bod_move_set(target, sched), (), 3000, 300, rng_stream(9))
 
         def key(r):
             return (r.k, r.components, r.log_target, r.move, r.accepted, r.burn_in)
@@ -249,7 +248,7 @@ class TestCarriedLogTarget:
             base = (PriorOnlyTarget(r.lam, 8) if flat
                     else SinusoidPosterior(y, r.lam, r.delta2, 8))
             target = SortedRestriction(base) if representation == "sorted" else base
-            assert r.log_target == target.log_density(VarDimState(r.components))
+            assert r.log_target == target.log_density(r.components)
         assert len({r.k for r in res.records}) > 1
         assert len({r.lam for r in res.records}) > 10
         assert res.acceptances["birth"] > 0 and res.acceptances["death"] > 0
@@ -335,7 +334,7 @@ class TestRetainedMemory:
         target = PriorOnlyTarget(5.0, 32)
         moves = bod_move_set(target, BirthDeathSchedule.green(5.0, 32, 0.25))
         per_record = self.retained_per_record(lambda n: run_chain(
-            target, moves, VarDimState(), n, n // 10, rng_stream(0, 1)), 4000)
+            target, moves, (), n, n // 10, rng_stream(0, 1)), 4000)
         assert 0 < per_record < 100
 
     def test_sampled_hyperparameter_sweeps_retain_under_100_bytes_per_record(self):

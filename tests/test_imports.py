@@ -8,6 +8,7 @@ package, and with it the fields of public classes that no package or benchmark
 code reads; a fresh interpreter shows what importing the CLI pulls in.
 """
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -132,6 +133,28 @@ def test_every_public_definition_is_referenced():
     assert [f"{p.stem}.{name}" for p in PACKAGE
             for name in unreferenced(public_definitions(p.read_text()), references)
             + unread_fields(public_fields(p.read_text()), references)] == []
+
+
+def benchmark_reads(source: str) -> set[str]:
+    """``module.name`` for each attribute read off a module imported ``from transjump``."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "transjump"
+               for a in node.names}
+    return {f"{modules[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    """A name the benchmark reads that the package no longer has would surface only
+    as a failed benchmark run; here it fails the suite."""
+    reads = set().union(*(benchmark_reads(p.read_text())
+                          for p in sorted((ROOT / "bench").glob("*.py"))))
+    assert {"core.VarDimState", "core.run_chain", "cli.replicate"} <= reads
+    assert [name for name in sorted(reads) if not hasattr(
+        importlib.import_module(f"transjump.{name.partition('.')[0]}"),
+        name.partition(".")[2])] == []
 
 
 def test_schedule_settings_are_read_in_birthdeath_only():

@@ -7,8 +7,8 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 
-from transjump.birthdeath import SortedRestriction
-from transjump.core import BrokenKernelError, ConfigurationError, VarDimState, rng_stream
+from transjump.birthdeath import SortedRestriction, is_sorted
+from transjump.core import BrokenKernelError, ConfigurationError, rng_stream
 from transjump.oracle import _frequency_partition
 from transjump.sinusoid import (
     POSTERIOR_CACHE_SIZE,
@@ -402,16 +402,16 @@ class TestLogTarget:
         for omega in ((), (0.5,), (0.5, 1.5), (0.2, 1.0, 2.0)):
             lt = sinusoid_log_target(y, omega, 2.5, 0.0, 8)
             assert lt == pytest.approx(
-                const + prior.log_density(VarDimState(omega)), rel=1e-12)
+                const + prior.log_density(omega), rel=1e-12)
 
     def test_posterior_class_memo_consistent(self):
         rng = rng_stream(68)
         model = SinusoidPosterior(rng.standard_normal(16), 2.0, 25.0, k_max=4)
-        x = VarDimState((0.9, 1.7))
+        x = (0.9, 1.7)
         first = model.log_density(x)
         assert model.log_density(x) == first
-        assert model.log_density(VarDimState((0.9, 1.7))) == first
-        assert first == sinusoid_log_target(model.y, x.components, 2.0, 25.0, 4)
+        assert model.log_density((0.9, 1.7)) == first
+        assert first == sinusoid_log_target(model.y, x, 2.0, 25.0, 4)
 
     def test_reused_posterior_matches_fresh_target_bit_for_bit(self):
         """One posterior across (lam, delta2) changes equals a fresh evaluation.
@@ -431,9 +431,9 @@ class TestLogTarget:
             for order in (states, states[::-1]):
                 for omega in order:
                     fresh = sinusoid_log_target(y, omega, lam, delta2, 8)
-                    assert model.log_density(VarDimState(omega)) == fresh
+                    assert model.log_density(omega) == fresh
             for omega in (CHOLESKY_FAILS, INACCURATE_PROJECTION):
-                singular = model.log_density(VarDimState(omega)) == NEG_INF
+                singular = model.log_density(omega) == NEG_INF
                 assert singular == (delta2 != 0.0)
 
     @pytest.mark.parametrize("k_max", [2.5, 8.0, -1])
@@ -444,7 +444,7 @@ class TestLogTarget:
     def test_memos_stay_bounded(self):
         model = SinusoidPosterior(rng_stream(68).standard_normal(16), 2.0, 25.0, k_max=4)
         for w in np.linspace(0.1, 3.0, 3 * POSTERIOR_CACHE_SIZE):
-            model.log_density(VarDimState((float(w),)))
+            model.log_density((float(w),))
         assert len(model._norms) == POSTERIOR_CACHE_SIZE
 
     def test_states_outside_support_are_not_factorised(self, monkeypatch):
@@ -454,20 +454,20 @@ class TestLogTarget:
         model = SinusoidPosterior(rng_stream(68).standard_normal(16), 2.0, 25.0, k_max=2)
         outside = [(3.5,), (0.0, 1.0), (0.5, -0.2), (0.5, 1.0, 1.5)]
         for omega in outside:
-            assert model.log_density(VarDimState(omega)) == NEG_INF
+            assert model.log_density(omega) == NEG_INF
         assert calls == [] and model._norms == {}
-        model.log_density(VarDimState((0.9,)))
+        model.log_density((0.9,))
         assert calls == [1] and list(model._norms) == [(0.9,)]
 
 
 class TestPriorOnlyTarget:
     def test_values_and_support(self):
         t = PriorOnlyTarget(5.0, 3)
-        assert t.log_density(VarDimState()) == 0.0
-        assert t.log_density(VarDimState((1.0,))) == pytest.approx(
+        assert t.log_density(()) == 0.0
+        assert t.log_density((1.0,)) == pytest.approx(
             math.log(5.0) - math.log(math.pi))
-        assert t.log_density(VarDimState((1.0, 3.5))) == NEG_INF
-        assert t.log_density(VarDimState((0.1, 0.2, 0.3, 0.4))) == NEG_INF
+        assert t.log_density((1.0, 3.5)) == NEG_INF
+        assert t.log_density((0.1, 0.2, 0.3, 0.4)) == NEG_INF
 
     @pytest.mark.parametrize("lam, k_max", [
         (0.0, 8), (-1.0, 8), (math.nan, 8), (math.inf, 8), (5.0, -1), (5.0, 2.5)])
@@ -479,75 +479,74 @@ class TestPriorOnlyTarget:
 class TestFrequencyUpdateMove:
     def test_out_of_domain_proposal_rejected_surely(self):
         target = PriorOnlyTarget(1.0, 4)
-        x = VarDimState((1e-9,))
+        x = (1e-9,)
         rng = rng_stream(69)
         outs = [frequency_update_move(x, target.log_density(x), target, rng, walk_sd=1.0)
                 for _ in range(200)]
-        assert any(o.log_ratio == NEG_INF for o in outs)
-        assert all(o.log_ratio == NEG_INF or o.proposed.k == 1 for o in outs)
+        assert any(ratio == NEG_INF for _, ratio, _ in outs)
+        assert all(ratio == NEG_INF or len(proposed) == 1 for proposed, ratio, _ in outs)
 
     @pytest.mark.parametrize("sort", [False, True])
     def test_zero_density_proposal_carries_target_value(self, sort):
         """A proposal outside (0, pi)^k, or an unsorted one under a sorted
-        restriction, has log ratio -inf, and the outcome holds the target's
+        restriction, has log ratio -inf, and the proposal holds the target's
         own value at the proposal, as for any other proposal."""
         model = SinusoidPosterior(rng_stream(70).standard_normal(24), 2.0, 40.0, k_max=4)
         target = SortedRestriction(model) if sort else model
-        x = VarDimState((0.8, 0.8005)) if sort else VarDimState((1e-9, 1.9))
+        x = (0.8, 0.8005) if sort else (1e-9, 1.9)
         rng = rng_stream(84)
         log_fx = target.log_density(x)
         outs = [frequency_update_move(x, log_fx, target, rng, walk_sd=0.01) for _ in range(200)]
         if sort:
-            zero = [o for o in outs if not o.proposed.is_sorted()]
+            zero = [o for o in outs if not is_sorted(o[0])]
         else:
-            zero = [o for o in outs if not 0.0 < o.proposed.components[0] < math.pi]
+            zero = [o for o in outs if not 0.0 < o[0][0] < math.pi]
         assert len(zero) > 20
-        for out in outs:
-            lt_new = target.log_density(out.proposed)
-            assert out.proposed_log_density == lt_new
-            assert out.log_ratio == lt_new - target.log_density(x)
-        assert all(o.log_ratio == NEG_INF and o.proposed_log_density == NEG_INF
-                   for o in zero)
-        assert any(o.log_ratio > NEG_INF for o in outs)
+        for proposed, ratio, lt_new in outs:
+            assert lt_new == target.log_density(proposed)
+            assert ratio == lt_new - target.log_density(x)
+        assert all(ratio == NEG_INF and lt_new == NEG_INF for _, ratio, lt_new in zero)
+        assert any(ratio > NEG_INF for _, ratio, _ in outs)
 
     def test_walk_branch_ratio_is_target_difference(self):
         rng = rng_stream(70)
         model = SinusoidPosterior(rng.standard_normal(24), 2.0, 40.0, k_max=4)
-        x = VarDimState((0.8, 1.9))
+        x = (0.8, 1.9)
         for _ in range(50):
-            out = frequency_update_move(x, model.log_density(x), model, rng, walk_sd=0.05)
-            if out.log_ratio == NEG_INF:
+            proposed, ratio, _ = frequency_update_move(x, model.log_density(x), model, rng,
+                                                       walk_sd=0.05)
+            if ratio == NEG_INF:
                 continue
-            expect = model.log_density(out.proposed) - model.log_density(x)
-            assert out.log_ratio == pytest.approx(expect, abs=1e-12)
+            expect = model.log_density(proposed) - model.log_density(x)
+            assert ratio == pytest.approx(expect, abs=1e-12)
 
     def test_never_changes_order(self):
         rng = rng_stream(71)
         target = PriorOnlyTarget(1.0, 4)
-        x = VarDimState((0.5, 1.5, 2.5))
+        x = (0.5, 1.5, 2.5)
         for _ in range(100):
-            out = frequency_update_move(x, target.log_density(x), target, rng, 0.1)
-            assert out.proposed.k == 3
+            proposed, _, _ = frequency_update_move(x, target.log_density(x), target, rng, 0.1)
+            assert len(proposed) == 3
 
     def test_requires_components(self):
         with pytest.raises(BrokenKernelError):
-            frequency_update_move(VarDimState(), 0.0, PriorOnlyTarget(1.0, 4),
+            frequency_update_move((), 0.0, PriorOnlyTarget(1.0, 4),
                                   rng_stream(72), 0.1)
 
     def test_nan_proposal_is_broken_kernel(self):
         """A NaN frequency raises; it never becomes a -inf rejection."""
         rng = rng_stream(75)
         model = SinusoidPosterior(rng.standard_normal(24), 2.0, 40.0, k_max=4)
-        x = VarDimState((0.63, 1.9))
+        x = (0.63, 1.9)
         raised = 0
         for _ in range(50):
             try:
-                out = frequency_update_move(x, model.log_density(x), model, rng,
-                                            walk_sd=math.nan)
+                proposed, _, _ = frequency_update_move(x, model.log_density(x), model, rng,
+                                                       walk_sd=math.nan)
             except BrokenKernelError:
                 raised += 1
             else:
-                assert not any(math.isnan(w) for w in out.proposed.components)
+                assert not any(math.isnan(w) for w in proposed)
         assert raised > 0
 
     def test_concentrates_on_strong_tone(self):
@@ -560,16 +559,17 @@ class TestFrequencyUpdateMove:
         scan = [sinusoid_log_target(y, (w,), 1.0, 100.0, 1) for w in grid]
         peak = grid[int(np.argmax(scan))]
 
-        x = VarDimState((peak + 0.3,))
+        x = (peak + 0.3,)
         from transjump.core import mhg_accept
         log_fx = model.log_density(x)
         samples = []
         for i in range(6000):
-            out = frequency_update_move(x, log_fx, model, rng, walk_sd=0.25 / n)
-            if mhg_accept(out.log_ratio, rng):
-                x, log_fx = out.proposed, out.proposed_log_density
+            proposed, ratio, lt_new = frequency_update_move(x, log_fx, model, rng,
+                                                            walk_sd=0.25 / n)
+            if mhg_accept(ratio, rng):
+                x, log_fx = proposed, lt_new
             if i >= 1000:
-                samples.append(x.components[0])
+                samples.append(x[0])
         samples = np.array(samples)
         within = np.abs(samples - peak) < 2 * math.pi / n
         assert within.mean() > 0.9
@@ -680,7 +680,7 @@ class TestSampleDelta2:
         d2 = 100.0
         draws = []
         for _ in range(40_000):
-            d2, _ = sample_delta2(d2, VarDimState(), posterior, 2.0, 100.0, rng)
+            d2, _ = sample_delta2(d2, (), posterior, 2.0, 100.0, rng)
             draws.append(d2)
         draws = np.array(draws[4000:])
         assert np.mean(1.0 / draws) == pytest.approx(2.0 / 100.0, rel=0.05)
@@ -691,12 +691,12 @@ class TestSampleDelta2:
         rng = rng_stream(77)
         n = 32
         y = synthesize((0.9,), (12.0,), 10.0, n, rng)
-        x = VarDimState((0.9,))
+        x = (0.9,)
         shape, scale = 2.0, 100.0
 
         grid = np.linspace(math.log(1e-3), math.log(1e7), 40_001)
         d2s = np.exp(grid)
-        s = _projection_norm2(y, x.components)
+        s = _projection_norm2(y, x)
         yty = float(y @ y)
         quads = yty - d2s / (1 + d2s) * s
         log_w = (-(shape + 1) * np.log(d2s) - scale / d2s
@@ -721,7 +721,7 @@ class TestSampleDelta2:
         posterior = SinusoidPosterior(rng_stream(78).standard_normal(16), 1.0, 100.0)
         seed = next(s for s in range(100) if sign * rng_stream(79, s).standard_normal() > 2.0)
         rng = rng_stream(79, seed)
-        assert sample_delta2(current, VarDimState(), posterior, 2.0, scale, rng) == (
+        assert sample_delta2(current, (), posterior, 2.0, scale, rng) == (
             current, False)
         reference = rng_stream(79, seed)
         reference.standard_normal()
