@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from transjump.birthdeath import is_sorted
+from transjump.birthdeath import (
+    BirthDeathSchedule,
+    birth_propose_unsorted,
+    death_propose,
+    is_sorted,
+)
 from transjump.core import (
     BrokenKernelError,
     ChainOutput,
@@ -20,6 +25,7 @@ from transjump.core import (
     run_chain,
     select_move,
 )
+from transjump.sinusoid import PriorOnlyTarget
 
 
 def constant_moves(weights: dict[str, float]) -> tuple[Move, ...]:
@@ -29,6 +35,38 @@ def constant_moves(weights: dict[str, float]) -> tuple[Move, ...]:
                  for label, w in weights.items())
 
 
+class FixedDraws:
+    """Stands in for the rng: every uniform draw gives s, every index draw gives i."""
+
+    def __init__(self, i: int, s: float = 0.0):
+        self.i, self.s = i, s
+
+    def uniform(self, low, high):
+        assert low < self.s < high
+        return self.s
+
+    def integers(self, low, high):
+        assert low <= self.i < high
+        return self.i
+
+
+def birth_at(x, i, s):
+    """The unsorted birth kernel's proposal when it draws s* = s at slot i."""
+    target = PriorOnlyTarget(2.0, 8)
+    sched = BirthDeathSchedule.green(2.0, 8)
+    proposed, _, _ = birth_propose_unsorted(x, target.log_density(x), sched, target,
+                                            FixedDraws(i, s))
+    return proposed
+
+
+def death_at(x, i):
+    """The death kernel's proposal when it draws removal index i."""
+    target = PriorOnlyTarget(2.0, 8)
+    sched = BirthDeathSchedule.green(2.0, 8)
+    proposed, _, _ = death_propose(x, target.log_density(x), sched, target, FixedDraws(i))
+    return proposed
+
+
 class TestVarDimState:
     def test_empty_state(self):
         """A state is the tuple of its components; the benchmark builds the empty
@@ -36,6 +74,21 @@ class TestVarDimState:
         x = VarDimState()
         assert VarDimState is tuple
         assert x == () and len(x) == 0
+
+    def test_insert_into_empty_forces_single_slot(self):
+        x = birth_at((), 0, 0.7)
+        assert x == (0.7,)
+
+    def test_insert_middle_slot(self):
+        x = (1.0, 2.0)
+        assert birth_at(x, 1, 1.5) == (1.0, 1.5, 2.0)
+
+    def test_remove_middle(self):
+        x = (1.0, 2.0, 3.0)
+        assert death_at(x, 1) == (1.0, 3.0)
+
+    def test_remove_last_gives_empty(self):
+        assert death_at((0.5,), 0) == VarDimState()
 
     def test_is_sorted(self):
         assert is_sorted((0.1, 0.2, 0.2))
