@@ -177,10 +177,13 @@ class ChainOutput:
         self.lam = array("d")
         self.delta2 = array("d")
 
-    def tally(self, label: str, accepted: bool) -> None:
+    def accept(self, label: str, log_ratio: float, rng: Rng) -> bool:
+        """The one accept step: decide a proposal by mhg_accept and tally it under ``label``."""
+        accepted = mhg_accept(log_ratio, rng)
         self.proposals[label] = self.proposals.get(label, 0) + 1
         if accepted:
             self.acceptances[label] = self.acceptances.get(label, 0) + 1
+        return accepted
 
     def append(self, components: tuple[float, ...], log_target: float, move: str,
                accepted: bool, lam: float | None = None, delta2: float | None = None) -> None:
@@ -236,8 +239,7 @@ def mixture_step(moves: tuple[Move, ...], rng: Rng) -> Callable:
         # A move that keeps x proposes nothing new to scan.
         if proposed is not x and any(math.isnan(c) for c in proposed):
             raise BrokenKernelError(f"move {move.label!r} proposed a state with NaN components")
-        accepted = mhg_accept(log_ratio, rng)
-        out.tally(move.label, accepted)
+        accepted = out.accept(move.label, log_ratio, rng)
         if accepted:
             x, log_t = proposed, lt_new
         return x, log_t, move.label, accepted, None, None

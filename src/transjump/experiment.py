@@ -10,6 +10,7 @@ the posterior, in place.  ``core.run_sweeps`` runs the sweeps and checks each
 row, so iteration counts refer to sweeps.  The sweep carries log f(x) through
 every kernel: it is evaluated at x once per sweep, after the hyperparameter
 moves and only when lambda or delta2 is sampled, and otherwise only at proposals.
+``ChainOutput.accept`` decides every proposal.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .core import (
     ConfigurationError,
     Rng,
     check_iteration_counts,
-    mhg_accept,
     mixture_step,
     run_sweeps,
 )
@@ -113,15 +113,16 @@ def run_joint_chain(
     def sweep(x, log_t, out):
         nonlocal log_z, delta2_val
         if lambda_prior is not None:
-            lam_val, log_z, acc = sample_lambda(sched.lam, log_z, len(x), lambda_prior[0],
-                                                lambda_prior[1], k_max, rng)
-            sched.lam = base.lam = lam_val
-            out.tally("lambda", acc)
+            lam_new, log_ratio, log_z_new = sample_lambda(
+                sched.lam, log_z, len(x), lambda_prior[0], lambda_prior[1], k_max, rng)
+            if out.accept("lambda", log_ratio, rng):
+                sched.lam = base.lam = lam_new
+                log_z = log_z_new
         if posterior is not None and delta2_prior is not None:
-            delta2_val, acc = sample_delta2(delta2_val, x, posterior, delta2_prior[0],
-                                            delta2_prior[1], rng)
-            posterior.delta2 = delta2_val
-            out.tally("delta2", acc)
+            delta2_new, log_ratio = sample_delta2(delta2_val, x, posterior, delta2_prior[0],
+                                                  delta2_prior[1], rng)
+            if out.accept("delta2", log_ratio, rng):
+                delta2_val = posterior.delta2 = delta2_new
 
         if resample:  # f moved with lambda or delta2: evaluate it at x once
             log_t = target.log_density(x)
@@ -130,9 +131,7 @@ def run_joint_chain(
         if posterior is not None and x:
             proposed, log_ratio, lt_new = frequency_update_move(x, log_t, target, rng,
                                                                 0.25 / posterior.n_obs)
-            acc = mhg_accept(log_ratio, rng)
-            out.tally("update", acc)
-            if acc:
+            if out.accept("update", log_ratio, rng):
                 x, log_t = proposed, lt_new
         return x, log_t, move, move_accepted, sched.lam, delta2_val
 

@@ -3,8 +3,8 @@
 With a g-prior on the cosine/sine amplitudes and Jeffreys prior on the noise
 variance, both integrate out analytically and the posterior over (k, omega)
 reduces to a quadratic-form expression evaluated here, together with the
-within-model frequency move, hyperparameter moves for the component-count mean
-and the g-prior scale, and synthetic-signal generation.
+within-model frequency move, hyperparameter proposals for the component-count
+mean and the g-prior scale, and synthetic-signal generation.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .core import (
     TargetDensity,
     VarDimState,
     check_order_prior,
-    mhg_accept,
 )
 
 OMEGA_LOW = 0.0
@@ -395,37 +394,35 @@ def log_truncated_poisson_normalizer(lam: float, k_max: int) -> float:
 
 
 def sample_lambda(current: float, log_z: float, k: int, shape: float, rate: float,
-                  k_max: int, rng: Rng) -> tuple[float, float, bool]:
-    """One MH update of the component-count mean given the current order k.
+                  k_max: int, rng: Rng) -> tuple[float, float, float]:
+    """The MH proposal for the component-count mean given the current order k.
 
-    Proposes from the untruncated conjugate Gamma(shape + k, rate + 1) and
-    corrects for the truncated-Poisson normalizer, which leaves the
-    conditional law invariant; the correction tends to 1 as k_max grows.
-    ``log_z`` is log_truncated_poisson_normalizer(current, k_max), which the
-    previous update returned, so each update evaluates one normaliser.
-    Returns (new value, its log normaliser, accepted flag).
+    Proposes from the untruncated conjugate Gamma(shape + k, rate + 1), whose
+    MH ratio corrects for the truncated-Poisson normalizer, so accepting it
+    leaves the conditional law invariant; the correction tends to 1 as k_max
+    grows.  ``log_z`` is log_truncated_poisson_normalizer(current, k_max), as
+    returned with current when it was proposed, so each proposal evaluates one
+    normaliser.  Returns (lam', log ratio, log normaliser at lam'); a lam' <= 0
+    has zero density, log ratio -inf and no normaliser (-inf).
     """
     proposed = float(rng.gamma(shape + k, 1.0 / (rate + 1.0)))
     if proposed <= 0.0:
-        return current, log_z, False
+        return proposed, NEG_INF, NEG_INF
     log_z_prop = log_truncated_poisson_normalizer(proposed, k_max)
-    log_ratio = (proposed - current) + log_z - log_z_prop
-    if mhg_accept(log_ratio, rng):
-        return proposed, log_z_prop, True
-    return current, log_z, False
+    return proposed, (proposed - current) + log_z - log_z_prop, log_z_prop
 
 
 def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
-                  shape: float, scale: float, rng: Rng) -> tuple[float, bool]:
-    """One random-walk MH update of the g-prior scale, a N(0, 0.5^2) step on the log scale.
+                  shape: float, scale: float, rng: Rng) -> tuple[float, float]:
+    """The random-walk MH proposal for the g-prior scale, a N(0, 0.5^2) step on the log scale.
 
-    Targets the conditional density proportional to
+    Its ratio targets the conditional density proportional to
     IG(delta2; shape, scale) * (y^T P_k y)^(-N/2) * (1 + delta2)^(-k),
     with the log-scale Jacobian included.  The projection norm of x comes
     from the posterior's memo.  A proposal whose exp overflows or underflows
-    to 0 lies outside (0, inf), where the density is zero: it is rejected
-    surely, with log ratio -inf and no uniform drawn.  Returns (new value,
-    accepted flag).
+    to 0 lies outside (0, inf), where the density is zero: its log ratio is
+    -inf, which rejects it surely with no uniform drawn.  Returns (delta2',
+    log ratio).
     """
     n = posterior.n_obs
     k = len(x)
@@ -444,12 +441,8 @@ def sample_delta2(current: float, x: VarDimState, posterior: SinusoidPosterior,
     except OverflowError:
         proposed = math.inf
     if 0.0 < proposed < math.inf:
-        log_ratio = (log_cond(proposed) + v_new) - (log_cond(current) + v)
-    else:
-        log_ratio = NEG_INF
-    if mhg_accept(log_ratio, rng):
-        return proposed, True
-    return current, False
+        return proposed, (log_cond(proposed) + v_new) - (log_cond(current) + v)
+    return proposed, NEG_INF
 
 
 def check_truth_settings(omega, amp2, n_obs: int) -> None:

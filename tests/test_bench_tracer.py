@@ -61,9 +61,9 @@ def test_installed_tracer_sees_each_driver_once():
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        core.run_chain(target, moves, VarDimState(), 500, 50, rng_stream(41, 1))
-        experiment.run_joint_chain(y, n_iter=400, burn_in=40, lambda_prior=(1.0, 1e-3),
-                                   delta2_prior=(2.0, 100.0), rng=rng_stream(41, 2))
+        outs = (core.run_chain(target, moves, VarDimState(), 500, 50, rng_stream(41, 1)),
+                experiment.run_joint_chain(y, n_iter=400, burn_in=40, lambda_prior=(1.0, 1e-3),
+                                           delta2_prior=(2.0, 100.0), rng=rng_stream(41, 2)))
     finally:
         tracer.uninstall()
 
@@ -72,3 +72,5 @@ def test_installed_tracer_sees_each_driver_once():
     assert tracer.chain_steps == {"core": 500, "experiment": 400}
     assert {"birth", "death", "update"} <= set(tracer.tallies)
     tracer.check_tallies()
+    # Every decision goes through the one accept step, which tallies it.
+    assert fired["core.mhg_accept"] == sum(sum(out.proposals.values()) for out in outs)

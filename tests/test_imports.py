@@ -176,6 +176,13 @@ def test_chains_are_built_in_experiment_only():
     assert readers("bod_move_set") == ["experiment.py", "oracle.py"]
 
 
+def test_moves_are_decided_in_core_only():
+    """ChainOutput.accept is the one accept step: every proposal of every sweep reaches
+    mhg_accept through it, so no other package module reads the name."""
+    readers = sorted(p.name for p in PACKAGE if "mhg_accept" in referenced_names(p.read_text())[0])
+    assert readers == ["core.py"]
+
+
 # One fresh interpreter: the prior-only work and the quadrature oracle first,
 # then one factorisation.
 PRIOR_ONLY_THEN_FACTORISE = """\

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
+from scipy.stats import gamma, invgamma
 
 from transjump.birthdeath import SortedRestriction, is_sorted
-from transjump.core import BrokenKernelError, ConfigurationError, rng_stream
+from transjump.core import (
+    BrokenKernelError,
+    ChainOutput,
+    ConfigurationError,
+    mhg_accept,
+    rng_stream,
+)
 from transjump.oracle import _frequency_partition
 from transjump.sinusoid import (
     POSTERIOR_CACHE_SIZE,
@@ -560,7 +567,6 @@ class TestFrequencyUpdateMove:
         peak = grid[int(np.argmax(scan))]
 
         x = (peak + 0.3,)
-        from transjump.core import mhg_accept
         log_fx = model.log_density(x)
         samples = []
         for i in range(6000):
@@ -650,12 +656,16 @@ class TestSampleLambda:
         assert abs(math.exp(-5.0) * tail - 1.0) < 1e-6
 
     def test_always_accepts_when_truncation_negligible(self):
+        """At K = 200 the truncation term is below 1e-300, so log r is 0 up to the
+        rounding of (lam' - lam) + lam - lam'; every proposal is accepted."""
         rng = rng_stream(74)
         lam = 2.0
         log_z = log_truncated_poisson_normalizer(lam, 200)
+        out = ChainOutput()
         for _ in range(300):
-            lam, log_z, accepted = sample_lambda(lam, log_z, 3, 1.0, 1e-3, 200, rng)
-            assert accepted
+            lam, log_ratio, log_z = sample_lambda(lam, log_z, 3, 1.0, 1e-3, 200, rng)
+            assert log_ratio >= -1e-14
+            assert out.accept("lambda", log_ratio, rng)
             assert log_z == log_truncated_poisson_normalizer(lam, 200)
 
     def test_conditional_mean_matches_conjugate_form(self):
@@ -665,10 +675,41 @@ class TestSampleLambda:
         log_z = log_truncated_poisson_normalizer(lam, 32)
         draws = []
         for _ in range(20_000):
-            lam, log_z, _ = sample_lambda(lam, log_z, 3, 1.0, 1e-3, 32, rng)
+            proposed, log_ratio, log_z_prop = sample_lambda(lam, log_z, 3, 1.0, 1e-3, 32, rng)
+            if mhg_accept(log_ratio, rng):
+                lam, log_z = proposed, log_z_prop
             draws.append(lam)
         expect = (1.0 + 3.0) / (1e-3 + 1.0)
         assert np.mean(draws[2000:]) == pytest.approx(expect, abs=0.1)
+
+    def test_log_ratio_matches_independent_identity(self):
+        """log r = log pi(lam') - log pi(lam) + log q(lam) - log q(lam'), computed apart
+        from the package: pi = Gamma(a, b) * lam^k / (k! Z_K(lam)) with Z_K by
+        logsumexp, q = Gamma(a + k, b + 1), on both sides of lam = K + 1."""
+        rng = rng_stream(84)
+
+        def log_pi(lam, a, b, k, k_max):
+            j = np.arange(k_max + 1)
+            log_z = scipy_logsumexp(j * math.log(lam) - [math.lgamma(v + 1) for v in j])
+            return (gamma.logpdf(lam, a, scale=1.0 / b) + k * math.log(lam)
+                    - math.lgamma(k + 1) - log_z)
+
+        sides = set()
+        for _ in range(2000):
+            k_max = int(rng.integers(1, 4))
+            k = int(rng.integers(0, k_max + 1))
+            a, b = math.exp(rng.uniform(-1.0, 2.5)), math.exp(rng.uniform(-5.0, 1.0))
+            lam = math.exp(rng.uniform(-3.0, 3.0))
+            proposed, log_ratio, log_z = sample_lambda(
+                lam, log_truncated_poisson_normalizer(lam, k_max), k, a, b, k_max, rng)
+            assert log_z == log_truncated_poisson_normalizer(proposed, k_max)
+            q = gamma(a + k, scale=1.0 / (b + 1.0))
+            expect = (log_pi(proposed, a, b, k, k_max) - log_pi(lam, a, b, k, k_max)
+                      + q.logpdf(lam) - q.logpdf(proposed))
+            assert abs(log_ratio - expect) <= 1e-10 * max(1.0, abs(log_ratio)), (
+                lam, proposed, a, b, k, k_max, log_ratio, expect)
+            sides.add((lam < k_max + 1, proposed < k_max + 1))
+        assert sides == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestSampleDelta2:
@@ -680,7 +721,9 @@ class TestSampleDelta2:
         d2 = 100.0
         draws = []
         for _ in range(40_000):
-            d2, _ = sample_delta2(d2, (), posterior, 2.0, 100.0, rng)
+            proposed, log_ratio = sample_delta2(d2, (), posterior, 2.0, 100.0, rng)
+            if mhg_accept(log_ratio, rng):
+                d2 = proposed
             draws.append(d2)
         draws = np.array(draws[4000:])
         assert np.mean(1.0 / draws) == pytest.approx(2.0 / 100.0, rel=0.05)
@@ -708,7 +751,9 @@ class TestSampleDelta2:
         d2 = 50.0
         draws = []
         for _ in range(60_000):
-            d2, _ = sample_delta2(d2, x, posterior, shape, scale, rng)
+            proposed, log_ratio = sample_delta2(d2, x, posterior, shape, scale, rng)
+            if mhg_accept(log_ratio, rng):
+                d2 = proposed
             draws.append(d2)
         chain_mean = float(np.mean(draws[6000:]))
         assert chain_mean == pytest.approx(oracle_mean, rel=0.1)
@@ -717,15 +762,43 @@ class TestSampleDelta2:
                                                       (5e-324, 5e-324, -1.0)])
     def test_proposal_outside_positive_reals_rejected_surely(self, current, scale, sign):
         """A log-scale step whose exp overflows, or underflows to 0, has zero
-        density: it is rejected, and no uniform is drawn after the step."""
+        density: its log ratio is -inf, the one accept step rejects it, and no uniform
+        is drawn after the step."""
         posterior = SinusoidPosterior(rng_stream(78).standard_normal(16), 1.0, 100.0)
         seed = next(s for s in range(100) if sign * rng_stream(79, s).standard_normal() > 2.0)
         rng = rng_stream(79, seed)
-        assert sample_delta2(current, (), posterior, 2.0, scale, rng) == (
-            current, False)
+        proposed, log_ratio = sample_delta2(current, (), posterior, 2.0, scale, rng)
+        assert not 0.0 < proposed < math.inf
+        assert log_ratio == NEG_INF
+        assert ChainOutput().accept("delta2", log_ratio, rng) is False
         reference = rng_stream(79, seed)
         reference.standard_normal()
         assert rng.random() == reference.random()
+
+    def test_log_ratio_matches_independent_identity(self):
+        """log r is the difference, between delta2' and delta2, of the IG(shape, scale)
+        log pdf + sinusoid_log_target + log delta2, the log-scale Jacobian."""
+        rng = rng_stream(85)
+
+        def log_cond(y, x, d2, shape, scale):
+            return (invgamma.logpdf(d2, shape, scale=scale)
+                    + sinusoid_log_target(y, x, 1.0, d2, 3) + math.log(d2))
+
+        for _ in range(500):
+            n = int(rng.choice((16, 32, 64)))
+            k = int(rng.integers(0, 4))
+            x = tuple(0.3 + 0.8 * j + rng.uniform(0.0, 0.4) for j in range(k))
+            y = synthesize(x, (20.0,) * k, rng.uniform(-5.0, 15.0), n, rng) if k else (
+                rng.standard_normal(n))
+            shape, scale = math.exp(rng.uniform(-1.0, 2.0)), math.exp(rng.uniform(-2.0, 6.0))
+            d2 = math.exp(rng.uniform(-4.0, 8.0))
+            proposed, log_ratio = sample_delta2(d2, x, SinusoidPosterior(y, 1.0, d2, 3),
+                                                shape, scale, rng)
+            expect = (log_cond(y, x, proposed, shape, scale)
+                      - log_cond(y, x, d2, shape, scale))
+            assert math.isfinite(expect)
+            assert abs(log_ratio - expect) <= 1e-10 * max(1.0, abs(log_ratio)), (
+                d2, proposed, shape, scale, x, log_ratio, expect)
 
 
 class TestSynthesize:
