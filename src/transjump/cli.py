@@ -11,7 +11,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,13 +154,11 @@ def parse_config(path: str | os.PathLike | None = None,
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key}: {exc}")
 
-    if "model.lambda" in given and "model.lambda_prior" in given:
-        raise ConfigurationError("give either model.lambda or model.lambda_prior, not both")
-    if "model.delta2" in given and "model.delta2_prior" in given:
-        raise ConfigurationError("give either model.delta2 or model.delta2_prior, not both")
-    if "model.lambda" in given:
+    # A fixed value given on its own replaces the default prior; given with a
+    # prior, both stay, and check_sweep_settings rejects the pair.
+    if "model.lambda" in given and "model.lambda_prior" not in given:
         cfg.lambda_prior = None
-    if "model.delta2" in given:
+    if "model.delta2" in given and "model.delta2_prior" not in given:
         cfg.delta2_prior = None
 
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -174,20 +172,20 @@ def parse_config(path: str | os.PathLike | None = None,
     return cfg
 
 
-def _sweep_settings(cfg: RunConfig) -> dict:
-    """The settings that check_sweep_settings takes and run_joint_chain runs, read from cfg."""
-    return dict(n_iter=cfg.n_iter, burn_in=cfg.burn_in, k_max=cfg.k_max, c=cfg.c,
-                ratio_mode=cfg.ratio_mode, representation=cfg.representation, lam=cfg.lam,
-                lambda_prior=cfg.lambda_prior, delta2=cfg.delta2, delta2_prior=cfg.delta2_prior)
-
-
 def _validate_config(cfg: RunConfig) -> dict:
-    """Raise ConfigurationError on an unusable cfg; return its checked sweep settings."""
+    """Raise ConfigurationError on an unusable cfg; return the settings that
+    check_sweep_settings checked and run_joint_chain runs."""
     if not (isinstance(cfg.seed, numbers.Integral) and cfg.seed >= 0):
         raise ConfigurationError(
             f"seed={cfg.seed!r} (sampler.seed or {SEED_ENV_VAR}) must be nonnegative "
             "and an integer")
-    settings = _sweep_settings(cfg)
+    for key, path in (("io.out (or --out)", cfg.out_dir), ("io.signal", cfg.signal_path)):
+        if path == "":
+            raise ConfigurationError(f"{key} is an empty path")
+    settings = dict(n_iter=cfg.n_iter, burn_in=cfg.burn_in, k_max=cfg.k_max, c=cfg.c,
+                    ratio_mode=cfg.ratio_mode, representation=cfg.representation,
+                    lam=cfg.lam, lambda_prior=cfg.lambda_prior, delta2=cfg.delta2,
+                    delta2_prior=cfg.delta2_prior)
     check_sweep_settings(**settings)
     check_truth_settings(cfg.omega_true, cfg.amp2_true, cfg.n_obs)
     if not (isinstance(cfg.replications, numbers.Integral) and cfg.replications >= 1):
@@ -234,10 +232,9 @@ def _write_lines(path: Path, header: str, rows) -> None:
             fh.write(row + "\n")
 
 
-def _write_summary(path: Path, counts: np.ndarray) -> None:
-    total = counts.sum()
-    rows = [f"{k},{int(c)},{_fmt(c / total if total else 0.0)}"
-            for k, c in enumerate(counts)]
+def _write_summary(path: Path, result) -> None:
+    rows = [f"{k},{int(c)},{_fmt(f)}"
+            for k, (c, f) in enumerate(zip(result.k_counts(), result.k_frequencies()))]
     _write_lines(path, "k,count,frequency", rows)
 
 
@@ -254,7 +251,7 @@ def _component_rows(result, k_max: int):
             yield f"{i}," + ",".join(map(repr, comps[start:end])) + "," * (k_max - k)
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
+def run_experiment(cfg: RunConfig) -> dict:
     """Single chain run; writes trace.csv, components.csv and summary.csv into a
     directory made after the config is checked and the signal is read, so a
     rejected config or signal leaves none."""
@@ -265,7 +262,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         y = None
     else:
         raise ConfigurationError("missing required key io.signal (signal input path)")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     result = run_joint_chain(y, flat_likelihood=cfg.flat_likelihood, rng=rng_stream(cfg.seed),
@@ -283,7 +280,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     _write_lines(comp_path, comp_header, _component_rows(result, cfg.k_max))
 
     summary_path = out / "summary.csv"
-    _write_summary(summary_path, result.k_counts())
+    _write_summary(summary_path, result)
     return {
         "result": result,
         "trace": trace_path,
@@ -292,7 +289,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     }
 
 
-def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
+def replicate(cfg: RunConfig) -> dict:
     """Replication sweep: fresh signal per replication, corrected and legacy chains.
 
     Both modes run on the identical signal; per-replication summaries and the
@@ -301,7 +298,7 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
     before the output directory is made, so a rejected config leaves none.
     """
     settings = _validate_config(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ks = np.arange(cfg.k_max + 1)
     freqs: dict[str, list[np.ndarray]] = {"corrected": [], "legacy": []}
@@ -312,7 +309,7 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
             settings["ratio_mode"] = mode
             result = run_joint_chain(y, flat_likelihood=cfg.flat_likelihood,
                                      rng=rng_stream(cfg.seed, rep, 1 + stream), **settings)
-            _write_summary(out / f"summary_rep{rep:03d}_{mode}.csv", result.k_counts())
+            _write_summary(out / f"summary_rep{rep:03d}_{mode}.csv", result)
             freqs[mode].append(result.k_frequencies())
 
     agg = {mode: np.mean(freqs[mode], axis=0) for mode in freqs}
@@ -337,7 +334,10 @@ def replicate(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> dict:
 def priors_plot(lam: float, k_max: int, out_dir: str | os.PathLike) -> dict:
     """Emit the plain and accelerated order laws side by side (CSV + SVG).
 
-    The pmfs check lam and k_max before out_dir is made, so a rejected call makes none."""
+    out_dir must not be empty, and the pmfs check lam and k_max, before
+    out_dir is made, so a rejected call makes none."""
+    if out_dir == "":
+        raise ConfigurationError("out_dir (--out) is an empty path")
     poisson = truncated_poisson_pmf(lam, k_max)
     accelerated = accelerated_poisson_pmf(lam, k_max)
     out = Path(out_dir)
@@ -393,15 +393,17 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "replicate"):
             cfg = parse_config(path=args.config)
-            paths = run_experiment(cfg, out_dir=args.out)
+            if args.out is not None:
+                cfg = replace(cfg, out_dir=args.out)
+        if args.command == "run":
+            paths = run_experiment(cfg)
             for name in ("trace", "components", "summary"):
                 print(f"wrote {paths[name]}")
             return 0
         if args.command == "replicate":
-            cfg = parse_config(path=args.config)
-            res = replicate(cfg, out_dir=args.out)
+            res = replicate(cfg)
             print(f"wrote {res['aggregate_csv']}")
             print(f"wrote {res['aggregate_svg']}")
             return 0

@@ -228,7 +228,7 @@ def sinusoid_log_targets(y, omegas, s, lam: float, delta2: float, k_max: int) ->
     return vals
 
 
-# Component tuples memoised per SinusoidPosterior, oldest evicted first.
+# Component tuples memoised per SinusoidPosterior, least recently used evicted first.
 POSTERIOR_CACHE_SIZE = 64
 
 
@@ -256,10 +256,11 @@ class SinusoidPosterior:
     Holds the observations y and |y|^2, the truncation k_max, and the current
     component-count mean lam and g-prior scale delta2, which a chain may
     assign between sweeps.  The projection norm s(omega), which depends on
-    neither hyperparameter, is memoised per component tuple for the
-    posterior's lifetime; it stores exactly what a fresh evaluation returns,
-    so memoisation never changes a value.  log_density itself is not
-    memoised: a chain carries log f(x) from kernel to kernel instead.
+    neither hyperparameter, is memoised per component tuple by
+    ``projection_norm``, which keeps the POSTERIOR_CACHE_SIZE most recently
+    used tuples.  The memo stores exactly what a fresh evaluation returns, so
+    memoisation never changes a value.  log_density itself is not memoised:
+    a chain carries log f(x) from kernel to kernel instead.
     """
 
     def __init__(self, y, lam: float, delta2: float, k_max: int = 32):
@@ -269,19 +270,11 @@ class SinusoidPosterior:
         self.lam = float(lam)
         self.delta2 = float(delta2)
         self.k_max = int(k_max)
-        self._norms: dict[tuple, float] = {}
-
-    def projection_norm(self, omega: tuple) -> float:
-        """s(omega) = _projection_norm2(y, omega), memoised: 0 at k = 0, inf on a
-        singular design, each kept as any other value."""
-        norms = self._norms
-        s = norms.get(omega)
-        if s is None:
-            s = _projection_norm2(self.y, omega)
-            if len(norms) >= POSTERIOR_CACHE_SIZE:
-                norms.pop(next(iter(norms)))
-            norms[omega] = s
-        return s
+        # s(omega) = _projection_norm2(y, omega), memoised: 0 at k = 0, inf on a
+        # singular design, each kept as any other value.  The partial holds y,
+        # not self, so the memo makes no reference cycle.
+        self.projection_norm = functools.lru_cache(POSTERIOR_CACHE_SIZE)(
+            functools.partial(_projection_norm2, self.y))
 
     def log_density(self, x: VarDimState) -> float:
         # s is factorised only where quad_form reads it: inside the support

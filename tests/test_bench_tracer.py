@@ -4,12 +4,17 @@
 its result in the ``_on_chain`` hook; a change to ``ChainOutput`` that drops
 what the hook reads fails here rather than in a traced benchmark run.  The
 installed tracer must also see each driver once per call: a joint chain that
-ran through the public ``run_chain`` would count its moves twice.
+ran through the public ``run_chain`` would count its moves twice.  One unit of
+each benchmark workload, run under the tracer, must reach every span the
+workload expects, so a refactor that stops calling a wrapped function fails
+here rather than only in a traced benchmark run.
 """
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from transjump import core, experiment
 from transjump.birthdeath import BirthDeathSchedule, bod_move_set
@@ -17,12 +22,23 @@ from transjump.core import VarDimState, rng_stream, run_chain
 from transjump.experiment import run_joint_chain
 from transjump.sinusoid import PriorOnlyTarget, synthesize
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_bench_module(name: str):
+    """bench/<name>.py as the module bench_<name>, registered in sys.modules
+    before it runs, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -74,3 +90,26 @@ def test_installed_tracer_sees_each_driver_once():
     tracer.check_tallies()
     # Every decision goes through the one accept step, which tallies it.
     assert fired["core.mhg_accept"] == sum(sum(out.proposals.values()) for out in outs)
+
+
+# bench/workloads.py check_run_outputs counts components.csv lines through a
+# file object it never closes; the benchmark does not turn warnings into errors.
+@pytest.mark.filterwarnings("ignore:unclosed file:ResourceWarning")
+@pytest.mark.parametrize("name", ["joint-ref", "replicate-ref", "prior-only", "oracle-small"])
+def test_traced_workload_unit_reaches_every_expected_span(tmp_path, name):
+    workloads = load_bench_module("workloads")
+    metrics = load_bench_module("metrics")
+    assert set(workloads.WORKLOADS) == set(metrics.EXPECTED_SPANS)
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    workload.setup()
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        unit = workload.unit(0)
+    finally:
+        tracer.uninstall()
+
+    fired = tracer.fired()
+    assert sorted(n for n in metrics.EXPECTED_SPANS[name] if not fired[n]) == []
+    tracer.check_tallies()
+    assert unit.failed == 0

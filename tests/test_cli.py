@@ -59,8 +59,12 @@ class TestParseConfig:
             parse_config(text="sampler.seed = 1\nsampler.seed = 2")
 
     def test_contradictory_lambda_settings_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            parse_config(text="model.lambda = 5\nmodel.lambda_prior = 1,0.001")
+        """A fixed value and its prior together fail in check_sweep_settings; so
+        does the same pair for delta2."""
+        for text, name in (("model.lambda = 5\nmodel.lambda_prior = 1,0.001", "lambda"),
+                           ("model.delta2 = 100\nmodel.delta2_prior = 2,100", "delta2")):
+            with pytest.raises(ConfigurationError, match=f"exactly one of {name} / {name}_prior"):
+                parse_config(text=text)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -239,8 +243,8 @@ class TestRunExperiment:
 
     def test_outputs_byte_stable(self, tmp_path):
         cfg = flat_config(tmp_path, n_iter=200, burn_in=50)
-        first = run_experiment(cfg, out_dir=tmp_path / "a")
-        second = run_experiment(cfg, out_dir=tmp_path / "b")
+        first = run_experiment(replace(cfg, out_dir=tmp_path / "a"))
+        second = run_experiment(replace(cfg, out_dir=tmp_path / "b"))
         for name in ("trace", "components", "summary"):
             assert first[name].read_bytes() == second[name].read_bytes()
 
@@ -284,8 +288,8 @@ class TestReplicate:
     def test_reproducible_aggregate(self, tmp_path):
         cfg = flat_config(tmp_path, n_iter=200, burn_in=20,
                           **{"experiment.replications": 2})
-        a = replicate(cfg, out_dir=tmp_path / "a")["aggregate_csv"].read_bytes()
-        b = replicate(cfg, out_dir=tmp_path / "b")["aggregate_csv"].read_bytes()
+        a = replicate(replace(cfg, out_dir=tmp_path / "a"))["aggregate_csv"].read_bytes()
+        b = replicate(replace(cfg, out_dir=tmp_path / "b"))["aggregate_csv"].read_bytes()
         assert a == b
 
     def test_empty_runs_aggregate_to_zero(self, tmp_path):
@@ -488,6 +492,32 @@ class TestMain:
         assert main(["run", "--config", str(config)]) == code
         assert capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, out", [
+        ("run", "io.out =\n", None),
+        ("run", "io.signal =\nio.out = out\n", None),
+        ("run", "io.out = out\n", ""),
+        ("replicate", "io.out =\n", None),
+        ("replicate", "io.out = out\n", ""),
+    ], ids=["run-io.out", "run-io.signal", "run-flag", "replicate-io.out", "replicate-flag"])
+    def test_empty_path_is_config_error(self, tmp_path, capsys, monkeypatch, command, config,
+                                        out):
+        """An empty io.out, io.signal or --out is rejected, not read as the
+        current directory, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(config + "sampler.n_iter = 30\nsampler.burn_in = 5\n"
+                                          "model.flat_likelihood = true\n"
+                                          "experiment.replications = 1\n")
+        args = [command, "--config", "run.cfg"] + ([] if out is None else ["--out", out])
+        assert main(args) == 2
+        assert "empty path" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_empty_priors_plot_out_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["priors-plot", "--lambda", "5", "--kmax", "4", "--out", ""]) == 2
+        assert "empty path" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_non_finite_signal_is_config_error(self, tmp_path, capsys):
         signal = tmp_path / "signal.txt"

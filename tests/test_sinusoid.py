@@ -452,7 +452,23 @@ class TestLogTarget:
         model = SinusoidPosterior(rng_stream(68).standard_normal(16), 2.0, 25.0, k_max=4)
         for w in np.linspace(0.1, 3.0, 3 * POSTERIOR_CACHE_SIZE):
             model.log_density((float(w),))
-        assert len(model._norms) == POSTERIOR_CACHE_SIZE
+        assert model.projection_norm.cache_info().currsize == POSTERIOR_CACHE_SIZE
+
+    def test_a_state_read_between_other_lookups_is_factorised_once(self, monkeypatch):
+        """The memo evicts the least recently used tuple, so a state re-read
+        between more than POSTERIOR_CACHE_SIZE other lookups stays in it."""
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        model = SinusoidPosterior(rng_stream(68).standard_normal(16), 2.0, 25.0, k_max=4)
+        held = (0.95, 2.05)
+        others = [(float(w),) for w in np.linspace(0.1, 3.0, 3 * POSTERIOR_CACHE_SIZE)]
+        first = model.log_density(held)
+        for omega in others:
+            model.log_density(omega)
+            assert model.log_density(held) == first
+        assert len(calls) == 1 + len(others)
+        assert model.projection_norm(held) == _projection_norm2(model.y, held)
 
     def test_states_outside_support_are_not_factorised(self, monkeypatch):
         calls = []
@@ -462,9 +478,13 @@ class TestLogTarget:
         outside = [(3.5,), (0.0, 1.0), (0.5, -0.2), (0.5, 1.0, 1.5)]
         for omega in outside:
             assert model.log_density(omega) == NEG_INF
-        assert calls == [] and model._norms == {}
+        info = model.projection_norm.cache_info()
+        assert calls == [] and (info.currsize, info.hits, info.misses) == (0, 0, 0)
         model.log_density((0.9,))
-        assert calls == [1] and list(model._norms) == [(0.9,)]
+        assert calls == [1] and model.projection_norm.cache_info().currsize == 1
+        model.log_density((0.9,))
+        info = model.projection_norm.cache_info()
+        assert calls == [1] and (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
 
 class TestPriorOnlyTarget:
