@@ -11,7 +11,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,31 +30,6 @@ from .svg import grouped_bar_svg
 from .validation import SUITES
 
 SEED_ENV_VAR = "TRANSJUMP_SEED"
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved settings for a run, replication sweep or validation."""
-
-    signal_path: str | None = None
-    out_dir: str = "out"
-    n_iter: int = 100_000
-    burn_in: int = 20_000
-    seed: int = 0
-    ratio_mode: str = "corrected"
-    representation: str = "unsorted"
-    k_max: int = 32
-    c: float = 0.25
-    lam: float | None = None
-    lambda_prior: tuple[float, float] | None = (1.0, 1e-3)
-    delta2: float | None = None
-    delta2_prior: tuple[float, float] | None = (2.0, 100.0)
-    flat_likelihood: bool = False
-    omega_true: tuple[float, ...] = (0.63, 0.68, 0.73)
-    amp2_true: tuple[float, ...] = (20.0, 6.32, 20.0)
-    snr_db: float = 7.0
-    n_obs: int = 64
-    replications: int = 100
 
 
 def _parse_bool(text: str) -> bool:
@@ -76,39 +51,45 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ConfigurationError(f"expected comma-separated floats, got {text!r}")
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    values = _parse_floats(text)
-    if len(values) != 2:
-        raise ConfigurationError(f"expected two comma-separated floats, got {text!r}")
-    return values
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-# key -> (attribute, parser)
-_CONFIG_KEYS = {
-    "io.signal": ("signal_path", str),
-    "io.out": ("out_dir", str),
-    "sampler.n_iter": ("n_iter", int),
-    "sampler.burn_in": ("burn_in", int),
-    "sampler.seed": ("seed", int),
-    "sampler.ratio_mode": ("ratio_mode", str),
-    "sampler.representation": ("representation", str),
-    "sampler.k_max": ("k_max", int),
-    "sampler.c": ("c", float),
-    "model.lambda": ("lam", float),
-    "model.lambda_prior": ("lambda_prior", _parse_pair),
-    "model.delta2": ("delta2", float),
-    "model.delta2_prior": ("delta2_prior", _parse_pair),
-    "model.flat_likelihood": ("flat_likelihood", _parse_bool),
-    "experiment.omega_true": ("omega_true", _parse_floats),
-    "experiment.amp2_true": ("amp2_true", _parse_floats),
-    "experiment.snr_db": ("snr_db", float),
-    "experiment.n_obs": ("n_obs", int),
-    "experiment.replications": ("replications", int),
-}
+def _setting(key: str, parser, default):
+    """A RunConfig field that config key ``key`` sets through ``parser``."""
+    return field(default=default, metadata={"key": key, "parser": parser})
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved settings for a run, replication sweep or validation."""
+
+    signal_path: str | None = _setting("io.signal", str, None)
+    out_dir: str = _setting("io.out", str, "out")
+    n_iter: int = _setting("sampler.n_iter", int, 100_000)
+    burn_in: int = _setting("sampler.burn_in", int, 20_000)
+    seed: int = _setting("sampler.seed", int, 0)
+    ratio_mode: str = _setting("sampler.ratio_mode", str, "corrected")
+    representation: str = _setting("sampler.representation", str, "unsorted")
+    k_max: int = _setting("sampler.k_max", int, 32)
+    c: float = _setting("sampler.c", float, 0.25)
+    lam: float | None = _setting("model.lambda", float, None)
+    lambda_prior: tuple[float, float] | None = _setting("model.lambda_prior", _parse_floats,
+                                                        (1.0, 1e-3))
+    delta2: float | None = _setting("model.delta2", float, None)
+    delta2_prior: tuple[float, float] | None = _setting("model.delta2_prior", _parse_floats,
+                                                        (2.0, 100.0))
+    flat_likelihood: bool = _setting("model.flat_likelihood", _parse_bool, False)
+    omega_true: tuple[float, ...] = _setting("experiment.omega_true", _parse_floats,
+                                             (0.63, 0.68, 0.73))
+    amp2_true: tuple[float, ...] = _setting("experiment.amp2_true", _parse_floats,
+                                            (20.0, 6.32, 20.0))
+    snr_db: float = _setting("experiment.snr_db", float, 7.0)
+    n_obs: int = _setting("experiment.n_obs", int, 64)
+    replications: int = _setting("experiment.replications", int, 100)
+
+
+_FIELD_BY_KEY = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def _read_text(path: str | os.PathLike) -> str:
@@ -140,15 +121,14 @@ def parse_config(path: str | os.PathLike | None = None,
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        entry = _CONFIG_KEYS.get(key)
-        if entry is None:
+        setting = _FIELD_BY_KEY.get(key)
+        if setting is None:
             raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
         if key in given:
             raise ConfigurationError(f"line {lineno}: duplicate config key {key!r}")
         given.add(key)
-        attr, parser = entry
         try:
-            setattr(cfg, attr, parser(value))
+            setattr(cfg, setting.name, setting.metadata["parser"](value))
         except ConfigurationError:
             raise
         except (TypeError, ValueError) as exc:
@@ -232,6 +212,20 @@ def _write_lines(path: Path, header: str, rows) -> None:
             fh.write(row + "\n")
 
 
+def _write_table(out: Path, stem: str, series: dict[str, np.ndarray], title: str,
+                 y_label: str, column_prefix: str = "") -> tuple[Path, Path]:
+    """Write <stem>.csv (k, then one column per series) and <stem>.svg (grouped bars)."""
+    ks = range(len(next(iter(series.values()))))
+    header = ",".join(["k"] + [column_prefix + name for name in series])
+    rows = (",".join([str(k)] + [_fmt(values[k]) for values in series.values()]) for k in ks)
+    csv_path = out / f"{stem}.csv"
+    _write_lines(csv_path, header, rows)
+    svg_path = out / f"{stem}.svg"
+    svg_path.write_text(grouped_bar_svg(series, [str(k) for k in ks], title=title,
+                                        y_label=y_label))
+    return csv_path, svg_path
+
+
 def _write_summary(path: Path, result) -> None:
     rows = [f"{k},{int(c)},{_fmt(f)}"
             for k, (c, f) in enumerate(zip(result.k_counts(), result.k_frequencies()))]
@@ -300,7 +294,6 @@ def replicate(cfg: RunConfig) -> dict:
     settings = _validate_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ks = np.arange(cfg.k_max + 1)
     freqs: dict[str, list[np.ndarray]] = {"corrected": [], "legacy": []}
     for rep in range(cfg.replications):
         y = synthesize(cfg.omega_true, cfg.amp2_true, cfg.snr_db, cfg.n_obs,
@@ -313,15 +306,9 @@ def replicate(cfg: RunConfig) -> dict:
             freqs[mode].append(result.k_frequencies())
 
     agg = {mode: np.mean(freqs[mode], axis=0) for mode in freqs}
-    agg_path = out / "aggregate.csv"
-    _write_lines(agg_path, "k,freq_corrected,freq_legacy", (
-        f"{k},{_fmt(agg['corrected'][k])},{_fmt(agg['legacy'][k])}" for k in ks))
-    svg_path = out / "aggregate.svg"
-    svg_path.write_text(grouped_bar_svg(
-        {"corrected": list(agg["corrected"]), "legacy": list(agg["legacy"])},
-        [str(k) for k in ks],
-        title="model-selection frequency by ratio mode",
-        y_label="frequency"))
+    agg_path, svg_path = _write_table(out, "aggregate", agg,
+                                      "model-selection frequency by ratio mode", "frequency",
+                                      column_prefix="freq_")
     return {
         "frequencies": freqs,
         "aggregate": agg,
@@ -342,15 +329,9 @@ def priors_plot(lam: float, k_max: int, out_dir: str | os.PathLike) -> dict:
     accelerated = accelerated_poisson_pmf(lam, k_max)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "priors.csv"
-    _write_lines(csv_path, "k,poisson,accelerated", (
-        f"{k},{_fmt(poisson[k])},{_fmt(accelerated[k])}" for k in range(k_max + 1)))
-    svg_path = out / "priors.svg"
-    svg_path.write_text(grouped_bar_svg(
-        {"poisson": list(poisson), "accelerated": list(accelerated)},
-        [str(k) for k in range(k_max + 1)],
-        title=f"order laws, mean {lam:g}",
-        y_label="pmf"))
+    csv_path, svg_path = _write_table(out, "priors",
+                                      {"poisson": poisson, "accelerated": accelerated},
+                                      f"order laws, mean {lam:g}", "pmf")
     return {"poisson": poisson, "accelerated": accelerated,
             "csv": csv_path, "svg": svg_path}
 
@@ -375,13 +356,11 @@ def main(argv: list[str] | None = None) -> int:
                     "birth-or-death acceptance ratios.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="single chain run from a config file")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", help="override the configured output directory")
-
-    p_rep = sub.add_parser("replicate", help="replication sweep, corrected vs legacy")
-    p_rep.add_argument("--config", required=True)
-    p_rep.add_argument("--out", help="override the configured output directory")
+    for name, text in (("run", "single chain run from a config file"),
+                       ("replicate", "replication sweep, corrected vs legacy")):
+        p_cfg = sub.add_parser(name, help=text)
+        p_cfg.add_argument("--config", required=True)
+        p_cfg.add_argument("--out", help="override the configured output directory")
 
     p_val = sub.add_parser("validate", help="run a named verification suite")
     p_val.add_argument("--suite", required=True)
@@ -393,27 +372,24 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command in ("run", "replicate"):
-            cfg = parse_config(path=args.config)
-            if args.out is not None:
-                cfg = replace(cfg, out_dir=args.out)
-        if args.command == "run":
-            paths = run_experiment(cfg)
-            for name in ("trace", "components", "summary"):
-                print(f"wrote {paths[name]}")
-            return 0
-        if args.command == "replicate":
-            res = replicate(cfg)
-            print(f"wrote {res['aggregate_csv']}")
-            print(f"wrote {res['aggregate_svg']}")
-            return 0
         if args.command == "validate":
             return validate_command(args.suite)
         if args.command == "priors-plot":
             res = priors_plot(args.lam, args.kmax, args.out)
-            print(f"wrote {res['csv']}")
-            print(f"wrote {res['svg']}")
-            return 0
+            written = [res["csv"], res["svg"]]
+        else:
+            cfg = parse_config(path=args.config)
+            if args.out is not None:
+                cfg = replace(cfg, out_dir=args.out)
+            if args.command == "run":
+                res = run_experiment(cfg)
+                written = [res["trace"], res["components"], res["summary"]]
+            else:
+                res = replicate(cfg)
+                written = [res["aggregate_csv"], res["aggregate_svg"]]
+        for path in written:
+            print(f"wrote {path}")
+        return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -423,7 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -43,9 +43,10 @@ def check_sweep_settings(*, n_iter: int, burn_in: int, k_max: int, c: float, rat
     """The start schedule (holding the starting lambda) and starting delta2 of
     run_joint_chain, or ConfigurationError.
 
-    It checks the counts, the exactly-one rules, the prior entries, a fixed delta2
-    and the start values: a sampled lambda starts at a/(b+1), a sampled delta2 at
-    scale/(shape-1) or, for shape <= 1, at scale.  Building the start schedule
+    It checks the counts, the exactly-one rules, that each prior is a pair of
+    finite positive entries, a fixed delta2 and the start values: a sampled
+    lambda starts at a/(b+1), a sampled delta2 at scale/(shape-1) or, for
+    shape <= 1, at scale.  Building the start schedule
     checks lambda, k_max, c, ratio mode and representation; a sweep needs k_max >= 1
     on top.  parse_config calls it too, so both reject a setting before any draw.
     """
@@ -57,8 +58,8 @@ def check_sweep_settings(*, n_iter: int, burn_in: int, k_max: int, c: float, rat
     if delta2 is not None and not 0.0 <= delta2 < math.inf:
         raise ConfigurationError(f"delta2={delta2} must be finite and nonnegative")
     for name, prior in (("lambda_prior", lambda_prior), ("delta2_prior", delta2_prior)):
-        if prior is not None and not all(0.0 < v < math.inf for v in prior):
-            raise ConfigurationError(f"{name} entries must be finite and positive")
+        if prior is not None and (len(prior) != 2 or not all(0.0 < v < math.inf for v in prior)):
+            raise ConfigurationError(f"{name}={prior!r} must be a pair of finite positive entries")
     if lam is None:
         lam = lambda_prior[0] / (lambda_prior[1] + 1.0)
     if delta2 is None:

@@ -41,7 +41,8 @@ class DiscreteToySpec:
     weight zero, mirroring the null diagonal of an atomless component space.
     Construction checks the weights and builds the schedule once, so lam,
     k_max, c, the points and q and the representation are checked by their
-    owners before any state is listed.
+    owners before any state is listed.  ``q`` must then sum to 1 within the
+    1e-12 row tolerance of ``build_transition_matrix``, which reads it raw.
     """
 
     points: tuple[float, ...]
@@ -58,6 +59,8 @@ class DiscreteToySpec:
         if not any(w > 0 for w in self.weights.values()):
             raise ConfigurationError("target weights must not all vanish")
         self.schedule()
+        if not abs(sum(self.q) - 1.0) <= 1e-12:
+            raise ConfigurationError(f"q sums to {sum(self.q)!r}; it must be a pmf (1 +/- 1e-12)")
 
     def schedule(self, ratio_mode: str = "corrected") -> BirthDeathSchedule:
         return BirthDeathSchedule.green(

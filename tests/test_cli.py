@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +122,8 @@ class TestParseConfig:
         "sampler.seed = -1",
         "model.lambda_prior = 1,,0.001",
         "experiment.amp2_true = 20,,6.32,20",
+        "model.lambda_prior = 1,0.001,7",
+        "model.delta2_prior =",
     ])
     def test_unusable_model_or_truth_rejected(self, text):
         with pytest.raises(ConfigurationError):
@@ -140,6 +142,45 @@ class TestParseConfig:
         assert cfg == replace(RunConfig(), out_dir="results", n_iter=4000, burn_in=50,
                               seed=99, ratio_mode="legacy", delta2=42.5,
                               delta2_prior=None, replications=7)
+
+        # Each key alone, with a valid non-default value, sets its own field, with
+        # the field's type, and nothing else; a fixed value also clears its default prior.
+        alone = {
+            "io.signal = sig.txt": {"signal_path": "sig.txt"},
+            "io.out = results": {"out_dir": "results"},
+            "sampler.n_iter = 50000": {"n_iter": 50_000},
+            "sampler.burn_in = 50": {"burn_in": 50},
+            "sampler.seed = 99": {"seed": 99},
+            "sampler.ratio_mode = legacy": {"ratio_mode": "legacy"},
+            "sampler.representation = sorted": {"representation": "sorted"},
+            "sampler.k_max = 16": {"k_max": 16},
+            "sampler.c = 0.3": {"c": 0.3},
+            "model.lambda = 5": {"lam": 5.0, "lambda_prior": None},
+            "model.lambda_prior = 2,0.5": {"lambda_prior": (2.0, 0.5)},
+            "model.delta2 = 42.5": {"delta2": 42.5, "delta2_prior": None},
+            "model.delta2_prior = 3,50": {"delta2_prior": (3.0, 50.0)},
+            "model.flat_likelihood = true": {"flat_likelihood": True},
+            "experiment.omega_true = 0.5,0.6,0.7": {"omega_true": (0.5, 0.6, 0.7)},
+            "experiment.amp2_true = 10,5,10": {"amp2_true": (10.0, 5.0, 10.0)},
+            "experiment.snr_db = 3.5": {"snr_db": 3.5},
+            "experiment.n_obs = 32": {"n_obs": 32},
+            "experiment.replications = 7": {"replications": 7},
+        }
+        assert {line.partition(" =")[0] for line in alone} == {
+            f.metadata["key"] for f in fields(RunConfig)}
+        for line, changes in alone.items():
+            cfg = parse_config(text=line)
+            assert cfg == replace(RunConfig(), **changes), line
+            assert {name: type(getattr(cfg, name)) for name in changes} == {
+                name: type(value) for name, value in changes.items()}, line
+
+    def test_readme_lists_every_config_key(self):
+        """The README's config block lists exactly the keys declared on RunConfig."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1]
+        block = block.split("```", 1)[0]
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+        assert keys == {f.metadata["key"] for f in fields(RunConfig)}
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("TRANSJUMP_SEED", "777")

@@ -71,6 +71,11 @@ class TestValidation:
         {"n_iter": 10.5},
         {"n_iter": 10.0},
         {"burn_in": 1.5},
+        # a prior that is not a pair: a third entry was ignored, a missing one unpacked badly
+        {"lambda_prior": (1.0, 1e-3, 7.0)},
+        {"lambda_prior": (1.0, 1e-3, 7.0), "flat_likelihood": True, "y": None},
+        {"delta2_prior": (2.0,)},
+        {"delta2_prior": (2.0, 100.0, 5.0)},
     ])
     def test_settings_the_cli_rejects_are_config_errors(self, change):
         """The library rejects these settings itself, before any sweep or draw."""

@@ -2,6 +2,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,3 +377,14 @@ class TestToySpecValidation:
         with pytest.raises(ConfigurationError):
             DiscreteToySpec(points=(1.0, 2.0), k_max=1, weights={(): 1.0},
                             q=(1.0,))
+
+    def test_q_must_be_a_pmf(self):
+        """build_transition_matrix reads q raw, so a q three times a pmf would fail its
+        row check as a broken kernel; the spec rejects it, naming q.  A q off 1 by
+        less than the row tolerance passes."""
+        spec = toy()
+        with pytest.raises(ConfigurationError, match="q sums to"):
+            replace(spec, q=tuple(3.0 * v for v in spec.q))
+        near = (spec.q[0] + 5e-13,) + spec.q[1:]
+        n = len(enumerate_states(spec))
+        assert build_transition_matrix(replace(spec, q=near)).shape == (n, n)
