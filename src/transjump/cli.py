@@ -250,16 +250,13 @@ def run_experiment(cfg: RunConfig) -> dict:
     directory made after the config is checked and the signal is read, so a
     rejected config or signal leaves none."""
     settings = _validate_config(cfg)
-    if cfg.signal_path is not None:
-        y = read_signal(cfg.signal_path)
-    elif cfg.flat_likelihood:
-        y = None
-    else:
+    y = None if cfg.signal_path is None else read_signal(cfg.signal_path)
+    if y is None and not cfg.flat_likelihood:
         raise ConfigurationError("missing required key io.signal (signal input path)")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = run_joint_chain(y, flat_likelihood=cfg.flat_likelihood, rng=rng_stream(cfg.seed),
+    result = run_joint_chain(None if cfg.flat_likelihood else y, rng=rng_stream(cfg.seed),
                              **settings)
 
     trace_path = out / "trace.csv"
@@ -300,7 +297,7 @@ def replicate(cfg: RunConfig) -> dict:
                        rng_stream(cfg.seed, rep, 0))
         for stream, mode in enumerate(("corrected", "legacy")):
             settings["ratio_mode"] = mode
-            result = run_joint_chain(y, flat_likelihood=cfg.flat_likelihood,
+            result = run_joint_chain(None if cfg.flat_likelihood else y,
                                      rng=rng_stream(cfg.seed, rep, 1 + stream), **settings)
             _write_summary(out / f"summary_rep{rep:03d}_{mode}.csv", result)
             freqs[mode].append(result.k_frequencies())

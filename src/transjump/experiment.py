@@ -15,6 +15,8 @@ moves and only when lambda or delta2 is sampled, and otherwise only at proposals
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sized
 
 from .birthdeath import BirthDeathSchedule, SortedRestriction, bod_move_set
 from .core import (
@@ -44,7 +46,7 @@ def check_sweep_settings(*, n_iter: int, burn_in: int, k_max: int, c: float, rat
     run_joint_chain, or ConfigurationError.
 
     It checks the counts, the exactly-one rules, that each prior is a pair of
-    finite positive entries, a fixed delta2 and the start values: a sampled
+    finite positive real numbers, a fixed delta2 and the start values: a sampled
     lambda starts at a/(b+1), a sampled delta2 at scale/(shape-1) or, for
     shape <= 1, at scale.  Building the start schedule
     checks lambda, k_max, c, ratio mode and representation; a sweep needs k_max >= 1
@@ -58,7 +60,8 @@ def check_sweep_settings(*, n_iter: int, burn_in: int, k_max: int, c: float, rat
     if delta2 is not None and not 0.0 <= delta2 < math.inf:
         raise ConfigurationError(f"delta2={delta2} must be finite and nonnegative")
     for name, prior in (("lambda_prior", lambda_prior), ("delta2_prior", delta2_prior)):
-        if prior is not None and (len(prior) != 2 or not all(0.0 < v < math.inf for v in prior)):
+        if prior is not None and not (isinstance(prior, Sized) and len(prior) == 2 and all(
+                isinstance(v, numbers.Real) and 0.0 < v < math.inf for v in prior)):
             raise ConfigurationError(f"{name}={prior!r} must be a pair of finite positive entries")
     if lam is None:
         lam = lambda_prior[0] / (lambda_prior[1] + 1.0)
@@ -90,21 +93,19 @@ def run_joint_chain(
     lambda_prior: tuple[float, float] | None = None,
     delta2: float | None = None,
     delta2_prior: tuple[float, float] | None = None,
-    flat_likelihood: bool = False,
     rng: Rng,
 ) -> ChainOutput:
     """Run the sweep chain from the empty state; fully reproducible given the generator.
 
     Exactly one of ``lam`` / ``lambda_prior`` must be given (likewise for
-    delta2).  With ``flat_likelihood`` the data never enter the density: the
-    target is the (k, omega) prior alone, the frequency-update and g-prior
-    moves are skipped, and ``y`` may be omitted.
+    delta2).  With ``y=None`` the chain runs on the (k, omega) prior alone: the
+    frequency-update and g-prior moves are skipped.
     """
     sched, delta2_val = check_sweep_settings(
         n_iter=n_iter, burn_in=burn_in, k_max=k_max, c=c, ratio_mode=ratio_mode,
         representation=representation, lam=lam, lambda_prior=lambda_prior,
         delta2=delta2, delta2_prior=delta2_prior)
-    posterior = None if flat_likelihood else SinusoidPosterior(y, sched.lam, delta2_val, k_max)
+    posterior = None if y is None else SinusoidPosterior(y, sched.lam, delta2_val, k_max)
     base = posterior if posterior is not None else PriorOnlyTarget(sched.lam, k_max)
     target = SortedRestriction(base) if representation == "sorted" else base
     bod_step = mixture_step(bod_move_set(target, sched), rng)

@@ -289,8 +289,8 @@ class SinusoidPosterior:
 class PriorOnlyTarget:
     """The (k, omega) prior alone: truncated-Poisson order, i.i.d. uniform components.
 
-    Used by the flat-likelihood switch; its exact k-marginal is the truncated Poisson
-    law, the reference for ratio diagnostics.  lam and k_max obey check_order_prior.
+    run_joint_chain targets it when y is None; its exact k-marginal is the truncated
+    Poisson law, the reference for ratio diagnostics.  lam and k_max obey check_order_prior.
     """
 
     lam: float
@@ -334,14 +334,10 @@ def frequency_update_move(x: VarDimState, log_fx: float, target: TargetDensity, 
     return proposed, lt_new - log_fx, lt_new
 
 
-@functools.lru_cache(maxsize=8)
 def _order_terms(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(j, log j!) for j = 0 .. k_max, shared read-only by every caller."""
+    """(j, log j!) for j = 0 .. k_max."""
     j = np.arange(k_max + 1)
-    log_fact = np.array([math.lgamma(v + 1) for v in j])
-    j.flags.writeable = False
-    log_fact.flags.writeable = False
-    return j, log_fact
+    return j, np.array([math.lgamma(v + 1) for v in j])
 
 
 def logsumexp(a: np.ndarray) -> float:

@@ -114,7 +114,7 @@ def ratio_cancellation() -> list[CheckResult]:
 def prior_only() -> list[CheckResult]:
     """Model-order law of prior-only chains: corrected vs legacy ratio mode.
 
-    The chains are flat-likelihood run_joint_chain runs (delta2 is then never
+    The chains are run_joint_chain runs with y=None (delta2 is then never
     read).  The corrected chain must reproduce the truncated Poisson prior; the
     legacy chain lands on the sparser law proportional to lam^k/(k!)^2 instead,
     far from the Poisson it was meant to target.
@@ -123,7 +123,7 @@ def prior_only() -> list[CheckResult]:
     freqs = {}
     for stream, mode in enumerate(("corrected", "legacy")):
         out = run_joint_chain(None, n_iter=20_000 + 200_000, burn_in=20_000, k_max=k_max,
-                              lam=lam, delta2=1.0, flat_likelihood=True, ratio_mode=mode,
+                              lam=lam, delta2=1.0, ratio_mode=mode,
                               rng=rng_stream(DEFAULT_SEED, 3, stream))
         freqs[mode] = out.k_frequencies()
     poisson = truncated_poisson_pmf(lam, k_max)
@@ -159,15 +159,14 @@ def quadrature() -> list[CheckResult]:
 def sorted_equivalence() -> list[CheckResult]:
     """Sorted and unsorted representations of one exchangeable target agree.
 
-    Runs flat-likelihood run_joint_chain chains under both kernels; the
+    Runs run_joint_chain chains with y=None under both kernels; the
     k-marginals must match because the two acceptance ratios coincide for
     exchangeable densities.
     """
     freqs = {}
     for stream, representation in enumerate(("unsorted", "sorted")):
         out = run_joint_chain(None, n_iter=10_000 + 100_000, burn_in=10_000, k_max=32,
-                              lam=3.0, delta2=1.0, flat_likelihood=True,
-                              representation=representation,
+                              lam=3.0, delta2=1.0, representation=representation,
                               rng=rng_stream(DEFAULT_SEED, 5, stream))
         freqs[representation] = out.k_frequencies()
     return [

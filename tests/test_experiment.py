@@ -22,31 +22,24 @@ class TestValidation:
     def test_exactly_one_lambda_setting(self):
         with pytest.raises(ConfigurationError):
             run_joint_chain(None, n_iter=10, burn_in=0, lam=5.0,
-                            lambda_prior=(1.0, 1e-3), delta2=100.0,
-                            flat_likelihood=True, rng=rng_stream(0))
+                            lambda_prior=(1.0, 1e-3), delta2=100.0, rng=rng_stream(0))
         with pytest.raises(ConfigurationError):
-            run_joint_chain(None, n_iter=10, burn_in=0, delta2=100.0,
-                            flat_likelihood=True, rng=rng_stream(0))
-
-    def test_observations_required_without_flat_switch(self):
-        with pytest.raises(ConfigurationError):
-            run_joint_chain(None, n_iter=10, burn_in=0, lam=5.0, delta2=100.0,
-                            rng=rng_stream(0))
+            run_joint_chain(None, n_iter=10, burn_in=0, delta2=100.0, rng=rng_stream(0))
 
     def test_burn_in_bounds(self):
         with pytest.raises(ConfigurationError):
             run_joint_chain(None, n_iter=10, burn_in=10, lam=5.0, delta2=100.0,
-                            flat_likelihood=True, rng=rng_stream(0))
+                            rng=rng_stream(0))
 
     @pytest.mark.parametrize("change", [
         {"y": [0.5, np.nan, -0.5]},
         {"y": [0.5, np.inf, -0.5]},
         {"y": [0.0, 0.0, 0.0]},
         {"lambda_prior": None, "lam": np.inf},
-        {"lambda_prior": None, "lam": np.inf, "flat_likelihood": True},
+        {"lambda_prior": None, "lam": np.inf, "y": None},
         {"delta2_prior": None, "delta2": np.inf},
         {"delta2_prior": None, "delta2": np.nan},
-        {"delta2_prior": None, "delta2": np.nan, "flat_likelihood": True, "y": None},
+        {"delta2_prior": None, "delta2": np.nan, "y": None},
         {"lambda_prior": (np.inf, 1e-3)},
         {"lambda_prior": (1.0, np.nan)},
         {"delta2_prior": (2.0, np.inf)},
@@ -56,26 +49,30 @@ class TestValidation:
         {"ratio_mode": "bogus", "n_iter": 0},
         {"representation": "diagonal", "n_iter": 0},
         {"k_max": 0, "n_iter": 0},
-        {"k_max": -1, "flat_likelihood": True, "y": None},
-        {"lambda_prior": None, "lam": 0.0, "flat_likelihood": True, "y": None, "n_iter": 0},
-        {"lambda_prior": None, "lam": np.nan, "flat_likelihood": True, "y": None, "n_iter": 0},
+        {"k_max": -1, "y": None},
+        {"lambda_prior": None, "lam": 0.0, "y": None, "n_iter": 0},
+        {"lambda_prior": None, "lam": np.nan, "y": None, "n_iter": 0},
         # starting values from the priors: lambda underflows to 0, delta2 to 0 or overflows
-        {"lambda_prior": (1e-300, 1e300), "flat_likelihood": True, "y": None},
+        {"lambda_prior": (1e-300, 1e300), "y": None},
         {"lambda_prior": (1e-300, 1e300)},
         {"delta2_prior": (1e10, 1e-320)},
         {"delta2_prior": (1.0000000000000002, 1e300)},
         # counts that are not integers, though they would pass the range checks
         {"k_max": 2.5},
-        {"k_max": 2.5, "flat_likelihood": True, "y": None},
+        {"k_max": 2.5, "y": None},
         {"k_max": 8.0},
         {"n_iter": 10.5},
         {"n_iter": 10.0},
         {"burn_in": 1.5},
         # a prior that is not a pair: a third entry was ignored, a missing one unpacked badly
         {"lambda_prior": (1.0, 1e-3, 7.0)},
-        {"lambda_prior": (1.0, 1e-3, 7.0), "flat_likelihood": True, "y": None},
+        {"lambda_prior": (1.0, 1e-3, 7.0), "y": None},
         {"delta2_prior": (2.0,)},
         {"delta2_prior": (2.0, 100.0, 5.0)},
+        # a prior that is not a sequence of numbers escaped as a TypeError
+        {"lambda_prior": 1.0, "delta2_prior": None, "delta2": 100.0, "y": None},
+        {"delta2_prior": 100.0, "y": None},
+        {"delta2_prior": "12"},
     ])
     def test_settings_the_cli_rejects_are_config_errors(self, change):
         """The library rejects these settings itself, before any sweep or draw."""
@@ -88,6 +85,13 @@ class TestValidation:
             run_joint_chain(kwargs.pop("y"), **kwargs)
         assert rng.random() == rng_stream(0).random()
 
+    def test_a_list_prior_runs_as_its_tuple(self):
+        runs = [run_joint_chain([0.5, 1.0, -0.5], n_iter=50, burn_in=0,
+                                lambda_prior=pair([1.0, 1e-3]),
+                                delta2_prior=pair([2.0, 100.0]), rng=rng_stream(0))
+                for pair in (tuple, list)]
+        assert runs[0].records == runs[1].records
+
     @pytest.mark.parametrize("name, prior", [("lambda_prior", (1e-300, 1e300)),
                                              ("delta2_prior", (1.0000000000000002, 1e300))])
     def test_unusable_start_value_names_its_prior(self, name, prior):
@@ -98,26 +102,32 @@ class TestValidation:
 
 
 class TestFlatRuns:
+    def test_no_observations_is_the_prior_only_chain(self):
+        """With y=None a delta2 prior is never sampled and no frequency update is
+        proposed; lambda is still sampled every sweep."""
+        res = run_joint_chain(None, n_iter=300, burn_in=0, k_max=8, lambda_prior=(1.0, 1e-3),
+                              delta2_prior=(2.0, 100.0), rng=rng_stream(1))
+        assert "delta2" not in res.proposals and "update" not in res.proposals
+        assert res.proposals["lambda"] == 300 and res.proposals["birth"] > 0
+        assert set(res.delta2) == {100.0}
+
     def test_runs_without_observations(self):
         res = run_joint_chain(None, n_iter=200, burn_in=50, k_max=8, lam=3.0,
-                              delta2=100.0, flat_likelihood=True,
-                              rng=rng_stream(1))
+                              delta2=100.0, rng=rng_stream(1))
         assert len(res.records) == 200
         assert all(r.lam == 3.0 and r.delta2 == 100.0 for r in res.records)
         assert res.config == {"n_iter": 200, "burn_in": 50, "k_max": 8}
 
     def test_reproducible_given_seed(self):
         runs = [run_joint_chain(None, n_iter=500, burn_in=100, k_max=8, lam=3.0,
-                                delta2=100.0, flat_likelihood=True,
-                                rng=rng_stream(2)) for _ in range(2)]
+                                delta2=100.0, rng=rng_stream(2)) for _ in range(2)]
         assert runs[0].records == runs[1].records
         assert runs[0].proposals == runs[1].proposals
 
     def test_recovers_truncated_poisson(self):
         """Flat-likelihood corrected chain reproduces the order prior."""
         res = run_joint_chain(None, n_iter=60_000, burn_in=5_000, k_max=16,
-                              lam=3.0, delta2=100.0, flat_likelihood=True,
-                              rng=rng_stream(3))
+                              lam=3.0, delta2=100.0, rng=rng_stream(3))
         assert tv_distance(res.k_frequencies(),
                            truncated_poisson_pmf(3.0, 16)) < 0.05
 
@@ -128,7 +138,7 @@ class TestFlatRuns:
         """With the data and hyperparameter moves off, a sweep is one step of
         core's birth-or-death mixture: same stream, same records and tallies."""
         joint = run_joint_chain(None, n_iter=3000, burn_in=300, k_max=8, lam=4.0,
-                                delta2=100.0, flat_likelihood=True, ratio_mode=ratio_mode,
+                                delta2=100.0, ratio_mode=ratio_mode,
                                 representation=representation, rng=rng_stream(9))
         target = PriorOnlyTarget(4.0, 8)
         if representation == "sorted":
@@ -148,7 +158,7 @@ class TestFlatRuns:
 
     def test_frequencies_sum_to_one_and_mean_consistent(self):
         res = run_joint_chain(None, n_iter=2000, burn_in=500, k_max=8, lam=2.0,
-                              delta2=50.0, flat_likelihood=True, rng=rng_stream(4))
+                              delta2=50.0, rng=rng_stream(4))
         freqs = res.k_frequencies()
         assert freqs.sum() == pytest.approx(1.0, abs=1e-12)
         kept = [r.k for r in res.records if not r.burn_in]
@@ -199,7 +209,7 @@ class TestJointRuns:
     def test_legacy_mode_shifts_left(self):
         """Prior-only: legacy mode must visibly deflate the mean order."""
         kwargs = dict(n_iter=40_000, burn_in=4_000, k_max=16, lam=4.0,
-                      delta2=100.0, flat_likelihood=True)
+                      delta2=100.0)
         corrected = run_joint_chain(None, ratio_mode="corrected",
                                     rng=rng_stream(8, 0), **kwargs)
         legacy = run_joint_chain(None, ratio_mode="legacy",
@@ -247,8 +257,7 @@ class TestCarriedLogTarget:
         representation = "sorted" if variant.startswith("sorted") else "unsorted"
         res = run_joint_chain(None if flat else y, n_iter=600, burn_in=0, k_max=8,
                               lambda_prior=(1.0, 1e-3), delta2_prior=(2.0, 100.0),
-                              representation=representation, flat_likelihood=flat,
-                              rng=rng_stream(18))
+                              representation=representation, rng=rng_stream(18))
         for r in res.records:
             base = (PriorOnlyTarget(r.lam, 8) if flat
                     else SinusoidPosterior(y, r.lam, r.delta2, 8))
@@ -306,10 +315,10 @@ class TestBuildOnce:
             "fixed": dict(lam=3.0, delta2=100.0),
             "sorted": dict(lambda_prior=(1.0, 1e-3), delta2_prior=(2.0, 100.0),
                            representation="sorted"),
-            "flat": dict(lambda_prior=(1.0, 1e-3), delta2=100.0, flat_likelihood=True),
+            "flat": dict(lambda_prior=(1.0, 1e-3), delta2=100.0),
         }[variant]
-        res = run_joint_chain(y, n_iter=n_iter, burn_in=0, k_max=8, rng=rng_stream(20),
-                              **settings)
+        res = run_joint_chain(None if variant == "flat" else y, n_iter=n_iter, burn_in=0,
+                              k_max=8, rng=rng_stream(20), **settings)
         assert len(res.k) == n_iter
         assert len(built) == 1
 

@@ -3,7 +3,8 @@
 The run-against-run byte-stability tests cannot see a chain that changed
 consistently; these pin the files themselves.  The reference signal is
 ``synthesize((0.63, 0.68, 0.73), (20, 6.32, 20), 7 dB, N=64, rng_stream(5))``,
-run for 1500 sweeps with 300 burn-in at seed 17.  The ``replicate`` hash is
+run for 1500 sweeps with 300 burn-in at seed 17; the ``flat`` run reads and
+checks that signal, then runs on the prior alone.  The ``replicate`` hash is
 taken over every file it writes, in name order, each as its name followed by
 its bytes.  The values are those of IEEE-754 double arithmetic with the
 platform's libm and BLAS; a port to another platform may re-record them,
@@ -35,6 +36,10 @@ RUNS = {
         "544a398fa1ae17e9e31c1f4303a2cf10ab6e882d6e26f0cfe0e6b8d30098e4fb",
         "eb8eb0864be8c4934fe8d929266faff5b4b4ef4bc31e3f727fec1f7f84d5c3a6",
         "7476b68e12f00d7c95437808ae7fcd0862b8e20f1698c3ab080ead8a35cdc5b9")),
+    "flat": ("model.flat_likelihood = true", (
+        "c3c279624e5e39fa07755836362cb288fe085320176501de926f7eb848764ca1",
+        "eb160b0fba44124d4e7e546c77547e7f605b6ba610e35c0f69eb302b9afe1d56",
+        "8339fa86a87406dda9d038a90688d0c50e0d5ee0283d2376994771860ef46206")),
 }
 REPLICATE = "ab9502992b8e0df83d597f120405474cd376858c240c040dffc11787fa328f4f"
 # quadrature_posterior_k on a one-tone signal (N = 32, 20 dB) at delta2 = 100,
