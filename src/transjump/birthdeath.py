@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,8 +91,8 @@ class BirthDeathSchedule:
     Uses the c*min{1, prior ratio} schedule against a truncated Poisson(lam)
     prior on k, which guarantees p_d(k+1)/p_b(k) = (k+1)/lam for all k < k_max
     while leaving 1 - p_b - p_d mass for within-model moves.  p_d(0) = 0 and
-    p_b(k_max) = 0 are forced.  Construction is the one check of c in (0, 0.5],
-    the representation and the ratio mode; lam and k_max obey check_order_prior.
+    p_b(k_max) = 0 are forced.  Construction is the one check of c, a real number in
+    (0, 0.5], the representation and the ratio mode; lam and k_max obey check_order_prior.
     """
 
     lam: float
@@ -102,8 +103,8 @@ class BirthDeathSchedule:
     ratio_mode: str = "corrected"
 
     def __post_init__(self):
-        if not 0.0 < self.c <= 0.5:
-            raise ConfigurationError(f"schedule constant c={self.c} outside (0, 0.5]")
+        if not (isinstance(self.c, numbers.Real) and 0.0 < self.c <= 0.5):
+            raise ConfigurationError(f"schedule constant c={self.c!r} outside (0, 0.5]")
         check_order_prior(self.lam, self.k_max)
         if self.representation not in REPRESENTATIONS:
             raise ConfigurationError(f"unknown representation {self.representation!r}")

@@ -120,8 +120,10 @@ def mhg_accept(log_ratio: float, rng: Rng) -> bool:
 
 def check_order_prior(lam: float, k_max: int) -> None:
     """The one rule for a Poisson(lam) order law truncated to {0, ..., k_max}, which the
-    schedule, both targets and the order pmfs check: lam finite and > 0, k_max an int >= 0."""
-    if not (0.0 < lam < math.inf and isinstance(k_max, numbers.Integral) and k_max >= 0):
+    schedule, both targets and the order pmfs check: lam a real number, finite and > 0, and
+    k_max an int >= 0."""
+    if not (isinstance(lam, numbers.Real) and 0.0 < lam < math.inf
+            and isinstance(k_max, numbers.Integral) and k_max >= 0):
         raise ConfigurationError(f"order prior needs lam finite and > 0 and k_max an "
                                  f"integer >= 0, got lam={lam!r}, k_max={k_max!r}")
 

@@ -57,8 +57,8 @@ def check_sweep_settings(*, n_iter: int, burn_in: int, k_max: int, c: float, rat
         raise ConfigurationError("give exactly one of lambda / lambda_prior")
     if (delta2 is None) == (delta2_prior is None):
         raise ConfigurationError("give exactly one of delta2 / delta2_prior")
-    if delta2 is not None and not 0.0 <= delta2 < math.inf:
-        raise ConfigurationError(f"delta2={delta2} must be finite and nonnegative")
+    if delta2 is not None and not (isinstance(delta2, numbers.Real) and 0.0 <= delta2 < math.inf):
+        raise ConfigurationError(f"delta2={delta2!r} must be a finite, nonnegative real number")
     for name, prior in (("lambda_prior", lambda_prior), ("delta2_prior", delta2_prior)):
         if prior is not None and not (isinstance(prior, Sized) and len(prior) == 2 and all(
                 isinstance(v, numbers.Real) and 0.0 < v < math.inf for v in prior)):

@@ -30,15 +30,32 @@ OMEGA_LOW = 0.0
 OMEGA_HIGH = math.pi
 
 
+@functools.lru_cache(maxsize=8)
+def _time_grid(n_obs: int) -> np.ndarray:
+    """The column t = 0 .. N-1 (N x 1 floats), built once per N and read-only,
+    since every design of that length shares it."""
+    t = np.arange(n_obs, dtype=float)[:, None]
+    t.flags.writeable = False
+    return t
+
+
 def design_matrix(omega, n_obs: int) -> np.ndarray:
     """N x 2k design with columns cos(w_j t), sin(w_j t), t = 0 .. N-1.
 
     An (m, k) omega gives the (m, N, 2k) stack of its rows' designs, each
-    bit for bit the design of that row alone.
+    bit for bit the design of that row alone: both shapes take the same
+    products t * w_j.  A 1-D omega, one design per call as the chain makes
+    them, is built without the stack's broadcast axes.
     """
     omega = np.asarray(omega, dtype=float)
-    t = np.arange(n_obs, dtype=float)
-    phases = t[:, None] * omega[..., None, :]
+    t = _time_grid(n_obs)
+    if omega.ndim == 1:
+        phases = t * omega
+        d = np.empty((n_obs, 2 * omega.size))
+        d[:, 0::2] = np.cos(phases)
+        d[:, 1::2] = np.sin(phases)
+        return d
+    phases = t * omega[..., None, :]
     d = np.empty(phases.shape[:-1] + (2 * omega.shape[-1],))
     d[..., 0::2] = np.cos(phases)
     d[..., 1::2] = np.sin(phases)
@@ -152,18 +169,21 @@ class FrequencyGrid:
         return norms
 
 
-def quad_form(y, omega, delta2: float, *, s: float | None = None) -> float:
+def quad_form(y, omega, delta2: float, *, s: float | None = None,
+              yty: float | None = None) -> float:
     """y^T P_k y with P_k the g-prior shrinkage projection; y^T y when k = 0.
 
     P_k is never formed: the quadratic form is y^T y minus the shrunk squared
     projection s, so a finite result always lies in [|y|^2 / (1 + delta2), |y|^2].
-    A caller that already holds s = _projection_norm2(y, omega) passes it.
+    A caller that already holds s = _projection_norm2(y, omega), or
+    yty = float(y @ y), passes it; the result is the same float.
     A projection above |y|^2 (inf included), which nearly coincident
     frequencies can produce, means the design is singular to working
     precision: the result is inf.
     """
     y = np.asarray(y, dtype=float)
-    yty = float(y @ y)
+    if yty is None:
+        yty = float(y @ y)
     if len(omega) == 0 or delta2 == 0.0:
         return yty
     if s is None:
@@ -179,20 +199,20 @@ def _in_support(omega, k_max: int) -> bool:
 
 
 def sinusoid_log_target(y, omega, lam: float, delta2: float, k_max: int, *,
-                        s: float | None = None) -> float:
+                        s: float | None = None, yty: float | None = None) -> float:
     """Unnormalised log posterior of (k, omega) given the data.
 
     -(N/2) log(y^T P_k y) + k log(lam) - k log(pi) - log k! - k log(1+delta2),
     or -inf outside (0, pi)^k and above the truncation.  On a design singular
     to working precision quad_form is inf, so -(N/2) log(inf) makes the value
-    -inf too.  ``s`` is the projection norm, when the caller holds it (see
-    quad_form).
+    -inf too.  ``s`` is the projection norm and ``yty`` is |y|^2, when the
+    caller holds them (see quad_form).
     """
     y = np.asarray(y, dtype=float)
     k = len(omega)
     if not _in_support(omega, k_max):
         return NEG_INF
-    q = quad_form(y, omega, delta2, s=s)
+    q = quad_form(y, omega, delta2, s=s, yty=yty)
     n = y.size
     return (-0.5 * n * math.log(q) + k * math.log(lam) - k * math.log(math.pi)
             - math.lgamma(k + 1) - k * math.log1p(delta2))
@@ -235,8 +255,8 @@ POSTERIOR_CACHE_SIZE = 64
 def check_posterior_settings(y, lam: float, delta2: float, k_max: int) -> np.ndarray:
     """y as a float vector; ConfigurationError on settings no posterior can evaluate.
 
-    y must be a nonempty, finite, not all-zero vector and delta2 finite and
-    nonnegative; lam and k_max go through core.check_order_prior.
+    y must be a nonempty, finite, not all-zero vector and delta2 a finite,
+    nonnegative real number; lam and k_max go through core.check_order_prior.
     SinusoidPosterior and the quadrature oracle both check with it.
     """
     y = np.asarray(y, dtype=float)
@@ -244,8 +264,8 @@ def check_posterior_settings(y, lam: float, delta2: float, k_max: int) -> np.nda
         raise ConfigurationError("y must be a nonempty vector")
     if not (np.all(np.isfinite(y)) and np.any(y)):
         raise ConfigurationError("y must be finite and not all zero")
-    if not 0.0 <= delta2 < math.inf:
-        raise ConfigurationError(f"delta2={delta2!r} must be finite and nonnegative")
+    if not (isinstance(delta2, numbers.Real) and 0.0 <= delta2 < math.inf):
+        raise ConfigurationError(f"delta2={delta2!r} must be a finite, nonnegative real number")
     check_order_prior(lam, k_max)
     return y
 
@@ -282,7 +302,8 @@ class SinusoidPosterior:
         s = None
         if self.delta2 != 0.0 and _in_support(x, self.k_max):
             s = self.projection_norm(x)
-        return sinusoid_log_target(self.y, x, self.lam, self.delta2, self.k_max, s=s)
+        return sinusoid_log_target(self.y, x, self.lam, self.delta2, self.k_max, s=s,
+                                   yty=self.yty)
 
 
 @dataclass

@@ -73,6 +73,11 @@ class TestValidation:
         {"lambda_prior": 1.0, "delta2_prior": None, "delta2": 100.0, "y": None},
         {"delta2_prior": 100.0, "y": None},
         {"delta2_prior": "12"},
+        # a fixed lambda, delta2 or c that is not a real number escaped as a TypeError
+        {"lambda_prior": None, "lam": "3", "delta2_prior": None, "delta2": 1.0, "y": None},
+        {"delta2_prior": None, "delta2": "1"},
+        {"c": "0.25"},
+        {"c": None},
     ])
     def test_settings_the_cli_rejects_are_config_errors(self, change):
         """The library rejects these settings itself, before any sweep or draw."""

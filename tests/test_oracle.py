@@ -292,6 +292,7 @@ class TestQuadraturePosterior:
                  (y, -0.5, 1.0, 2, 200), (y, -1.0, 1.0, 2, 200),
                  (y, 10.0, 0.0, 2, 200), (y, 10.0, -1.0, 2, 200),
                  (y, 10.0, math.inf, 2, 200), (y, math.inf, 1.0, 2, 200),
+                 (y, "10", 1.0, 2, 200), (y, 10.0, "1", 2, 200),
                  (np.zeros(8), 10.0, 1.0, 2, 200), (np.zeros(0), 10.0, 1.0, 2, 200),
                  (np.ones((2, 8)), 10.0, 1.0, 2, 200)]
         for bad in (math.nan, math.inf, -math.inf):

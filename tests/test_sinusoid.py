@@ -23,6 +23,7 @@ from transjump.sinusoid import (
     PriorOnlyTarget,
     SinusoidPosterior,
     _projection_norm2,
+    _time_grid,
     accelerated_poisson_pmf,
     design_matrix,
     frequency_update_move,
@@ -72,6 +73,18 @@ class TestDesignMatrix:
 
     def test_shape(self):
         assert design_matrix((0.5, 1.0), 10).shape == (10, 4)
+
+    def test_time_grid_is_shared_and_read_only(self):
+        """Each N gets its own grid, built once; writing to it raises, so no
+        caller can change the designs that later callers build from it."""
+        for n in (16, 64, 16, 128, 64):
+            t = _time_grid(n)
+            assert _time_grid(n) is t
+            assert np.array_equal(t, np.arange(n, dtype=float)[:, None])
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0, 0] = 1.0
+            assert design_matrix((0.5, 1.0), n).shape == (n, 4)
 
 
 class TestQuadForm:
@@ -123,11 +136,15 @@ class TestQuadForm:
 
 def _reference_projection_norm2(y, omega) -> float:
     """The projection norm through scipy's checked solve_triangular wrapper;
-    inf on near-duplicate frequencies or a failed Cholesky."""
+    inf on near-duplicate frequencies or a failed Cholesky.  The design is
+    built here from a fresh time grid, not through design_matrix's cache."""
     omega = np.asarray(omega, dtype=float)
     if omega.size > 1 and float(np.diff(np.sort(omega)).min()) < 1e-8:
         return math.inf
-    d = design_matrix(omega, y.size)
+    phases = np.arange(y.size, dtype=float)[:, None] * omega
+    d = np.empty((y.size, 2 * omega.size))
+    d[:, 0::2] = np.cos(phases)
+    d[:, 1::2] = np.sin(phases)
     try:
         chol = np.linalg.cholesky(d.T @ d)
     except np.linalg.LinAlgError:
@@ -154,14 +171,19 @@ class TestProjectionNorm:
     REFERENCE = synthesize((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, 64, rng_stream(5))
 
     def test_matches_checked_solve_bit_for_bit(self):
-        """The same float as the reference computation at 5600 random states."""
-        y = self.REFERENCE
+        """The same float as the reference computation at 5600 random states,
+        each on reference-tone signals of N = 16, 32, 64 and 128 in turn, so a
+        time grid served for another N would show."""
+        signals = [synthesize((0.63, 0.68, 0.73), (20.0, 6.32, 20.0), 7.0, n, rng_stream(5))
+                   for n in (16, 32, 64, 128)]
+        assert np.array_equal(signals[2], self.REFERENCE)
         rng = rng_stream(74)
         for k in range(1, 9):
             for _ in range(700):
                 omega = tuple(float(w) for w in rng.uniform(0.0, math.pi, size=k))
-                assert (_outcome(_projection_norm2, y, omega)
-                        == _outcome(_reference_projection_norm2, y, omega))
+                for y in signals:
+                    assert (_outcome(_projection_norm2, y, omega)
+                            == _outcome(_reference_projection_norm2, y, omega))
 
     def test_edge_states_match_checked_solve(self):
         """The empty model, tiny gaps, a failed Cholesky and an inaccurate
@@ -421,7 +443,8 @@ class TestLogTarget:
         assert first == sinusoid_log_target(model.y, x, 2.0, 25.0, 4)
 
     def test_reused_posterior_matches_fresh_target_bit_for_bit(self):
-        """One posterior across (lam, delta2) changes equals a fresh evaluation.
+        """One posterior across (lam, delta2) changes equals a fresh evaluation,
+        and so do quad_form and sinusoid_log_target given its stored |y|^2.
 
         The states cover the empty model, ordinary ones, a design whose
         Cholesky fails (gaps of 2e-8 at N = 64), one whose factorised
@@ -439,6 +462,11 @@ class TestLogTarget:
                 for omega in order:
                     fresh = sinusoid_log_target(y, omega, lam, delta2, 8)
                     assert model.log_density(omega) == fresh
+                    assert sinusoid_log_target(y, omega, lam, delta2, 8, yty=model.yty) == fresh
+                    q = quad_form(y, omega, delta2)
+                    s = _projection_norm2(y, omega)
+                    assert quad_form(y, omega, delta2, yty=model.yty) == q
+                    assert quad_form(y, omega, delta2, s=s, yty=model.yty) == q
             for omega in (CHOLESKY_FAILS, INACCURATE_PROJECTION):
                 singular = model.log_density(omega) == NEG_INF
                 assert singular == (delta2 != 0.0)
