@@ -157,9 +157,9 @@ def move_log_ratio(x: VarDimState, log_fx: float, x_new: VarDimState, log_q: flo
     targets f_k / k!.  A NaN log f(x) or f(x'), and a sorted schedule on an
     unsorted state, raise.
 
-    This is the single code path: the proposal kernels call it, and the exact
-    transition-matrix oracles call it, so they exercise the implemented ratio,
-    not a reimplementation.
+    This is the single code path: only the proposal kernels call it, and the
+    exact transition-matrix oracle runs those kernels, so it exercises the
+    implemented draws and ratio, not a reimplementation.
     """
     if sched.representation == "sorted" and not (is_sorted(x) and is_sorted(x_new)):
         raise BrokenKernelError("sorted ratio evaluated on an unsorted state")

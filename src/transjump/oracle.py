@@ -7,7 +7,6 @@ sinusoid problems are cross-checked against direct quadrature of the target.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -19,7 +18,6 @@ from .birthdeath import (
     BirthDeathSchedule,
     bod_move_set,
     is_sorted,
-    move_log_ratio,
     pmf_component_proposal,
 )
 from .core import NEG_INF, BrokenKernelError, ConfigurationError, Rng, VarDimState
@@ -41,8 +39,9 @@ class DiscreteToySpec:
     weight zero, mirroring the null diagonal of an atomless component space.
     Construction checks the weights and builds the schedule once, so lam,
     k_max, c, the points and q and the representation are checked by their
-    owners before any state is listed.  ``q`` must then sum to 1 within the
-    1e-12 row tolerance of ``build_transition_matrix``, which reads it raw.
+    owners before any state is listed.  ``q`` must then sum to 1 within 1e-12:
+    it is the stated pmf, which the kernels draw from once
+    ``pmf_component_proposal`` has normalised it.
     """
 
     points: tuple[float, ...]
@@ -116,71 +115,85 @@ def normalized_target_vector(spec: DiscreteToySpec, legacy: bool = False) -> np.
     return w / total
 
 
+class _PathRng:
+    """Stand-in generator that follows one path of a proposal's discrete draws.
+
+    Draw i of ``integers`` or ``choice`` returns ``path[i]``.  A draw past the
+    end of the path takes the first outcome of positive probability and pushes
+    onto ``stack`` a path for each other such outcome.  ``prob`` is the product
+    of the probabilities of the outcomes taken.  Any other draw is continuous,
+    which a toy cannot enumerate, so it raises rather than guess.
+    """
+
+    def __init__(self, path: list[int], stack: list[list[int]]):
+        self.path, self.stack, self.drawn, self.prob = path, stack, 0, 1.0
+
+    def _draw(self, probs) -> int:
+        if self.drawn == len(self.path):
+            first, *rest = (i for i, p in enumerate(probs) if p > 0.0)
+            self.stack.extend(self.path + [i] for i in rest)
+            self.path.append(first)
+        outcome = self.path[self.drawn]
+        self.drawn += 1
+        self.prob *= probs[outcome]
+        return outcome
+
+    def integers(self, low: int, high: int) -> int:
+        return low + self._draw([1.0 / (high - low)] * (high - low))
+
+    def choice(self, n: int, p) -> int:
+        return self._draw(p)
+
+    def __getattr__(self, name):
+        raise BrokenKernelError(f"toy proposal made the continuous draw rng.{name}")
+
+
 def build_transition_matrix(spec: DiscreteToySpec,
                             ratio_mode: str = "corrected") -> np.ndarray:
     """Exact one-step transition matrix of the birth-or-death sampler.
 
-    The move weights are read from ``bod_move_set``, the mixture the chain runs.
-    Every elementary proposal's probability is multiplied by its acceptance
-    probability (computed through the implemented ratio code path) and summed
-    into the row; all rejection mass lands on the diagonal.  The target is
-    evaluated once at each state, as the chain carries it.  Rows must sum to
-    one to 1e-12, otherwise the kernel accounting is broken.
+    Each row runs the mixture the chain runs, ``bod_move_set``: every move of
+    positive weight j(x, m) proposes once per path of its discrete draws (see
+    ``_PathRng``), so the rows come from the kernels' own slot, q and death
+    draws and their own ratio.  A path of probability p adds j p min(1, r) to
+    its proposed state and the rest to the diagonal, where the identity move
+    lands whole.  The target is evaluated once at each state, as the chain
+    carries it.  A NaN ratio, a continuous draw, an accepted proposal outside
+    the enumerated states or a row sum off one by more than 1e-12 is a
+    ``BrokenKernelError``.
     """
     states = enumerate_states(spec)
     index = {s: i for i, s in enumerate(states)}
-    sched = spec.schedule(ratio_mode)
-    birth, death, identity = bod_move_set(spec, sched)
-    n = len(states)
-    matrix = np.zeros((n, n))
+    moves = bod_move_set(spec, spec.schedule(ratio_mode))
+    matrix = np.zeros((len(states), len(states)))
 
     for xi, x in enumerate(states):
         log_fx = spec.log_density(x)
-        p_b = birth.weight(x)
-        p_d = death.weight(x)
-        matrix[xi, xi] += identity.weight(x)
-        if p_b > 0.0:
-            for s_star, q_s in zip(spec.points, spec.q):
-                if q_s <= 0.0:
-                    continue
-                log_q = sched.proposal.log_density(s_star)
-                if spec.representation == "sorted":
-                    slots = [bisect.bisect_left(x, s_star)]
-                    slot_prob = p_b * q_s
-                else:
-                    slots = range(len(x) + 1)
-                    slot_prob = p_b * q_s / (len(x) + 1)
-                for i in slots:
-                    proposed = x[:i] + (s_star,) + x[i:]
-                    alpha = math.exp(min(0.0, move_log_ratio(
-                        x, log_fx, proposed, log_q, sched, spec)[0]))
-                    _accumulate(matrix, index, xi, proposed, slot_prob, alpha)
-        if p_d > 0.0:
-            for i in range(len(x)):
-                proposed = x[:i] + x[i + 1:]
-                log_q = sched.proposal.log_density(x[i])
-                alpha = math.exp(min(0.0, move_log_ratio(
-                    x, log_fx, proposed, log_q, sched, spec)[0]))
-                _accumulate(matrix, index, xi, proposed, p_d / len(x), alpha)
+        for move in moves:
+            weight = move.weight(x)
+            stack = [[]] if weight > 0.0 else []
+            while stack:
+                rng = _PathRng(stack.pop(), stack)
+                proposed, log_r, _ = move.propose(x, log_fx, rng)
+                if math.isnan(log_r):
+                    raise BrokenKernelError(f"NaN {move.label} ratio at x={x}")
+                alpha = math.exp(min(0.0, log_r))
+                yi = index.get(proposed)
+                if yi is None:
+                    # A proposal outside the enumerated states (a repeated
+                    # component) must be rejected surely by its zero density.
+                    if alpha != 0.0:
+                        raise BrokenKernelError(
+                            f"accepting proposal into unenumerated state {proposed}")
+                    yi = xi
+                prob = weight * rng.prob
+                matrix[xi, yi] += prob * alpha
+                matrix[xi, xi] += prob * (1.0 - alpha)
 
     row_err = np.abs(matrix.sum(axis=1) - 1.0).max()
     if row_err > 1e-12:
         raise BrokenKernelError(f"transition rows sum to 1 +/- {row_err:.3e}")
     return matrix
-
-
-def _accumulate(matrix, index, xi, proposed, prob, alpha):
-    target_index = index.get(proposed)
-    if target_index is None:
-        # Proposals landing outside the enumerated support (duplicates) must
-        # have been auto-rejected through a zero-density target.
-        if alpha != 0.0:
-            raise BrokenKernelError(
-                f"accepting proposal into unenumerated state {proposed}")
-        matrix[xi, xi] += prob
-        return
-    matrix[xi, target_index] += prob * alpha
-    matrix[xi, xi] += prob * (1.0 - alpha)
 
 
 def stationary_distribution(matrix: np.ndarray) -> np.ndarray:

@@ -170,13 +170,21 @@ def test_schedule_settings_are_read_in_birthdeath_only():
 
 def test_chains_are_built_in_experiment_only():
     """run_joint_chain builds every birth-or-death chain: outside birthdeath, only
-    experiment picks the sorted target, and only experiment and the toy oracle (for
-    its move weights) read the mixture."""
+    experiment picks the sorted target, and only experiment and the toy oracle,
+    which runs each move's proposal on every path of its draws, read the mixture."""
     def readers(name):
         return sorted(p.name for p in (ROOT / "src" / "transjump").glob("*.py")
                       if p.name != "birthdeath.py" and name in referenced_names(p.read_text())[0])
     assert readers("SortedRestriction") == ["experiment.py"]
     assert readers("bod_move_set") == ["experiment.py", "oracle.py"]
+
+
+def test_ratio_is_read_in_birthdeath_only():
+    """move_log_ratio is the one ratio code path and only the kernels call it: the
+    toy oracle reaches it through their proposals, so it proves their draws too."""
+    readers = sorted(p.name for p in PACKAGE
+                     if "move_log_ratio" in referenced_names(p.read_text())[0])
+    assert readers == ["birthdeath.py"]
 
 
 def test_moves_are_decided_in_core_only():

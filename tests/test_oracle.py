@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from transjump import oracle
-from transjump.core import ConfigurationError, rng_stream
+from transjump import birthdeath, oracle
+from transjump.birthdeath import uniform_component_proposal
+from transjump.core import BrokenKernelError, ConfigurationError, rng_stream
 from transjump.oracle import (
     DiscreteToySpec,
     _frequency_partition,
@@ -124,6 +125,40 @@ class TestBuildTransitionMatrix:
         spec = toy(seed=100)
         dup = (spec.points[0], spec.points[0])
         assert spec.log_density(dup) == float("-inf")
+
+    def test_birth_that_never_draws_the_last_slot_breaks_stationarity(self, monkeypatch):
+        """The rows run the kernels' own slot draw, so a birth slot drawn from
+        [0, max(1, k)) in place of [0, k] fails every toy's 1e-10 bound."""
+        def never_last_slot(x, log_fx, sched, target, rng):
+            s_star, log_q = birthdeath._draw_component(sched.proposal, rng)
+            i = int(rng.integers(0, max(1, len(x))))
+            proposed = x[:i] + (s_star,) + x[i:]
+            return (proposed,
+                    *birthdeath.move_log_ratio(x, log_fx, proposed, log_q, sched, target))
+
+        monkeypatch.setattr(birthdeath, "birth_propose_unsorted", never_last_slot)
+        tvs = []
+        for seed in range(10):
+            spec = random_toy_spec(rng_stream(seed), m=4, k_max=3)
+            pi_hat = stationary_distribution(build_transition_matrix(spec))
+            tvs.append(tv_distance(pi_hat, normalized_target_vector(spec)))
+        assert min(tvs) > 1e-10 and max(tvs) > 0.1
+
+    def test_nan_ratio_is_hard_error(self, monkeypatch):
+        """A NaN ratio never becomes an acceptance, as in the chain's accept step."""
+        monkeypatch.setattr(birthdeath, "death_propose",
+                            lambda x, log_fx, sched, target, rng: (x[1:], math.nan, log_fx))
+        with pytest.raises(BrokenKernelError, match="NaN death ratio"):
+            build_transition_matrix(toy())
+
+    def test_continuous_draw_is_hard_error(self, monkeypatch):
+        """A toy cannot list the outcomes of a continuous draw, so it raises
+        rather than guess: here q is uniform on (0, pi)."""
+        spec = toy()
+        monkeypatch.setattr(oracle, "pmf_component_proposal",
+                            lambda points, q: uniform_component_proposal())
+        with pytest.raises(BrokenKernelError, match=r"rng\.uniform"):
+            build_transition_matrix(spec)
 
 
 class TestChainAgainstExactLaw:
