@@ -54,7 +54,7 @@ def uniform_component_proposal() -> ComponentProposal:
         return log_dens if 0.0 < v < math.pi else NEG_INF
 
     return ComponentProposal(
-        sample=lambda rng: rng.uniform(0.0, math.pi),
+        sample=lambda rng: math.pi * rng.random(),  # rng.uniform(0.0, pi), bit for bit
         log_density=log_density,
     )
 
@@ -276,8 +276,9 @@ def bod_move_set(target: TargetDensity, sched: BirthDeathSchedule) -> tuple[Move
     def death(x, log_fx, rng):
         return death_propose(x, log_fx, sched, target, rng)
 
+    # Never negative: p_b and p_d are at most c <= 0.5, and rounding is monotone.
     def rest_weight(x):
-        return max(0.0, 1.0 - sched.p_birth(x) - sched.p_death(x))
+        return 1.0 - sched.p_birth(x) - sched.p_death(x)
 
     return (
         Move("birth", sched.p_birth, birth),

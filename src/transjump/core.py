@@ -75,30 +75,27 @@ class Move:
 def select_move(moves: tuple[Move, ...], x: VarDimState, rng: Rng) -> Move:
     """Draw a move with probability j(x, m), using a single uniform draw.
 
-    Each weight is read once; its running sum is both the total that must
-    be 1 and the threshold the uniform is compared with.
+    One pass reads each weight once; its running sum is both the total that
+    must be 1 and the threshold the uniform is compared with.
     """
-    thresholds = []
+    u = rng.random()
     total = 0.0
-    last = None
+    chosen = last = None
     for m in moves:
         w = m.weight(x)
         if w < 0.0:
             raise ConfigurationError(f"negative move selection probability at k={len(x)}")
         total += w
-        thresholds.append(total)
         if w > 0.0:
             last = m
+            if chosen is None and u < total:
+                chosen = m
     if not abs(total - 1.0) <= 1e-12:  # a NaN weight makes the total NaN
         raise ConfigurationError(
             f"move selection probabilities sum to {total!r} at k={len(x)}, expected 1")
-    u = rng.random()
-    for move, threshold in zip(moves, thresholds):
-        if u < threshold:
-            return move
-    # u landed in the final rounding sliver; return the last selectable move.  The
+    # If u landed in the final rounding sliver, return the last selectable move.  The
     # weights sum to 1, so one is positive and ``last`` is set.
-    return last
+    return chosen if chosen is not None else last
 
 
 def mhg_accept(log_ratio: float, rng: Rng) -> bool:
@@ -239,7 +236,7 @@ def mixture_step(moves: tuple[Move, ...], rng: Rng) -> Callable:
         move = select_move(moves, x, rng)
         proposed, log_ratio, lt_new = move.propose(x, log_t, rng)
         # A move that keeps x proposes nothing new to scan.
-        if proposed is not x and any(math.isnan(c) for c in proposed):
+        if proposed is not x and any(map(math.isnan, proposed)):
             raise BrokenKernelError(f"move {move.label!r} proposed a state with NaN components")
         accepted = out.accept(move.label, log_ratio, rng)
         if accepted:

@@ -347,7 +347,7 @@ def frequency_update_move(x: VarDimState, log_fx: float, target: TargetDensity, 
     if rng.random() < 0.8:
         new = x[i] + walk_sd * rng.standard_normal()
     else:
-        new = rng.uniform(OMEGA_LOW, OMEGA_HIGH)
+        new = OMEGA_LOW + (OMEGA_HIGH - OMEGA_LOW) * rng.random()  # rng.uniform, bit for bit
     if math.isnan(new):
         raise BrokenKernelError("frequency update proposed NaN")
     proposed = x[:i] + (float(new),) + x[i + 1:]

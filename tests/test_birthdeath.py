@@ -457,12 +457,15 @@ class TestSortedKernel:
 
 class TestMoveSetFactory:
     def test_weights_sum_to_one_at_every_order(self):
-        target = PriorOnlyTarget(3.0, 6)
-        sched = BirthDeathSchedule.green(3.0, 6)
-        moves = bod_move_set(target, sched)
-        for k in range(7):
-            x = tuple(0.1 + 0.3 * j for j in range(k))
-            assert sum(m.weight(x) for m in moves) == pytest.approx(1.0, abs=1e-15)
+        """The weights sum to 1 and none is negative: with c <= 0.5 the rest
+        1 - p_b - p_d needs no clamp at 0."""
+        for lam, c in ((3.0, 0.25), (0.7, 0.5), (3.0, 0.5), (6.5, 0.5)):
+            target = PriorOnlyTarget(lam, 6)
+            moves = bod_move_set(target, BirthDeathSchedule.green(lam, 6, c))
+            for k in range(7):
+                x = tuple(0.1 + 0.3 * j for j in range(k))
+                assert sum(m.weight(x) for m in moves) == pytest.approx(1.0, abs=1e-15)
+                assert all(m.weight(x) >= 0.0 for m in moves)
 
     def test_identity_move_rejects_surely_without_drawing(self):
         target = PriorOnlyTarget(3.0, 6)

@@ -36,18 +36,31 @@ def constant_moves(weights: dict[str, float]) -> tuple[Move, ...]:
 
 
 class FixedDraws:
-    """Stands in for the rng: every uniform draw gives s, every index draw gives i."""
+    """Stands in for the rng: every index draw gives i, and every random() gives s/pi,
+    so that q's draw pi * random() is s (exactly, for the s these tests use)."""
 
     def __init__(self, i: int, s: float = 0.0):
         self.i, self.s = i, s
 
-    def uniform(self, low, high):
-        assert low < self.s < high
-        return self.s
+    def random(self):
+        u = self.s / math.pi
+        assert 0.0 <= u < 1.0 and math.pi * u == self.s
+        return u
 
     def integers(self, low, high):
         assert low <= self.i < high
         return self.i
+
+
+class FixedUniform:
+    """Stands in for the rng: every random() gives u; ``calls`` counts them."""
+
+    def __init__(self, u: float):
+        self.u, self.calls = u, 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
 
 
 def birth_at(x, i, s):
@@ -132,6 +145,30 @@ class TestSelectMove:
         moves = constant_moves({"a": math.nan, "b": 1.0})
         with pytest.raises(ConfigurationError):
             select_move(moves, (), rng_stream(4))
+
+    def test_negative_weight_is_config_error(self):
+        moves = constant_moves({"a": -0.1, "b": 1.1})
+        with pytest.raises(ConfigurationError, match="negative"):
+            select_move(moves, (), rng_stream(4))
+
+    def test_one_draw_per_call(self):
+        rng = FixedUniform(0.3)
+        moves = constant_moves({"birth": 0.25, "death": 0.15, "update": 0.6})
+        for n in range(1, 4):
+            assert select_move(moves, (), rng) is moves[1]
+            assert rng.calls == n
+
+    def test_zero_draw_skips_leading_zero_weight(self):
+        """At u = 0.0 the first move's threshold 0.0 is not above u, so a leading
+        move of weight 0 is never chosen."""
+        moves = constant_moves({"a": 0.0, "b": 0.5, "c": 0.5})
+        assert select_move(moves, (), FixedUniform(0.0)) is moves[1]
+
+    def test_rounding_sliver_gives_last_positive_move(self):
+        """Weights summing to 1 - 5e-13 pass the sum check; a u above their total
+        falls to the last move of positive weight, never the trailing zero one."""
+        moves = constant_moves({"a": 0.5, "b": 0.5 - 5e-13, "c": 0.0})
+        assert select_move(moves, (), FixedUniform(1.0 - 2.0 ** -53)) is moves[1]
 
 
 class TestMhgAccept:

@@ -1,4 +1,5 @@
-"""Golden sha256 hashes of the CLI's byte-stable outputs, and the quadrature oracle's values.
+"""Golden sha256 hashes of the CLI's byte-stable outputs and of the prior-only chain,
+and the quadrature oracle's values.
 
 The run-against-run byte-stability tests cannot see a chain that changed
 consistently; these pin the files themselves.  The reference signal is
@@ -6,18 +7,22 @@ consistently; these pin the files themselves.  The reference signal is
 run for 1500 sweeps with 300 burn-in at seed 17; the ``flat`` run reads and
 checks that signal, then runs on the prior alone.  The ``replicate`` hash is
 taken over every file it writes, in name order, each as its name followed by
-its bytes.  The values are those of IEEE-754 double arithmetic with the
-platform's libm and BLAS; a port to another platform may re-record them,
-once, with a note saying why.
+its bytes.  The prior-only pins hash the columns, move labels and tallies of
+``core.run_chain`` on ``PriorOnlyTarget(5.0, 32)`` with ``bod_move_set`` at
+c = 0.25, run for 20,000 iterations from ``rng_stream(41, i)``: the benchmark's
+prior-only chain, shortened.  The values are those of IEEE-754 double
+arithmetic with the platform's libm and BLAS; a port to another platform may
+re-record them, once, with a note saying why.
 """
 import hashlib
 
 import pytest
 
+from transjump.birthdeath import BirthDeathSchedule, bod_move_set
 from transjump.cli import main, parse_config, replicate, run_experiment, write_signal
-from transjump.core import rng_stream
+from transjump.core import rng_stream, run_chain
 from transjump.oracle import quadrature_posterior_k
-from transjump.sinusoid import synthesize
+from transjump.sinusoid import PriorOnlyTarget, synthesize
 
 RUNS = {
     "corrected": ("", (
@@ -51,6 +56,10 @@ REPLICATE = "ab9502992b8e0df83d597f120405474cd376858c240c040dffc11787fa328f4f"
 # 1e-14 of.
 QUADRATURE = (1.8604680445492492e-24, 0.9803183535507466, 0.019681646449253392)
 QUADRATURE_SCALAR = (1.8604680445490663e-24, 0.9803183535507479, 0.01968164644925216)
+PRIOR_ONLY = {
+    "corrected": "60f6021299a923ddfd1b17c3c46a63f68f6ecd8516a73c9d334cd634adeff5d4",
+    "legacy": "492ba10d38ec72dc2814b65eac6b19fd63995f1c0e4cb1c1a9068c33d4babd17",
+}
 PRIORS = ("c0b097bd085a03ef1560f145b18ed6128506372b89c4caeafd340e2a72f453c7",
           "cc98038cc2914dbcae67efa6bc1143c9bd46cb35a374f31732a22e18e302b295")
 
@@ -70,6 +79,21 @@ def test_reference_run_hashes(tmp_path, name):
                             f"sampler.seed = 17\n{extra}")
     paths = run_experiment(cfg)
     assert tuple(sha256(paths[k]) for k in ("trace", "components", "summary")) == expected
+
+
+@pytest.mark.parametrize("stream, mode", list(enumerate(PRIOR_ONLY)))
+def test_prior_only_chain_hash(stream, mode):
+    target = PriorOnlyTarget(5.0, 32)
+    sched = BirthDeathSchedule.green(5.0, 32, 0.25, ratio_mode=mode)
+    out = run_chain(target, bod_move_set(target, sched), (), 20_000, 0,
+                    rng_stream(41, stream))
+    digest = hashlib.sha256()
+    for column in (out.k, out.components, out.log_target, out.accepted):
+        digest.update(column.tobytes())
+    digest.update("\n".join(out.move).encode())
+    digest.update(repr((sorted(out.proposals.items()),
+                        sorted(out.acceptances.items()))).encode())
+    assert digest.hexdigest() == PRIOR_ONLY[mode]
 
 
 def test_replicate_hash(tmp_path):

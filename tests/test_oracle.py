@@ -157,7 +157,7 @@ class TestBuildTransitionMatrix:
         spec = toy()
         monkeypatch.setattr(oracle, "pmf_component_proposal",
                             lambda points, q: uniform_component_proposal())
-        with pytest.raises(BrokenKernelError, match=r"rng\.uniform"):
+        with pytest.raises(BrokenKernelError, match=r"rng\.random"):
             build_transition_matrix(spec)
 
 

@@ -575,6 +575,26 @@ class TestFrequencyUpdateMove:
             expect = model.log_density(proposed) - model.log_density(x)
             assert ratio == pytest.approx(expect, abs=1e-12)
 
+    def test_uniform_branch_is_numpy_uniform(self):
+        """The independent branch draws numpy's uniform(0, pi) bit for bit: a twin
+        stream replays the index and branch draws, and its uniform(0.0, pi) equals
+        the proposed frequency, with both generators in the same state after."""
+        target = PriorOnlyTarget(1.0, 4)
+        x = (0.5, 1.5, 2.5)
+        forced = 0
+        for seed in range(200):
+            twin = rng_stream(seed)
+            i = int(twin.integers(0, len(x)))
+            if twin.random() < 0.8:
+                continue  # the walk branch
+            rng = rng_stream(seed)
+            proposed, _, _ = frequency_update_move(x, target.log_density(x), target, rng, 0.1)
+            assert proposed[i] == twin.uniform(0.0, math.pi)
+            assert proposed[:i] + proposed[i + 1:] == x[:i] + x[i + 1:]
+            assert rng.bit_generator.state == twin.bit_generator.state
+            forced += 1
+        assert forced > 20
+
     def test_never_changes_order(self):
         rng = rng_stream(71)
         target = PriorOnlyTarget(1.0, 4)
