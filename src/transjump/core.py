@@ -12,6 +12,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Protocol
 
@@ -45,6 +46,44 @@ def rng_stream(base_seed: int, *path: int) -> Rng:
     and non-overlapping.
     """
     return np.random.default_rng([int(base_seed), *(int(p) for p in path)])
+
+
+class Draws:
+    """The draws a chain's kernels make, from ``gen``'s bit generator as ``gen`` makes them.
+
+    ``random`` and ``integers`` call the bit generator through numpy's public ctypes
+    interface: ``random`` is its ``next_double``, and ``integers`` is numpy's bounded
+    draw (Lemire's method, ``buffered_bounded_lemire_uint32``) on its ``next_uint32``.
+    So the values, the draw count and ``gen``'s state afterwards are numpy's own; the
+    other draws are ``gen``'s bound methods.  The calls skip ``gen``'s lock, so no
+    other thread may draw from ``gen`` while a ``Draws`` of it is in use.
+    """
+
+    # The bound methods keep ``gen``, and with it the state the ctypes calls point at, alive.
+    __slots__ = ("random", "standard_normal", "gamma", "choice", "_next32")
+
+    def __init__(self, gen: Rng):
+        ct = gen.bit_generator.ctypes
+        self.random = partial(ct.next_double, ct.state)
+        self._next32 = partial(ct.next_uint32, ct.state)
+        self.standard_normal = gen.standard_normal
+        self.gamma = gen.gamma
+        self.choice = gen.choice
+
+    def integers(self, low: int, high: int) -> int:
+        """``gen.integers(low, high)`` for 1 <= high - low <= 2**32, as a Python int."""
+        n = high - low
+        if not 1 < n <= 0x100000000:
+            if n == 1:
+                return low  # numpy draws nothing for a one-value range
+            raise ValueError(f"integers needs 1 <= high - low <= 2**32, got low={low!r}, "
+                             f"high={high!r}")
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return low + (m >> 32)
 
 
 class TargetDensity(Protocol):
@@ -273,5 +312,7 @@ def run_sweeps(sweep: Callable, target: TargetDensity, init: VarDimState, n_iter
 def run_chain(target: TargetDensity, moves: tuple[Move, ...], init: VarDimState, n_iter: int,
               burn_in: int, rng: Rng) -> ChainOutput:
     """Run the MHG chain of the mixture ``moves``: :func:`run_sweeps` over one
-    :func:`mixture_step` per iteration, reproducible given the generator state."""
-    return run_sweeps(mixture_step(moves, rng), target, init, n_iter, burn_in)
+    :func:`mixture_step` per iteration, reproducible given the generator state.  The
+    kernels draw through a :class:`Draws` of ``rng``, numpy's stream bit for bit; it
+    skips the bit generator's lock, so no other thread may draw from ``rng`` during the run."""
+    return run_sweeps(mixture_step(moves, Draws(rng)), target, init, n_iter, burn_in)

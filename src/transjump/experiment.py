@@ -22,6 +22,7 @@ from .birthdeath import BirthDeathSchedule, SortedRestriction, bod_move_set
 from .core import (
     ChainOutput,
     ConfigurationError,
+    Draws,
     Rng,
     check_iteration_counts,
     mixture_step,
@@ -99,7 +100,9 @@ def run_joint_chain(
 
     Exactly one of ``lam`` / ``lambda_prior`` must be given (likewise for
     delta2).  With ``y=None`` the chain runs on the (k, omega) prior alone: the
-    frequency-update and g-prior moves are skipped.
+    frequency-update and g-prior moves are skipped.  The kernels draw through a
+    ``core.Draws`` of ``rng``, numpy's stream bit for bit; it skips the bit
+    generator's lock, so no other thread may draw from ``rng`` during the run.
     """
     sched, delta2_val = check_sweep_settings(
         n_iter=n_iter, burn_in=burn_in, k_max=k_max, c=c, ratio_mode=ratio_mode,
@@ -108,7 +111,8 @@ def run_joint_chain(
     posterior = None if y is None else SinusoidPosterior(y, sched.lam, delta2_val, k_max)
     base = posterior if posterior is not None else PriorOnlyTarget(sched.lam, k_max)
     target = SortedRestriction(base) if representation == "sorted" else base
-    bod_step = mixture_step(bod_move_set(target, sched), rng)
+    draws = Draws(rng)
+    bod_step = mixture_step(bod_move_set(target, sched), draws)
     log_z = None if lambda_prior is None else log_truncated_poisson_normalizer(sched.lam, k_max)
     resample = lambda_prior is not None or (posterior is not None and delta2_prior is not None)
 
@@ -116,14 +120,14 @@ def run_joint_chain(
         nonlocal log_z, delta2_val
         if lambda_prior is not None:
             lam_new, log_ratio, log_z_new = sample_lambda(
-                sched.lam, log_z, len(x), lambda_prior[0], lambda_prior[1], k_max, rng)
-            if out.accept("lambda", log_ratio, rng):
+                sched.lam, log_z, len(x), lambda_prior[0], lambda_prior[1], k_max, draws)
+            if out.accept("lambda", log_ratio, draws):
                 sched.lam = base.lam = lam_new
                 log_z = log_z_new
         if posterior is not None and delta2_prior is not None:
             delta2_new, log_ratio = sample_delta2(delta2_val, x, posterior, delta2_prior[0],
-                                                  delta2_prior[1], rng)
-            if out.accept("delta2", log_ratio, rng):
+                                                  delta2_prior[1], draws)
+            if out.accept("delta2", log_ratio, draws):
                 delta2_val = posterior.delta2 = delta2_new
 
         if resample:  # f moved with lambda or delta2: evaluate it at x once
@@ -131,9 +135,9 @@ def run_joint_chain(
         x, log_t, move, move_accepted, _, _ = bod_step(x, log_t, out)
 
         if posterior is not None and x:
-            proposed, log_ratio, lt_new = frequency_update_move(x, log_t, target, rng,
+            proposed, log_ratio, lt_new = frequency_update_move(x, log_t, target, draws,
                                                                 0.25 / posterior.n_obs)
-            if out.accept("update", log_ratio, rng):
+            if out.accept("update", log_ratio, draws):
                 x, log_t = proposed, lt_new
         return x, log_t, move, move_accepted, sched.lam, delta2_val
 

@@ -14,6 +14,7 @@ from transjump.core import (
     BrokenKernelError,
     ChainOutput,
     ConfigurationError,
+    Draws,
     IterationRecord,
     Move,
     NEG_INF,
@@ -450,3 +451,54 @@ class TestRngStream:
         a = rng_stream(42, 0).standard_normal(5)
         b = rng_stream(42, 1).standard_normal(5)
         assert not np.allclose(a, b)
+
+
+class TestDraws:
+    """core.Draws against a twin Generator seeded alike: the same values, and
+    the same stream position afterwards."""
+
+    # 2**31 + 1 rejects about half of its first draws; 2**32 is the full 32-bit range.
+    RANGES = (1, 2, 3, 7, 33, 1_000_003, 2**31 + 1, 2**32)
+
+    @pytest.mark.parametrize("bit_generator", (
+        np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+        np.random.SFC64), ids=lambda b: b.__name__)
+    def test_twin_stream(self, bit_generator):
+        gen, twin = np.random.Generator(bit_generator(2024)), np.random.Generator(
+            bit_generator(2024))
+        draws = Draws(gen)
+        plan = np.random.default_rng(7)  # the order of the draws, apart from both streams
+        kinds = plan.integers(0, 6, size=30_000)  # kinds 4 and 5 are both integers
+        lows = plan.integers(-50, 50, size=kinds.size)
+        for i, (kind, low) in enumerate(zip(kinds.tolist(), lows.tolist())):
+            if kind == 0:
+                assert draws.random() == twin.random()
+            elif kind == 1:
+                assert draws.standard_normal() == twin.standard_normal()
+            elif kind == 2:
+                assert draws.gamma(2.5 + low % 7, 0.5) == twin.gamma(2.5 + low % 7, 0.5)
+            elif kind == 3:
+                assert draws.choice(3, p=[0.2, 0.5, 0.3]) == twin.choice(3, p=[0.2, 0.5, 0.3])
+            else:
+                n = self.RANGES[i % len(self.RANGES)]
+                value = draws.integers(low, low + n)
+                assert type(value) is int and value == twin.integers(low, low + n)
+        # A one-value range draws nothing, and integers(0, 2**31) reads a buffered half-word.
+        assert draws.integers(9, 10) == 9
+        assert gen.integers(0, 2**31) == twin.integers(0, 2**31)
+        assert gen.random() == twin.random()
+
+    def test_integers_keeps_numpys_errors(self):
+        gen = rng_stream(3)
+        draws = Draws(gen)
+        for low, high in ((0, 0), (5, 4), (0, -1)):
+            with pytest.raises(ValueError):
+                gen.integers(low, high)
+            with pytest.raises(ValueError):
+                draws.integers(low, high)
+        # numpy takes a 64-bit path above 2**32 values, which Draws does not have.
+        with pytest.raises(ValueError):
+            draws.integers(0, 2**32 + 1)
+        with pytest.raises(ValueError):
+            draws.integers(-2**40, 2**40)
+        assert gen.random() == rng_stream(3).random()

@@ -10,9 +10,12 @@ taken over every file it writes, in name order, each as its name followed by
 its bytes.  The prior-only pins hash the columns, move labels and tallies of
 ``core.run_chain`` on ``PriorOnlyTarget(5.0, 32)`` with ``bod_move_set`` at
 c = 0.25, run for 20,000 iterations from ``rng_stream(41, i)``: the benchmark's
-prior-only chain, shortened.  The values are those of IEEE-754 double
-arithmetic with the platform's libm and BLAS; a port to another platform may
-re-record them, once, with a note saying why.
+prior-only chain, shortened.  The stream pins take the caller's next
+``integers(0, 2**31)`` and ``random()`` after those chains and after a 300-sweep
+``run_joint_chain`` on the reference signal at seed 17 with the CLI's priors: the
+column hashes cannot see a buffered half-word left in a different state.  The
+values are those of IEEE-754 double arithmetic with the platform's libm and BLAS;
+a port to another platform may re-record them, once, with a note saying why.
 """
 import hashlib
 
@@ -21,6 +24,7 @@ import pytest
 from transjump.birthdeath import BirthDeathSchedule, bod_move_set
 from transjump.cli import main, parse_config, replicate, run_experiment, write_signal
 from transjump.core import rng_stream, run_chain
+from transjump.experiment import run_joint_chain
 from transjump.oracle import quadrature_posterior_k
 from transjump.sinusoid import PriorOnlyTarget, synthesize
 
@@ -60,6 +64,12 @@ PRIOR_ONLY = {
     "corrected": "60f6021299a923ddfd1b17c3c46a63f68f6ecd8516a73c9d334cd634adeff5d4",
     "legacy": "492ba10d38ec72dc2814b65eac6b19fd63995f1c0e4cb1c1a9068c33d4babd17",
 }
+# The generator's next integers(0, 2**31) and random() after each pinned chain.
+STREAM_AFTER = {
+    "corrected": (611716585, 0.02115653200969614),
+    "legacy": (2073505543, 0.8565598292589193),
+    "joint": (1727383912, 0.846247459283264),
+}
 PRIORS = ("c0b097bd085a03ef1560f145b18ed6128506372b89c4caeafd340e2a72f453c7",
           "cc98038cc2914dbcae67efa6bc1143c9bd46cb35a374f31732a22e18e302b295")
 
@@ -85,8 +95,9 @@ def test_reference_run_hashes(tmp_path, name):
 def test_prior_only_chain_hash(stream, mode):
     target = PriorOnlyTarget(5.0, 32)
     sched = BirthDeathSchedule.green(5.0, 32, 0.25, ratio_mode=mode)
-    out = run_chain(target, bod_move_set(target, sched), (), 20_000, 0,
-                    rng_stream(41, stream))
+    rng = rng_stream(41, stream)
+    out = run_chain(target, bod_move_set(target, sched), (), 20_000, 0, rng)
+    assert (int(rng.integers(0, 2**31)), rng.random()) == STREAM_AFTER[mode]
     digest = hashlib.sha256()
     for column in (out.k, out.components, out.log_target, out.accepted):
         digest.update(column.tobytes())
@@ -94,6 +105,14 @@ def test_prior_only_chain_hash(stream, mode):
     digest.update(repr((sorted(out.proposals.items()),
                         sorted(out.acceptances.items()))).encode())
     assert digest.hexdigest() == PRIOR_ONLY[mode]
+
+
+def test_joint_chain_stream_position():
+    y = synthesize((0.63, 0.68, 0.73), (20, 6.32, 20), 7.0, 64, rng_stream(5))
+    rng = rng_stream(17)
+    run_joint_chain(y, n_iter=300, burn_in=0, lambda_prior=(1.0, 1e-3),
+                    delta2_prior=(2.0, 100.0), rng=rng)
+    assert (int(rng.integers(0, 2**31)), rng.random()) == STREAM_AFTER["joint"]
 
 
 def test_replicate_hash(tmp_path):
